@@ -42,6 +42,14 @@ def _npairs(k: int) -> int:
     return k * (k - 1) // 2
 
 
+def _int(x, what: str) -> int:
+    """x through operator.index, so NumPy integers pass and floats do not."""
+    try:
+        return index(x)
+    except TypeError:
+        raise ConfigError(f"{what} must be an integer, got {x!r}") from None
+
+
 @dataclass(frozen=True, init=False)
 class GraphType:
     """Edge/non-edge decision for every pair among k ordered variables.
@@ -54,11 +62,11 @@ class GraphType:
     _bits: int
 
     def __init__(self, k: int, edges=frozenset()):
-        if k < 0:
+        if (k := _int(k, "variable count")) < 0:
             raise ConfigError("variable count must be >= 0")
         bits = 0
         for i, j in edges:
-            i, j = int(i), int(j)
+            i, j = _int(i, "pair entry"), _int(j, "pair entry")
             if not (0 <= i < j < k):
                 raise ConfigError(
                     f"pair ({i}, {j}) is not ordered and below k={k}")
@@ -78,9 +86,12 @@ class GraphType:
                          if self._bits >> (_npairs(j) + i) & 1)
 
     def has_edge(self, i: int, j: int) -> bool:
+        i, j = sorted((_int(i, "pair entry"), _int(j, "pair entry")))
         if i == j:
             raise ConfigError("graph types have no self pairs")
-        return (min(i, j), max(i, j)) in self.edges
+        if not (0 <= i and j < self.k):
+            raise ConfigError(f"pair ({i}, {j}) is out of range for k={self.k}")
+        return bool(self._bits >> (_npairs(j) + i) & 1)
 
     def bits(self) -> int:
         """The pair decisions as an int, pair (i, j) at bit j(j-1)/2 + i."""

@@ -2,85 +2,117 @@
 
 Entry i (1-based, i = 1..kmax) is the probability that a uniform random walk
 of length i starting at v ends back at v. Isolated nodes get the zero vector.
+
+All exact values come from walk_returns. With S = D^-1/2 A D^-1/2,
+P^k[v, v] = S^k[v, v] = <S^a[v, :], S^b[v, :]> for a + b = k, so it steps
+the rows of a block of sources only ceil(kmax/2) times, either as sorted
+(source, node) triples expanded along the CSR and merged with a stable sort
+(work follows the walks: sparse graphs) or as a dense (B, n) slab times a
+dense S (work B n^2 per step: dense graphs). The choice compares the two
+work estimates, both from the degrees, so time grows smoothly with n.
+rw_encoding samples walks instead only when asked (method="monte_carlo").
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
 from .graphs import FeaturedGraph
 from .rng import stream
 
-EXACT_BALL_LIMIT = 10_000  # default method switches to sampling past this
 DEFAULT_WALKS = 100_000
-_DENSE_BATCH_LIMIT = 2048  # below this, batch encodings use dense matrix powers
+# work in slab multiply-adds: one expanded triple costs about 3000 of them
+# (2500 timed on one BLAS thread, 3500 on two), one dense S entry about 100
+_TRIPLE_COST, _DENSE_ENTRY_COST = 3000.0, 100.0
+# rough cap on the triples or slab entries held per block
+_BLOCK_ENTRIES = 1 << 21
 
 
-def _gather_neighbors(graph: FeaturedGraph, nodes: np.ndarray) -> np.ndarray:
-    """All neighbors of `nodes`, concatenated (with multiplicity)."""
-    counts = graph.degrees[nodes]
-    total = int(counts.sum())
-    if total == 0:
-        return np.array([], dtype=np.int64)
-    seg = np.concatenate([[0], np.cumsum(counts)])
-    intra = np.arange(total) - np.repeat(seg[:-1], counts)
-    flat = np.repeat(graph.indptr[nodes], counts) + intra
-    return graph.indices[flat]
+def _triple_rows(indptr, indices, scale, sources, half):
+    """Rows r_1..r_half of the block as (sorted keys source*n + node, values)."""
+    n = len(scale)
+    key = np.arange(len(sources), dtype=np.int64) * n + sources
+    val = np.ones(len(sources))
+    for _ in range(half):
+        node = key % n
+        counts = indptr[node + 1] - indptr[node]
+        owner = np.repeat(np.arange(len(key)), counts)
+        flat = np.arange(len(owner)) + np.repeat(
+            indptr[node] - np.cumsum(counts) + counts, counts)
+        new = key[owner] - node[owner] + indices[flat]
+        # stable, so each source's summation order ignores its block
+        order = np.argsort(new, kind="stable")
+        new = new[order]
+        first = np.flatnonzero(np.diff(new, prepend=-1))
+        key = new[first]
+        val = (np.add.reduceat((val * scale[node])[owner][order], first)
+               * scale[key % n])
+        yield key, val
 
 
-def _ball(graph: FeaturedGraph, v: int, radius: int, limit: Optional[int] = None):
-    """Sorted nodes within `radius` of v, or None once `limit` is exceeded."""
-    seen = np.zeros(graph.n, dtype=bool)
-    seen[v] = True
-    count = 1
-    frontier = np.array([v], dtype=np.int64)
-    for _ in range(radius):
-        nbrs = _gather_neighbors(graph, frontier)
-        if len(nbrs) == 0:
-            break
-        nbrs = np.unique(nbrs)
-        new = nbrs[~seen[nbrs]]
-        if len(new) == 0:
-            break
-        seen[new] = True
-        count += len(new)
-        if limit is not None and count > limit:
-            return None
-        frontier = new
-    return np.nonzero(seen)[0]
+def _triple_dot(x, y, count, n):
+    """Per-source inner products of two triple rows of a count-source block."""
+    (kx, vx), (ky, vy) = x, y
+    pos = np.searchsorted(ky, kx)
+    hit = np.append(ky, -1)[pos] == kx
+    return np.bincount(kx[hit] // n, weights=vx[hit] * vy[pos[hit]],
+                       minlength=count)
 
 
-def _exact_local(graph: FeaturedGraph, v: int, kmax: int, ball: np.ndarray) -> np.ndarray:
-    # walks of length <= kmax never leave the kmax-ball, so the DP below is exact
-    b = len(ball)
-    deg = graph.degrees
-    if b == graph.n:
-        src = np.repeat(np.arange(b, dtype=np.int64), deg)
-        dst = graph.indices
-        v_local = v
-        degs_local = deg.astype(np.float64)
+def _slab_rows(dense, sources, half):
+    """Rows r_1..r_half of the block as dense (B, n) arrays."""
+    rows = dense[sources]
+    yield rows
+    for _ in range(half - 1):
+        rows = rows @ dense
+        yield rows
+
+
+def _blocks(cost: np.ndarray, cap: float):
+    """Consecutive [lo, hi) source ranges whose summed cost is about cap."""
+    group = (np.cumsum(cost) - cost) // cap
+    bounds = np.append(np.flatnonzero(np.diff(group, prepend=-1)), len(cost))
+    return zip(bounds[:-1], bounds[1:])
+
+
+def walk_returns(indptr: np.ndarray, indices: np.ndarray, sources,
+                 kmax: int) -> np.ndarray:
+    """(len(sources), kmax) matrix: entry [i, k-1] is P^k[v, v], v = sources[i].
+
+    indptr/indices are the CSR adjacency of a simple undirected graph.
+    """
+    indptr = np.asarray(indptr, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    sources = np.asarray(sources, dtype=np.int64).reshape(-1)
+    deg = np.diff(indptr).astype(np.float64)
+    n, nnz, half = len(deg), len(indices), (kmax + 1) // 2
+    scale = np.divide(1.0, np.sqrt(deg), out=np.zeros(n), where=deg > 0)
+    # expected expansions per step: deg(v), then times the mean neighbor
+    # degree per step, never more than the whole adjacency
+    growth = (deg ** 2).sum() / max(nnz, 1)
+    expand = np.minimum(nnz, deg[sources, None]
+                        * growth ** np.arange(half)).sum(axis=1)
+    slab_work = (n * n * (_DENSE_ENTRY_COST + len(sources) * max(half - 1, 0))
+                 + len(sources) * n)
+    if _TRIPLE_COST * expand.sum() <= slab_work:
+        rows = lambda src: _triple_rows(indptr, indices, scale, src, half)
+        dot, cost = _triple_dot, expand + 1.0
     else:
-        local_of = np.full(graph.n, -1, dtype=np.int64)
-        local_of[ball] = np.arange(b)
-        counts = deg[ball]
-        rep = np.repeat(np.arange(b, dtype=np.int64), counts)
-        nbrs = _gather_neighbors(graph, ball)
-        keep = local_of[nbrs] >= 0
-        src = rep[keep]
-        dst = local_of[nbrs[keep]]
-        v_local = int(local_of[v])
-        degs_local = deg[ball].astype(np.float64)
-    inv_deg = np.zeros(b)
-    nz = degs_local > 0
-    inv_deg[nz] = 1.0 / degs_local[nz]
-    prob = np.zeros(b)
-    prob[v_local] = 1.0
-    out = np.zeros(kmax)
-    for step in range(kmax):
-        prob = np.bincount(dst, weights=prob[src] * inv_deg[src], minlength=b)
-        out[step] = prob[v_local]
+        dense = np.zeros((n, n))
+        owner = np.repeat(np.arange(n), np.diff(indptr))
+        dense[owner, indices] = scale[owner] * scale[indices]
+        rows = lambda src: _slab_rows(dense, src, half)
+        dot = lambda x, y, *_: np.einsum("ij,ij->i", x, y)
+        cost = np.full(len(sources), float(n))
+    out = np.zeros((len(sources), kmax))  # k = 1 stays 0: no self-loops
+    for lo, hi in _blocks(cost, _BLOCK_ENTRIES):
+        prev = None
+        for t, cur in enumerate(rows(sources[lo:hi]), 1):
+            if prev is not None:
+                out[lo:hi, 2 * t - 2] = dot(prev, cur, hi - lo, n)
+            if 2 * t <= kmax:
+                out[lo:hi, 2 * t - 1] = dot(cur, cur, hi - lo, n)
+            prev = cur
     return out
 
 
@@ -96,49 +128,27 @@ def _monte_carlo(graph: FeaturedGraph, v: int, kmax: int, walks: int,
     return out
 
 
-def rw_encoding(graph: FeaturedGraph, v: int, kmax: int, method: Optional[str] = None,
+def rw_encoding(graph: FeaturedGraph, v: int, kmax: int, method: str | None = None,
                 walks: int = DEFAULT_WALKS, seed: int = 0) -> np.ndarray:
     """Length-kmax return-probability vector for node v.
 
-    method None picks exact_local while the kmax-hop ball stays at or below
-    10^4 nodes, and falls back to monte_carlo (10^5 walks) beyond that.
+    method None or "exact_local" is exact for every node (walk_returns);
+    "monte_carlo" estimates it from `walks` sampled walks.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
+    if not (isinstance(v, (int, np.integer)) and 0 <= v < graph.n):
+        raise ValueError(f"node {v!r} is not an integer in [0, {graph.n})")
+    if method not in (None, "exact_local", "monte_carlo"):
+        raise ValueError(f"unknown rw method {method!r}")
     if graph.degrees[v] == 0:
         return np.zeros(kmax)
-    if method is None:
-        ball = _ball(graph, v, kmax, limit=EXACT_BALL_LIMIT)
-        if ball is not None:
-            return _exact_local(graph, v, kmax, ball)
-        method = "monte_carlo"
-    if method == "exact_local":
-        return _exact_local(graph, v, kmax, _ball(graph, v, kmax))
     if method == "monte_carlo":
         rng = stream(seed, "rw", v, kmax)
         return _monte_carlo(graph, v, kmax, walks, rng)
-    raise ValueError(f"unknown rw method {method!r}")
+    return walk_returns(graph.indptr, graph.indices, [v], kmax)[0]
 
 
 def rw_encoding_all(graph: FeaturedGraph, kmax: int) -> np.ndarray:
-    """(n, kmax) matrix of return probabilities for every node.
-
-    Small graphs use dense transition-matrix powers; larger ones fall back to
-    the per-node routine (cheap when neighborhoods are small).
-    """
-    n = graph.n
-    if n <= _DENSE_BATCH_LIMIT:
-        deg = graph.degrees.astype(np.float64)
-        trans = np.zeros((n, n))
-        rows = np.repeat(np.arange(n), graph.degrees)
-        if len(rows):
-            trans[rows, graph.indices] = 1.0 / deg[rows]
-        out = np.zeros((n, kmax))
-        power = trans
-        out[:, 0] = np.diag(power)
-        for step in range(1, kmax):
-            power = power @ trans
-            out[:, step] = np.diag(power)
-        out[graph.degrees == 0] = 0.0
-        return out
-    return np.stack([rw_encoding(graph, v, kmax) for v in range(n)])
+    """(n, kmax) matrix of exact return probabilities for every node."""
+    return walk_returns(graph.indptr, graph.indices, np.arange(graph.n), kmax)

@@ -43,6 +43,7 @@ from .graphs import FeatureDist, draw_features, feature_dim
 from .mc import ControllerValue, batch_stderr, block_slices
 from .registry import FunctionRegistry, default_registry
 from .rng import stream
+from .rw import walk_returns
 from .terms import (Apply, Const, Feature, GcnAgg, GlobalWMean, LocalWMean,
                     Rw, Term, contains_gcn, free_vars, validate_term)
 
@@ -103,22 +104,11 @@ def _census_radius(term: GlobalWMean) -> int:
     return depth + pad
 
 
-def _rw_exact(adj, v: int, kmax: int) -> np.ndarray:
-    """Return probabilities for steps 1..kmax of the uniform walk on adj."""
-    if not adj[v]:
-        return np.zeros(kmax)
-    n = len(adj)
-    trans = np.zeros((n, n))
-    for i, row in enumerate(adj):
-        if row:
-            trans[i, list(row)] = 1.0 / len(row)
-    prob = np.zeros(n)
-    prob[v] = 1.0
-    out = np.zeros(kmax)
-    for step in range(kmax):
-        prob = prob @ trans
-        out[step] = prob[v]
-    return out
+def _union_rw(adj, kmax: int) -> np.ndarray:
+    """(nodes, kmax) walk returns of every node of the union graph adj."""
+    indptr = np.cumsum([0] + [len(row) for row in adj])
+    indices = [u for row in adj for u in row]
+    return walk_returns(indptr, indices, np.arange(len(adj)), kmax)
 
 
 def _fit_width(vec: np.ndarray, d: int) -> np.ndarray:
@@ -134,14 +124,15 @@ class _Ctx:
     adj is the disjoint union of the components opened by the global
     binders in scope; var_nodes points each bound variable at its node.
     feats has shape (nodes, samples, d); every subterm evaluates to a
-    (samples, d) array over the same sample axis. rw caches exact
-    walk-return vectors and is shared across variable rebindings.
+    (samples, d) array over the same sample axis. rw caches the exact
+    walk returns of every union node per kmax and is shared across
+    variable rebindings.
     """
 
     adj: Tuple[Tuple[int, ...], ...]
     var_nodes: Dict[str, int]
     feats: np.ndarray
-    rw: Dict[Tuple[int, int], np.ndarray]
+    rw: Dict[int, np.ndarray]
 
     @property
     def m(self) -> int:
@@ -271,12 +262,10 @@ class _SparseEngine:
         if isinstance(term, Feature):
             return ctx.feats[ctx.var_nodes[term.var]]
         if isinstance(term, Rw):
-            node = ctx.var_nodes[term.var]
-            key = (node, term.kmax)
-            vec = ctx.rw.get(key)
-            if vec is None:
-                vec = _rw_exact(ctx.adj, node, term.kmax)
-                ctx.rw[key] = vec
+            mat = ctx.rw.get(term.kmax)
+            if mat is None:
+                mat = ctx.rw[term.kmax] = _union_rw(ctx.adj, term.kmax)
+            vec = mat[ctx.var_nodes[term.var]]
             return np.broadcast_to(_fit_width(vec, self.d), (ctx.m, self.d))
         if isinstance(term, Apply):
             args = [self._eval(a, ctx, depth) for a in term.args]

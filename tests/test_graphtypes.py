@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from aggterm.errors import ConfigError
@@ -114,6 +115,13 @@ def test_bad_input_rejected():
         lambda: t.restrict(4),
         lambda: t.restrict(-1),
         lambda: t.has_edge(1, 1),
+        lambda: GraphType(3).has_edge(0, 7),
+        lambda: GraphType(3).has_edge(-1, 2),
+        lambda: GraphType(3).has_edge(0.0, 1),
+        lambda: GraphType(3, frozenset({(0.5, 1)})),
+        lambda: GraphType(3, frozenset({(0, 1.0)})),
+        lambda: GraphType(2.5),
+        lambda: GraphType(None),
         lambda: alpha_weight_exact(t, GraphType(5), Fraction(1, 2)),
         lambda: enumerate_extensions(t, anchor=3),
         lambda: enumerate_extensions(t, anchor=-1),
@@ -133,6 +141,9 @@ def test_bad_input_rejected():
             call()
     with pytest.raises(TypeError):  # a float is not a bit pattern
         GraphType.from_bits(3, 1.0)
+    # NumPy integers are integers
+    t_np = GraphType(np.int64(3), frozenset({(np.int32(0), np.int64(1))}))
+    assert t_np == t and t_np.has_edge(np.int64(1), np.int8(0))
 
 
 def test_representation_consistent():
