@@ -24,31 +24,29 @@ nesting depth, evaluated once and cached. An aggregate whose body also
 reads outer variables is evaluated per outer sample with inner_mc fresh
 draws each, which introduces O(1/inner_mc) ratio bias; raise inner_mc
 when such terms need tight answers. Error bars come from rerunning the
-recursion on disjoint blocks of the draws (see mc.py).
+recursion on disjoint blocks of the draws. The pools, the collapsed and
+nested split and the reruns live in mc.McEngine, shared with the sparse
+construction; each ratio goes through evaluate.wmean_reduce.
 
 Degree-normalized aggregation has no construction here and is rejected.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
 from .errors import ConfigError, EvaluationError, UnsupportedTermError
+from .evaluate import wmean_reduce
 from .graphs import (DenseSchedule, ErModel, FeatureDist, LogSchedule,
                      RootSchedule, SbmModel, draw_features, feature_dim)
-from .graphtypes import GraphType
-from .mc import ControllerValue, batch_stderr, block_slices
+from .mc import ControllerValue, McEngine
 from .registry import FunctionRegistry, default_registry
-from .rng import stream
 from .terms import (Apply, Const, Feature, GcnAgg, GlobalWMean, LocalWMean,
                     Rw, Term, contains_gcn, free_vars, validate_term)
 
 __all__ = ["dense_controller", "DenseController", "dense_limit_p"]
-
-# rows processed at once in the nested-expectation path
-_CHUNK_ROWS = 1 << 18
 
 
 def dense_limit_p(model) -> float:
@@ -72,65 +70,13 @@ def dense_limit_p(model) -> float:
         f"model {model!r} has no dense limit; use the sparse construction")
 
 
-class _DenseEngine:
-    """One controller instance: pools, caches, and the eval recursion."""
+class _DenseEngine(McEngine):
+    """The eval recursion over i.i.d. feature draws for one term."""
 
-    def __init__(self, term: Term, registry: FunctionRegistry,
-                 dist: FeatureDist, mc_samples: int, seed: int,
-                 inner_mc: int):
-        self.term = term
-        self.registry = registry
-        self.dist = dist
-        self.d = feature_dim(dist)
-        self.mc = mc_samples
-        self.seed = seed
-        self.inner_mc = inner_mc
-        self._pools: Dict[int, np.ndarray] = {}
-        # per-run state
-        self._sel: slice = slice(None)
-        self._tag = "full"
-        self._cache: Dict[tuple, np.ndarray] = {}
+    kind = "dense"
 
-    # pools ------------------------------------------------------------
-
-    def _main_pool(self, depth: int) -> np.ndarray:
-        pool = self._pools.get(depth)
-        if pool is None:
-            rng = stream(self.seed, "dense", "pool", depth)
-            pool = draw_features(self.dist, self.mc, rng)
-            pool.flags.writeable = False
-            self._pools[depth] = pool
-        return pool[self._sel]
-
-    def _inner_draws(self, depth: int, lo: int, slots: int) -> np.ndarray:
-        """Fresh inner draws for one chunk of a nested aggregate.
-
-        Keyed by run tag and chunk offset: reruns reproduce exactly, while
-        every outer sample gets independent draws, so the inner noise
-        averages out across the run instead of floored at 1/sqrt(inner_mc).
-        """
-        rng = stream(self.seed, "dense", "inner", depth, self._tag, lo)
-        return draw_features(self.dist, slots, rng)
-
-    # runs ---------------------------------------------------------------
-
-    def run(self, sel: slice, tag, env0: Dict[str, np.ndarray]) -> np.ndarray:
-        self._sel = sel
-        self._tag = tag
-        self._cache = {}
-        out = self._eval(self.term, env0, 1 if not env0 else
-                         next(iter(env0.values())).shape[0], 0)
-        return out[0].copy()
-
-    def estimate(self, env0: Dict[str, np.ndarray]) -> ControllerValue:
-        full = self.run(slice(None), "full", env0)
-        blocks = [self.run(sl, i, env0)
-                  for i, sl in enumerate(block_slices(self.mc))]
-        return ControllerValue(estimate=full,
-                               stderr=batch_stderr(np.stack(blocks)),
-                               mc_samples=self.mc)
-
-    # recursion ----------------------------------------------------------
+    def _top(self, env0: Dict[str, np.ndarray]) -> np.ndarray:
+        return self._eval(self.term, env0, 1, 0)
 
     def _eval(self, term: Term, env: Dict[str, np.ndarray], m: int,
               depth: int) -> np.ndarray:
@@ -155,104 +101,49 @@ class _DenseEngine:
             return self._aggregate(term, env, m, depth)
         raise ConfigError(f"unknown term node {type(term).__name__}")
 
-    def _aggregate(self, term, env, m: int, depth: int) -> np.ndarray:
-        bound = term.bound
-        deps = [v for v in set(free_vars(term.value)) | set(free_vars(term.weight_arg))
-                if v != bound]
-        if not deps:
-            key = (term, depth)
-            cached = self._cache.get(key)
-            if cached is None:
-                cached = self._collapsed(term, depth)
-                self._cache[key] = cached
-            return np.broadcast_to(cached, (m, self.d))
-        return self._nested(term, env, m, depth)
-
-    def _weights(self, term, eta: np.ndarray, axis: int) -> np.ndarray:
-        """h(eta) with a shift that cancels in the ratio for exp weights."""
-        if term.weight_map == "exp":
-            shifted = eta - eta.max(axis=axis, keepdims=True)
-            return np.exp(shifted)
-        flat = eta.reshape(-1, self.d)
-        w = self.registry.call(term.weight_map, [flat])
-        return w.reshape(eta.shape)
-
     def _collapsed(self, term, depth: int) -> np.ndarray:
-        pool = self._main_pool(depth)
+        pool = self._pool(depth)[0]
         env = {term.bound: pool}
         mp = pool.shape[0]
-        vals = self._eval(term.value, env, mp, depth + 1)
-        eta = self._eval(term.weight_arg, env, mp, depth + 1)
-        w = self._weights(term, eta, axis=0)
-        num = (vals * w).mean(axis=0)
-        den = w.mean(axis=0)
-        if not (np.all(den > 0) and np.all(np.isfinite(den))
-                and np.all(np.isfinite(num))):
-            raise EvaluationError(
-                f"bad aggregate denominator under weight {term.weight_map!r}")
-        return num / den
+        return wmean_reduce(self._eval(term.value, env, mp, depth + 1),
+                            self._eval(term.weight_arg, env, mp, depth + 1),
+                            term.weight_map, self.registry, None)
 
     def _nested(self, term, env, m: int, depth: int) -> np.ndarray:
         inner = self.inner_mc
         out = np.empty((m, self.d))
-        step = max(1, _CHUNK_ROWS // inner)
-        for lo in range(0, m, step):
-            hi = min(m, lo + step)
+        for lo, hi in self._chunks(m):
             rows = hi - lo
             total = rows * inner
             sub = {v: np.repeat(arr[lo:hi], inner, axis=0)
                    for v, arr in env.items()}
-            sub[term.bound] = self._inner_draws(depth, lo, total)
+            sub[term.bound] = self._inner_draws(depth, lo, total)[0]
             vals = self._eval(term.value, sub, total, depth + 1)
             eta = self._eval(term.weight_arg, sub, total, depth + 1)
-            vals = vals.reshape(rows, inner, self.d)
-            eta = eta.reshape(rows, inner, self.d)
-            w = self._weights(term, eta, axis=1)
-            num = (vals * w).mean(axis=1)
-            den = w.mean(axis=1)
-            if not (np.all(den > 0) and np.all(np.isfinite(den))
-                    and np.all(np.isfinite(num))):
-                raise EvaluationError(
-                    f"bad aggregate denominator under weight {term.weight_map!r}")
-            out[lo:hi] = num / den
+            # inner draws lead, so each outer row gets its own mean
+            out[lo:hi] = wmean_reduce(
+                vals.reshape(rows, inner, self.d).swapaxes(0, 1),
+                eta.reshape(rows, inner, self.d).swapaxes(0, 1),
+                term.weight_map, self.registry, None)
         return out
 
 
 class DenseController:
     """Callable limit predictor for a term with free variables.
 
-    Call with per-variable feature vectors. A graph type over the free
-    variables, and community labels under a block model, may be supplied
-    for validation; with identically distributed features they cannot
-    shift the value (see the module docstring), so they only get checked
-    for shape and range.
+    Call with one feature vector per free variable, as a dict keyed by
+    variable or as a (variables, d) array. It takes no graph type or
+    community labels: the extension-pattern weights sum out of the limit,
+    and so do the blocks when features are identically distributed across
+    them (see the module docstring).
     """
 
-    def __init__(self, engine: _DenseEngine, variables, model):
+    def __init__(self, engine: _DenseEngine, variables):
         self._engine = engine
         self.variables = tuple(variables)
-        self._model = model
 
-    def __call__(self, features,
-                 graph_type: Optional[GraphType] = None,
-                 communities: Optional[Sequence[int]] = None) -> ControllerValue:
-        env0 = self._env(features)
-        k = len(self.variables)
-        if graph_type is not None:
-            if not isinstance(graph_type, GraphType):
-                raise ConfigError("graph_type must be a GraphType")
-            if graph_type.k != k:
-                raise ConfigError(
-                    f"graph type covers {graph_type.k} variables, term has {k}")
-        if communities is not None:
-            if not isinstance(self._model, SbmModel):
-                raise ConfigError("community labels only apply to block models")
-            labels = [int(c) for c in communities]
-            mcount = len(self._model.fractions)
-            if len(labels) != k or any(not (1 <= c <= mcount) for c in labels):
-                raise ConfigError(
-                    f"need {k} community labels in 1..{mcount}")
-        return self._engine.estimate(env0)
+    def __call__(self, features) -> ControllerValue:
+        return self._engine.estimate(self._env(features))
 
     def _env(self, features) -> Dict[str, np.ndarray]:
         d = self._engine.d
@@ -301,8 +192,9 @@ def dense_controller(term: Term, model, feature_dist: FeatureDist,
         raise ConfigError("mc_samples must be >= 2")
     if inner_mc < 2:
         raise ConfigError("inner_mc must be >= 2")
-    engine = _DenseEngine(term, reg, feature_dist, mc_samples, seed, inner_mc)
+    engine = _DenseEngine(term, reg, feature_dist, draw_features,
+                          mc_samples, seed, inner_mc)
     fvs = free_vars(term)
     if not fvs:
         return engine.estimate({})
-    return DenseController(engine, fvs, model)
+    return DenseController(engine, fvs)

@@ -14,12 +14,9 @@ Design notes:
 * Neighborhood aggregation expands (anchor, neighbor) pairs into flat
   arrays and reduces with segment sums, chunked so the expansion never
   exceeds a few million rows at a time.
-* exp weights are stabilized by subtracting the per-aggregation maximum
-  before exponentiating. Weighted means are invariant under this shift,
-  and it keeps denominators in a sane floating range.
-* Weight denominators are asserted positive; a weight map that underflows
-  to zero across a whole neighborhood raises instead of dividing by zero.
-  An empty neighborhood yields the zero vector by definition.
+* Every weighted mean, here and in both limit engines, goes through
+  wmean_reduce, which owns the exp shift, the denominator check and the
+  empty-neighborhood rule.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ import numpy as np
 
 from . import terms as T
 from .errors import ConfigError, EvaluationError
-from .registry import FunctionRegistry, default_registry
+from .registry import FunctionRegistry, default_registry, fit_width
 from .rw import rw_encoding_all
 from .terms import free_vars, validate_term
 
@@ -70,6 +67,69 @@ def _segment_max(data: np.ndarray, seg: np.ndarray) -> np.ndarray:
         head = np.maximum.reduceat(data, starts[:cut], axis=0)
         head[seg[1:cut + 1] == starts[:cut]] = 0.0
         out[:cut] = head
+    return out
+
+
+def wmean_reduce(vals: np.ndarray, eta: np.ndarray | None, weight_map: str,
+                 registry: FunctionRegistry, seg: np.ndarray | None,
+                 mass: np.ndarray | None = None) -> np.ndarray:
+    """Weighted means of the rows of vals, over segments or the leading axis.
+
+    With seg, vals and eta are (rows, d), segment k covers rows
+    seg[k]:seg[k+1], and the result is (len(seg) - 1, d). With seg=None
+    they are (rows, ..., d), one mean runs over the leading axis for every
+    trailing index with a plain axis sum, and the result drops that axis.
+    Row weights are weight_map(eta), times mass[row] when a mass is given,
+    so a mixture can weight each row by its share. The weight map "one"
+    never reads eta, which may then be None.
+
+    exp weights are stabilized by subtracting the per-mean maximum of eta
+    before exponentiating. Weighted means are invariant under this shift,
+    and it keeps denominators in a sane floating range. A denominator that
+    is zero or not finite (a weight map that underflows to zero across a
+    whole segment) raises instead of dividing, as does a mean that is not
+    finite. An empty segment, or an empty leading axis, yields zeros by
+    definition.
+    """
+    if seg is None and vals.shape[0] == 0:
+        return np.zeros(vals.shape[1:])
+    counts = None if seg is None else np.diff(seg)
+    # the repeated segment maxima are a (rows, d) temporary: leave them
+    # unnamed so they are freed before exp allocates its result
+    if weight_map == "one":
+        w = None
+    elif weight_map != "exp":
+        flat = eta.reshape(-1, eta.shape[-1])
+        w = registry.call(weight_map, [flat]).reshape(eta.shape)
+    elif seg is None:
+        w = np.exp(eta - eta.max(axis=0, keepdims=True))
+    else:
+        w = np.exp(eta - np.repeat(_segment_max(eta, seg), counts, axis=0))
+    if mass is not None:
+        mass = mass.reshape((-1,) + (1,) * (vals.ndim - 1))
+        w = mass if w is None else w * mass
+    if seg is None:
+        num = vals.sum(axis=0) if w is None else (vals * w).sum(axis=0)
+        den = vals.shape[0] if w is None else w.sum(axis=0)
+    else:
+        nonempty = counts > 0
+        if w is None:
+            num, den = _segment_sum(vals, seg), counts[:, None]
+        else:
+            num, den = _segment_sum(vals * w, seg), _segment_sum(w, seg)
+        num, den = num[nonempty], den[nonempty]
+    if not (np.all(den > 0) and np.all(np.isfinite(den))):
+        raise EvaluationError(
+            f"weight map {weight_map!r} produced a zero or non-finite "
+            f"denominator")
+    res = num / den
+    if not np.all(np.isfinite(res)):
+        raise EvaluationError(
+            f"weighted mean under weight map {weight_map!r} is not finite")
+    if seg is None:
+        return res
+    out = np.zeros((counts.shape[0], vals.shape[1]))
+    out[nonempty] = res
     return out
 
 
@@ -225,98 +285,50 @@ class Evaluator:
         cnt = counts[start:end]
         seg = cum[start:end + 1] - cum[start]
         total = int(seg[-1])
-        nrows = end - start
-        rep = np.repeat(np.arange(nrows), cnt)
+        rep = np.repeat(np.arange(end - start), cnt)
         offsets = np.arange(total) - np.repeat(seg[:-1], cnt)
         nbrs = g.indices[g.indptr[anchors[start:end]][rep] + offsets]
         child = {v: arr[start:end][rep] for v, arr in frame.items()}
         child[term.bound] = nbrs
-
+        if not gcn:
+            out[start:end] = self._wmean(term, child, total, seg, sub)
+            return
         vals = self._value_at(term.value, child, total, sub)
-        if gcn:
-            scale = 1.0 / np.sqrt(self._deg[anchors[start:end]][rep] * self._deg[nbrs])
-            out[start:end] = _segment_sum(vals * scale[:, None], seg)
-            return
-        if term.weight_map == "one":
-            sums = _segment_sum(vals, seg)
-            res = np.zeros((nrows, self.d))
-            nonempty = cnt > 0
-            res[nonempty] = sums[nonempty] / cnt[nonempty, None]
-            out[start:end] = res
-            return
-        eta = self._value_at(term.weight_arg, child, total, sub)
-        if term.weight_map == "exp":
-            smax = _segment_max(eta, seg)
-            weights = np.exp(eta - smax[rep])
-        else:
-            weights = self.registry.call(term.weight_map, [eta])
-        num = _segment_sum(vals * weights, seg)
-        den = _segment_sum(weights, seg)
-        nonempty = cnt > 0
-        if not np.all(den[nonempty] > 0):
-            raise EvaluationError(
-                f"weight map {term.weight_map!r} produced a zero denominator "
-                f"in {_join(sub)}")
-        res = np.zeros((nrows, self.d))
-        res[nonempty] = num[nonempty] / den[nonempty]
-        out[start:end] = res
+        scale = 1.0 / np.sqrt(self._deg[anchors[start:end]][rep] * self._deg[nbrs])
+        out[start:end] = _segment_sum(vals * scale[:, None], seg)
 
     def _global(self, term, frame: dict, m: int, path: tuple) -> np.ndarray:
         sub = path + (f"wmean[{term.bound}]",)
         n = self.graph.n
+        allv = np.arange(n)
         fv_val = set(free_vars(term.value)) - {term.bound}
         fv_eta = set(free_vars(term.weight_arg)) - {term.bound}
         if not fv_val and (term.weight_map == "one" or not fv_eta):
             # the aggregate is one global vector; compute over all nodes once
-            allv = np.arange(n)
-            vals = self._value_at(term.value, {term.bound: allv}, n, sub)
-            if term.weight_map == "one":
-                res = vals.sum(axis=0) / n
-            else:
-                eta = self._value_at(term.weight_arg, {term.bound: allv}, n, sub)
-                if term.weight_map == "exp":
-                    weights = np.exp(eta - eta.max(axis=0, keepdims=True))
-                else:
-                    weights = self.registry.call(term.weight_map, [eta])
-                den = weights.sum(axis=0)
-                if not np.all(den > 0):
-                    raise EvaluationError(
-                        f"weight map {term.weight_map!r} produced a zero "
-                        f"denominator in {_join(sub)}")
-                res = (vals * weights).sum(axis=0) / den
-            self._check_finite(res[None, :], sub)
+            res = self._wmean(term, {term.bound: allv}, n, None, sub)
             return np.broadcast_to(res, (m, self.d))
 
         rows_per = max(1, _CHUNK_ROWS // n)
         out = np.empty((m, self.d))
-        allv = np.arange(n)
         for s in range(0, m, rows_per):
             e = min(m, s + rows_per)
             nrows = e - s
-            total = nrows * n
             rep = np.repeat(np.arange(nrows), n)
             child = {v: arr[s:e][rep] for v, arr in frame.items()}
             child[term.bound] = np.tile(allv, nrows)
-            seg = np.arange(nrows + 1) * n
-            vals = self._value_at(term.value, child, total, sub)
-            if term.weight_map == "one":
-                out[s:e] = _segment_sum(vals, seg) / n
-                continue
-            eta = self._value_at(term.weight_arg, child, total, sub)
-            if term.weight_map == "exp":
-                smax = _segment_max(eta, seg)
-                weights = np.exp(eta - smax[rep])
-            else:
-                weights = self.registry.call(term.weight_map, [eta])
-            num = _segment_sum(vals * weights, seg)
-            den = _segment_sum(weights, seg)
-            if not np.all(den > 0):
-                raise EvaluationError(
-                    f"weight map {term.weight_map!r} produced a zero "
-                    f"denominator in {_join(sub)}")
-            out[s:e] = num / den
-        self._check_finite(out, sub)
+            out[s:e] = self._wmean(term, child, nrows * n,
+                                   np.arange(nrows + 1) * n, sub)
         return out
+
+    def _wmean(self, term, child: dict, rows: int, seg, sub: tuple) -> np.ndarray:
+        """Evaluate an aggregate's body on expanded rows and reduce them."""
+        vals = self._value_at(term.value, child, rows, sub)
+        eta = (None if term.weight_map == "one"
+               else self._value_at(term.weight_arg, child, rows, sub))
+        try:
+            return wmean_reduce(vals, eta, term.weight_map, self.registry, seg)
+        except EvaluationError as err:
+            raise EvaluationError(f"{err} in {_join(sub)}") from None
 
     # ------------------------------------------------------------------
     # helpers
@@ -324,12 +336,8 @@ class Evaluator:
     def _rw_matrix(self, kmax: int) -> np.ndarray:
         mat = self._rw_cache.get(kmax)
         if mat is None:
-            enc = rw_encoding_all(self.graph, kmax)
-            if kmax >= self.d:
-                mat = np.ascontiguousarray(enc[:, :self.d])
-            else:
-                mat = np.concatenate(
-                    [enc, np.zeros((self.graph.n, self.d - kmax))], axis=1)
+            mat = np.ascontiguousarray(
+                fit_width(rw_encoding_all(self.graph, kmax), self.d))
             mat.flags.writeable = False
             self._rw_cache[kmax] = mat
         return mat

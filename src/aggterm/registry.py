@@ -102,13 +102,17 @@ def _dot_scaled(x, y):
     return np.broadcast_to(s, x.shape)
 
 
+def fit_width(arr: np.ndarray, d: int) -> np.ndarray:
+    """Truncate or zero-pad the last axis of arr to width d."""
+    width = arr.shape[-1]
+    if width >= d:
+        return arr[..., :d]
+    return np.concatenate([arr, np.zeros(arr.shape[:-1] + (d - width,))],
+                          axis=-1)
+
+
 def _concat_pad(*args):
-    d = args[0].shape[-1]
-    flat = np.concatenate(args, axis=-1)
-    if flat.shape[-1] >= d:
-        return flat[..., :d]
-    pad = np.zeros(flat.shape[:-1] + (d - flat.shape[-1],))
-    return np.concatenate([flat, pad], axis=-1)
+    return fit_width(np.concatenate(args, axis=-1), args[0].shape[-1])
 
 
 def make_scale(c: float) -> Callable:
@@ -154,12 +158,8 @@ def make_concat_pad(widths: Sequence[int]) -> Callable:
         if len(args) != len(widths):
             raise EvaluationError(
                 f"concat_pad expects {len(widths)} arguments, got {len(args)}")
-        d = args[0].shape[-1]
         flat = np.concatenate([a[..., :w] for a, w in zip(args, widths)], axis=-1)
-        if flat.shape[-1] >= d:
-            return flat[..., :d]
-        pad = np.zeros(flat.shape[:-1] + (d - flat.shape[-1],))
-        return np.concatenate([flat, pad], axis=-1)
+        return fit_width(flat, args[0].shape[-1])
 
     return fn
 

@@ -24,8 +24,11 @@ binder uses one shared pool of mc_samples draws per nesting depth and
 decoded class (memory scales with class size times mc_samples), while a
 body that also reads outer variables gets a smaller nested pool of
 inner_mc draws per outer sample, at O(1/inner_mc) ratio bias. Error bars
-rerun the recursion on disjoint blocks of the draws (see mc.py); census
-sampling noise is not included, so size the census budget generously.
+rerun the recursion on disjoint blocks of the draws; census sampling noise
+is not included, so size the census budget generously. The pools, the
+split and the reruns live in mc.McEngine, shared with the dense
+construction; every weighted mean, the class mixtures included, goes
+through evaluate.wmean_reduce.
 """
 
 from __future__ import annotations
@@ -39,18 +42,16 @@ import numpy as np
 from .census import (DEFAULT_SIZE_CAP, CensusTable, is_sparse_class,
                      neighborhood_census)
 from .errors import ConfigError, EvaluationError
+from .evaluate import wmean_reduce
 from .graphs import FeatureDist, draw_features, feature_dim
-from .mc import ControllerValue, batch_stderr, block_slices
-from .registry import FunctionRegistry, default_registry
+from .mc import ControllerValue, McEngine
+from .registry import FunctionRegistry, default_registry, fit_width
 from .rng import stream
 from .rw import walk_returns
 from .terms import (Apply, Const, Feature, GcnAgg, GlobalWMean, LocalWMean,
                     Rw, Term, contains_gcn, free_vars, validate_term)
 
 __all__ = ["CensusConfig", "sparse_limit", "aggregation_depth"]
-
-# outer-sample rows processed at once in the nested path
-_CHUNK_ROWS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -111,10 +112,9 @@ def _union_rw(adj, kmax: int) -> np.ndarray:
     return walk_returns(indptr, indices, np.arange(len(adj)), kmax)
 
 
-def _fit_width(vec: np.ndarray, d: int) -> np.ndarray:
-    if len(vec) >= d:
-        return vec[:d]
-    return np.concatenate([vec, np.zeros(d - len(vec))])
+def _stack(blocks, m: int, d: int) -> np.ndarray:
+    """(len(blocks), m, d) stack of (m, d) blocks, also when there are none."""
+    return np.stack(blocks) if blocks else np.zeros((0, m, d))
 
 
 @dataclass
@@ -144,30 +144,22 @@ class _Ctx:
         return _Ctx(self.adj, vn, self.feats, self.rw)
 
 
-class _SparseEngine:
-    """Censuses, pools, caches, and the eval recursion for one term."""
+class _SparseEngine(McEngine):
+    """Censuses and the eval recursion on decoded classes for one term."""
+
+    kind = "sparse"
 
     def __init__(self, term: Term, registry: FunctionRegistry,
                  dist: FeatureDist, model, census: CensusConfig,
                  mc_samples: int, seed: int, eps: float, inner_mc: int):
-        self.term = term
-        self.registry = registry
-        self.dist = dist
+        super().__init__(term, registry, dist, draw_features, mc_samples,
+                         seed, inner_mc)
         self.model = model
         self.census = census
-        self.d = feature_dim(dist)
-        self.mc = mc_samples
-        self.seed = seed
         self.eps = eps
-        self.inner_mc = inner_mc
         self._tables: Dict[int, CensusTable] = {}
         # radius -> (kept [(code, weight, adj)], dropped mass)
         self._kept: Dict[int, tuple] = {}
-        self._pools: Dict[tuple, np.ndarray] = {}
-        # per-run state
-        self._sel: slice = slice(None)
-        self._tag = "full"
-        self._cache: Dict[tuple, np.ndarray] = {}
 
     # censuses -----------------------------------------------------------
 
@@ -208,52 +200,15 @@ class _SparseEngine:
             self._kept[radius] = got
         return got
 
-    # pools --------------------------------------------------------------
-
-    def _pool(self, depth: int, code: bytes, count: int) -> np.ndarray:
-        key = (depth, code)
-        pool = self._pools.get(key)
-        if pool is None:
-            rng = stream(self.seed, "sparse", "pool", depth, code.hex())
-            pool = draw_features(self.dist, count * self.mc, rng)
-            pool = pool.reshape(count, self.mc, self.d)
-            pool.flags.writeable = False
-            self._pools[key] = pool
-        return pool[:, self._sel, :]
-
-    def _inner_draws(self, depth: int, code: bytes, count: int, lo: int,
-                     slots: int) -> np.ndarray:
-        """Fresh (count, slots, d) draws for one chunk of a nested global.
-
-        Keyed by run tag and chunk offset, so reruns are reproducible while
-        every outer sample still gets independent inner draws.
-        """
-        rng = stream(self.seed, "sparse", "inner", depth, self._tag,
-                     code.hex(), lo)
-        return draw_features(self.dist, count * slots, rng).reshape(
-            count, slots, self.d)
-
-    # runs ---------------------------------------------------------------
-
-    def run(self, sel: slice, tag) -> np.ndarray:
-        self._sel = sel
-        self._tag = tag
-        self._cache = {}
-        ctx = _Ctx(adj=(), var_nodes={},
-                   feats=np.zeros((0, 1, self.d)), rw={})
-        out = self._eval(self.term, ctx, 0)
-        return out[0].copy()
-
-    def estimate(self) -> ControllerValue:
-        full = self.run(slice(None), "full")
-        blocks = [self.run(sl, i)
-                  for i, sl in enumerate(block_slices(self.mc))]
-        dropped = max((drop for _, drop in self._kept.values()), default=0.0)
-        return ControllerValue(estimate=full,
-                               stderr=batch_stderr(np.stack(blocks)),
-                               mc_samples=self.mc, truncated_mass=dropped)
+    def truncated_mass(self) -> float:
+        return max((drop for _, drop in self._kept.values()), default=0.0)
 
     # recursion ----------------------------------------------------------
+
+    def _top(self, _root) -> np.ndarray:
+        ctx = _Ctx(adj=(), var_nodes={},
+                   feats=np.zeros((0, 1, self.d)), rw={})
+        return self._eval(self.term, ctx, 0)
 
     def _eval(self, term: Term, ctx: _Ctx, depth: int) -> np.ndarray:
         if isinstance(term, Const):
@@ -266,7 +221,7 @@ class _SparseEngine:
             if mat is None:
                 mat = ctx.rw[term.kmax] = _union_rw(ctx.adj, term.kmax)
             vec = mat[ctx.var_nodes[term.var]]
-            return np.broadcast_to(_fit_width(vec, self.d), (ctx.m, self.d))
+            return np.broadcast_to(fit_width(vec, self.d), (ctx.m, self.d))
         if isinstance(term, Apply):
             args = [self._eval(a, ctx, depth) for a in term.args]
             out = self.registry.call(term.fn, args)
@@ -279,39 +234,19 @@ class _SparseEngine:
         if isinstance(term, GcnAgg):
             return self._gcn(term, ctx, depth)
         if isinstance(term, GlobalWMean):
-            return self._global(term, ctx, depth)
+            return self._aggregate(term, ctx, ctx.m, depth)
         raise ConfigError(f"unknown term node {type(term).__name__}")
 
-    def _weights(self, wmap: str, eta: np.ndarray, axes) -> np.ndarray:
-        """h(eta) with a max shift over `axes` that cancels in the ratio."""
-        if wmap == "exp":
-            shifted = eta - eta.max(axis=axes, keepdims=True)
-            return np.exp(shifted)
-        flat = eta.reshape(-1, self.d)
-        w = self.registry.call(wmap, [flat])
-        return w.reshape(eta.shape)
-
-    def _check_ratio(self, num: np.ndarray, den: np.ndarray, wmap: str):
-        if not (np.all(den > 0) and np.all(np.isfinite(den))
-                and np.all(np.isfinite(num))):
-            raise EvaluationError(
-                f"bad aggregate denominator under weight {wmap!r}")
-
     def _local(self, term: LocalWMean, ctx: _Ctx, depth: int) -> np.ndarray:
-        nbrs = ctx.adj[ctx.var_nodes[term.anchor]]
-        if not nbrs:
-            return np.zeros((ctx.m, self.d))
+        """One mean per sample over the anchor's neighbours, stacked first."""
         vals, etas = [], []
-        for j in nbrs:
+        for j in ctx.adj[ctx.var_nodes[term.anchor]]:
             sub = ctx.bind(term.bound, j)
             vals.append(self._eval(term.value, sub, depth + 1))
             etas.append(self._eval(term.weight_arg, sub, depth + 1))
-        stacked = np.stack(vals)
-        w = self._weights(term.weight_map, np.stack(etas), axes=0)
-        num = (stacked * w).sum(axis=0)
-        den = w.sum(axis=0)
-        self._check_ratio(num, den, term.weight_map)
-        return num / den
+        # rebinding frees the per-neighbour blocks before the reduction
+        vals, etas = _stack(vals, ctx.m, self.d), _stack(etas, ctx.m, self.d)
+        return wmean_reduce(vals, etas, term.weight_map, self.registry, None)
 
     def _gcn(self, term: GcnAgg, ctx: _Ctx, depth: int) -> np.ndarray:
         anchor = ctx.var_nodes[term.anchor]
@@ -323,76 +258,60 @@ class _SparseEngine:
             out = out + val / math.sqrt(len(nbrs) * len(ctx.adj[j]))
         return out
 
-    def _global(self, term: GlobalWMean, ctx: _Ctx, depth: int) -> np.ndarray:
+    def _collapsed(self, term: GlobalWMean, depth: int) -> np.ndarray:
+        """One fresh component per class from shared pools; each of a
+        class's rows carries mass q / mc."""
         types, _ = self._types(_census_radius(term))
-        deps = [v for v in set(free_vars(term.value))
-                | set(free_vars(term.weight_arg)) if v != term.bound]
-        if not deps:
-            key = (term, depth)
-            cached = self._cache.get(key)
-            if cached is None:
-                cached = self._mix(term, types, depth)
-                self._cache[key] = cached
-            return np.broadcast_to(cached, (ctx.m, self.d))
-        return self._mix_nested(term, types, ctx, depth)
-
-    def _mix(self, term: GlobalWMean, types, depth: int) -> np.ndarray:
-        """Collapsed global: one fresh component per class, shared pools."""
         vals, etas = [], []
         for code, _, adj in types:
             sub = _Ctx(adj=adj, var_nodes={term.bound: 0},
-                       feats=self._pool(depth, code, len(adj)), rw={})
+                       feats=self._pool(depth, (code.hex(),), len(adj)),
+                       rw={})
             vals.append(self._eval(term.value, sub, depth + 1))
             etas.append(self._eval(term.weight_arg, sub, depth + 1))
-        stacked = np.stack(vals)                          # (types, m, d)
-        w = self._weights(term.weight_map, np.stack(etas), axes=(0, 1))
-        q = np.array([wt for _, wt, _ in types])[:, None]
-        num = (q * (stacked * w).mean(axis=1)).sum(axis=0)
-        den = (q * w.mean(axis=1)).sum(axis=0)
-        self._check_ratio(num, den, term.weight_map)
-        return num / den
+        m = vals[0].shape[0]
+        mass = np.repeat([wt / m for _, wt, _ in types], m)
+        vals, etas = np.concatenate(vals), np.concatenate(etas)
+        return wmean_reduce(vals, etas, term.weight_map, self.registry, None,
+                            mass)
 
-    def _mix_nested(self, term: GlobalWMean, types, ctx: _Ctx,
-                    depth: int) -> np.ndarray:
+    def _nested(self, term: GlobalWMean, ctx: _Ctx, m: int,
+                depth: int) -> np.ndarray:
         """Global whose body reads outer variables: nested pools per class.
 
         Each outer sample is paired with inner_mc draws for the fresh
-        component; the class mixture and the ratio are taken per outer
-        sample after averaging over the inner axis.
+        component of every class; its class mixture is one mean over the
+        draws of all classes, each carrying mass q / inner_mc.
         """
+        types, _ = self._types(_census_radius(term))
         inner = self.inner_mc
         base_n = len(ctx.adj)
         exts = []
-        for code, wt, adj in types:
+        for code, _, adj in types:
             joined = ctx.adj + tuple(tuple(base_n + u for u in row)
                                      for row in adj)
             vn = dict(ctx.var_nodes)
             vn[term.bound] = base_n
-            exts.append((wt, code, joined, vn, len(adj)))
-        q = np.array([e[0] for e in exts])[:, None, None]
-        out = np.empty((ctx.m, self.d))
-        step = max(1, _CHUNK_ROWS // inner)
-        for lo in range(0, ctx.m, step):
-            hi = min(ctx.m, lo + step)
+            exts.append((code, joined, vn, len(adj)))
+        mass = np.repeat([wt / inner for _, wt, _ in types], inner)
+        out = np.empty((m, self.d))
+        for lo, hi in self._chunks(m):
             rows = hi - lo
             outer = np.repeat(ctx.feats[:, lo:hi, :], inner, axis=1)
             vs, es = [], []
-            for wt, code, joined, vn, count in exts:
-                fresh = self._inner_draws(depth, code, count, lo,
-                                          rows * inner)
+            for code, joined, vn, count in exts:
+                fresh = self._inner_draws(depth, lo, rows * inner,
+                                          (code.hex(),), count)
                 sub = _Ctx(adj=joined, var_nodes=vn,
                            feats=np.concatenate([outer, fresh], axis=0),
                            rw={})
                 vs.append(self._eval(term.value, sub, depth + 1)
-                          .reshape(rows, inner, self.d))
+                          .reshape(rows, inner, self.d).swapaxes(0, 1))
                 es.append(self._eval(term.weight_arg, sub, depth + 1)
-                          .reshape(rows, inner, self.d))
-            stacked = np.stack(vs)                  # (types, rows, inner, d)
-            w = self._weights(term.weight_map, np.stack(es), axes=(0, 2))
-            num = (q * (stacked * w).mean(axis=2)).sum(axis=0)
-            den = (q * w.mean(axis=2)).sum(axis=0)
-            self._check_ratio(num, den, term.weight_map)
-            out[lo:hi] = num / den
+                          .reshape(rows, inner, self.d).swapaxes(0, 1))
+            vs, es = np.concatenate(vs), np.concatenate(es)
+            out[lo:hi] = wmean_reduce(vs, es, term.weight_map, self.registry,
+                                      None, mass)
         return out
 
 

@@ -11,7 +11,6 @@ from aggterm.errors import ConfigError, UnsupportedTermError
 from aggterm.graphs import (BaModel, BernoulliFeatures, DenseSchedule, ErModel,
                             LogSchedule, RootSchedule, SbmModel,
                             SparseSchedule, Uniform01)
-from aggterm.graphtypes import GraphType
 from aggterm.parser import parse_term
 from aggterm.registry import default_registry
 
@@ -123,17 +122,6 @@ def test_open_term_with_aggregate():
                             Uniform01(1), 30000, 11)
     v = ctrl({"x": np.array([0.2])})
     assert abs(float(v.estimate[0]) - 0.7) < max(0.005, 4 * float(v.stderr[0]))
-
-
-def test_controller_checks_graph_type():
-    ctrl = dense_controller(t("add(H(x), H(y))"), ER01, Uniform01(1),
-                            100, 12)
-    features = {"x": np.array([0.1]), "y": np.array([0.2])}
-    ctrl(features, graph_type=GraphType(2, frozenset({(0, 1)})))
-    with pytest.raises(ConfigError):
-        ctrl(features, graph_type=GraphType(3))
-    with pytest.raises(ConfigError):
-        ctrl(features, communities=(1, 1))  # not a block model
 
 
 def test_gcn_rejected():
