@@ -5,8 +5,9 @@ neighborhoods (terms, parser, evaluate), message-passing and transformer
 architectures compiled into that language (architectures), random graph
 models with size-dependent edge schedules (graphs), predictors for the
 constants the terms converge to on growing graphs (dense_limit,
-sparse_limit, census, graphtypes), and a sweep harness with CSV/SVG
-reports plus the `aggterm` command line (harness, cli).
+sparse_limit, census), the exact extension-pattern weights behind the dense
+limit (graphtypes, which no predictor calls), and a sweep harness with
+CSV/SVG reports plus the `aggterm` command line (harness, cli).
 """
 
 from .architectures import (ArchConfig, CompiledModel, WeightSet,
@@ -28,10 +29,8 @@ from .graphs import (AlternatingSchedule, BaModel, BernoulliFeatures,
                      SbmModel, SparseSchedule, Uniform01, UniformRange,
                      attach_features, draw_features, eval_schedule,
                      feature_dim, from_edges, read_graph, rooted_neighborhood,
-                     rooted_to_graph, sample_graph, write_graph)
-from .graphtypes import (GraphType, alpha_weight, alpha_weight_exact,
-                         alpha_weight_local, alpha_weight_local_exact,
-                         alpha_weight_sbm, enumerate_extensions)
+                     sample_graph, write_graph)
+from .graphtypes import GraphType, alpha_weight_exact, enumerate_extensions
 from .harness import (ParityGap, SizeSummary, SweepConfig, SweepReport,
                       diverge_demo, read_report_csv, run_sweep,
                       summarize_outputs, write_plot_svg, write_report_csv,

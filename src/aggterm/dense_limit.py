@@ -15,8 +15,8 @@ indicator, so the integrand never depends on which extension pattern the
 new variable realizes (the binomial weights sum to one). The same argument
 applies with community labels when features are identically distributed
 across blocks. The recursion below therefore evaluates nested expectations
-directly; the pattern weights themselves live in graphtypes and are tested
-against their normalization identities separately.
+directly; the pattern weights themselves live in graphtypes, and acceptance
+test 7 checks their normalization identities.
 
 Expectations are Monte-Carlo means. An aggregate whose body reads only its
 own bound variable is "collapsed": one shared pool of mc_samples draws per
@@ -106,7 +106,7 @@ class _DenseEngine(McEngine):
         env = {term.bound: pool}
         mp = pool.shape[0]
         return wmean_reduce(self._eval(term.value, env, mp, depth + 1),
-                            self._eval(term.weight_arg, env, mp, depth + 1),
+                            self._weight_arg(term, env, mp, depth + 1),
                             term.weight_map, self.registry, None)
 
     def _nested(self, term, env, m: int, depth: int) -> np.ndarray:
@@ -119,12 +119,10 @@ class _DenseEngine(McEngine):
                    for v, arr in env.items()}
             sub[term.bound] = self._inner_draws(depth, lo, total)[0]
             vals = self._eval(term.value, sub, total, depth + 1)
-            eta = self._eval(term.weight_arg, sub, total, depth + 1)
-            # inner draws lead, so each outer row gets its own mean
-            out[lo:hi] = wmean_reduce(
-                vals.reshape(rows, inner, self.d).swapaxes(0, 1),
-                eta.reshape(rows, inner, self.d).swapaxes(0, 1),
-                term.weight_map, self.registry, None)
+            eta = self._weight_arg(term, sub, total, depth + 1)
+            out[lo:hi] = wmean_reduce(self._inner_first(vals, rows),
+                                      self._inner_first(eta, rows),
+                                      term.weight_map, self.registry, None)
         return out
 
 

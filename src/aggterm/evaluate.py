@@ -32,11 +32,13 @@ from .terms import free_vars, validate_term
 _CHUNK_ROWS = 1 << 21
 
 
-def _segment_sum(data: np.ndarray, seg: np.ndarray) -> np.ndarray:
-    """Sum rows of data over contiguous segments seg[k]:seg[k+1].
+def _segment_reduce(ufunc: np.ufunc, data: np.ndarray,
+                    seg: np.ndarray) -> np.ndarray:
+    """Reduce rows of data with ufunc over contiguous segments seg[k]:seg[k+1].
 
-    Empty segments produce zero rows. seg must be nondecreasing with
-    seg[0] == 0 and seg[-1] == len(data).
+    ufunc is np.add (sums) or np.maximum (rowwise maxima). Empty segments
+    produce zero rows. seg must be nondecreasing with seg[0] == 0 and
+    seg[-1] == len(data).
     """
     nseg = seg.shape[0] - 1
     out = np.zeros((nseg,) + data.shape[1:])
@@ -48,23 +50,7 @@ def _segment_sum(data: np.ndarray, seg: np.ndarray) -> np.ndarray:
     # first such start onward are all empty, so just drop them.
     cut = int(np.searchsorted(starts, total, side="left"))
     if cut:
-        head = np.add.reduceat(data, starts[:cut], axis=0)
-        head[seg[1:cut + 1] == starts[:cut]] = 0.0
-        out[:cut] = head
-    return out
-
-
-def _segment_max(data: np.ndarray, seg: np.ndarray) -> np.ndarray:
-    """Rowwise max over contiguous segments; empty segments give zero."""
-    nseg = seg.shape[0] - 1
-    out = np.zeros((nseg,) + data.shape[1:])
-    total = data.shape[0]
-    if total == 0 or nseg == 0:
-        return out
-    starts = seg[:-1]
-    cut = int(np.searchsorted(starts, total, side="left"))
-    if cut:
-        head = np.maximum.reduceat(data, starts[:cut], axis=0)
+        head = ufunc.reduceat(data, starts[:cut], axis=0)
         head[seg[1:cut + 1] == starts[:cut]] = 0.0
         out[:cut] = head
     return out
@@ -104,7 +90,8 @@ def wmean_reduce(vals: np.ndarray, eta: np.ndarray | None, weight_map: str,
     elif seg is None:
         w = np.exp(eta - eta.max(axis=0, keepdims=True))
     else:
-        w = np.exp(eta - np.repeat(_segment_max(eta, seg), counts, axis=0))
+        w = np.exp(eta - np.repeat(_segment_reduce(np.maximum, eta, seg),
+                                   counts, axis=0))
     if mass is not None:
         mass = mass.reshape((-1,) + (1,) * (vals.ndim - 1))
         w = mass if w is None else w * mass
@@ -114,9 +101,10 @@ def wmean_reduce(vals: np.ndarray, eta: np.ndarray | None, weight_map: str,
     else:
         nonempty = counts > 0
         if w is None:
-            num, den = _segment_sum(vals, seg), counts[:, None]
+            num, den = _segment_reduce(np.add, vals, seg), counts[:, None]
         else:
-            num, den = _segment_sum(vals * w, seg), _segment_sum(w, seg)
+            num = _segment_reduce(np.add, vals * w, seg)
+            den = _segment_reduce(np.add, w, seg)
         num, den = num[nonempty], den[nonempty]
     if not (np.all(den > 0) and np.all(np.isfinite(den))):
         raise EvaluationError(
@@ -295,7 +283,7 @@ class Evaluator:
             return
         vals = self._value_at(term.value, child, total, sub)
         scale = 1.0 / np.sqrt(self._deg[anchors[start:end]][rep] * self._deg[nbrs])
-        out[start:end] = _segment_sum(vals * scale[:, None], seg)
+        out[start:end] = _segment_reduce(np.add, vals * scale[:, None], seg)
 
     def _global(self, term, frame: dict, m: int, path: tuple) -> np.ndarray:
         sub = path + (f"wmean[{term.bound}]",)

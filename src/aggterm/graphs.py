@@ -318,16 +318,23 @@ def gen_er(n: int, schedule: Schedule, seed: SeedLike) -> FeaturedGraph:
         lin = np.concatenate(picked) if picked else np.array([], dtype=np.int64)
         u, v = _linear_to_pair(lin, n) if len(lin) else (lin, lin)
         return from_edges(n, u, v)
-    us, vs = [], []
-    for u in range(n - 1):
-        row = rng.random(n - 1 - u)
-        hit = np.nonzero(row < p)[0]
+    return from_edges(n, *_bernoulli_rows(
+        rng, ((u, u + 1, n - 1 - u, p) for u in range(n - 1))))
+
+
+def _bernoulli_rows(rng: np.random.Generator, rows) -> tuple:
+    """Edge arrays (us, vs) from independent Bernoulli rows, drawn in order.
+
+    Each row (u, first, length, p) draws rng.random(length) and links u to
+    first + i wherever entry i is below p.
+    """
+    us, vs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for u, first, length, p in rows:
+        hit = np.nonzero(rng.random(length) < p)[0]
         if hit.size:
             us.append(np.full(hit.size, u, dtype=np.int64))
-            vs.append(hit.astype(np.int64) + u + 1)
-    if us:
-        return from_edges(n, np.concatenate(us), np.concatenate(vs))
-    return from_edges(n, np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+            vs.append(hit.astype(np.int64) + first)
+    return np.concatenate(us), np.concatenate(vs)
 
 
 def sbm_sizes(n: int, fractions: Sequence[float]) -> list[int]:
@@ -349,31 +356,22 @@ def gen_sbm(n: int, fractions: Sequence[float], p, seed: SeedLike) -> FeaturedGr
         labels[starts[c]:starts[c] + size] = c + 1
     rng = _as_rng(seed, "sbm", n)
     m = len(sizes)
-    us, vs = [], []
-    for a in range(m):
-        for b in range(a, m):
-            pab = model.p[a][b]
-            if pab == 0.0 or sizes[a] == 0 or sizes[b] == 0:
-                continue
-            if a == b:
-                base = starts[a]
-                for i in range(sizes[a] - 1):
-                    row = rng.random(sizes[a] - 1 - i)
-                    hit = np.nonzero(row < pab)[0]
-                    if hit.size:
-                        us.append(np.full(hit.size, base + i, dtype=np.int64))
-                        vs.append(hit.astype(np.int64) + base + i + 1)
-            else:
-                for i in range(sizes[a]):
-                    row = rng.random(sizes[b])
-                    hit = np.nonzero(row < pab)[0]
-                    if hit.size:
-                        us.append(np.full(hit.size, starts[a] + i, dtype=np.int64))
-                        vs.append(hit.astype(np.int64) + starts[b])
-    if us:
-        return from_edges(n, np.concatenate(us), np.concatenate(vs), community=labels)
-    empty = np.array([], dtype=np.int64)
-    return from_edges(n, empty, empty, community=labels)
+
+    def rows():
+        for a in range(m):
+            for b in range(a, m):
+                pab = model.p[a][b]
+                if pab == 0.0 or sizes[a] == 0 or sizes[b] == 0:
+                    continue
+                if a == b:
+                    yield from ((starts[a] + i, starts[a] + i + 1,
+                                 sizes[a] - 1 - i, pab)
+                                for i in range(sizes[a] - 1))
+                else:
+                    yield from ((starts[a] + i, starts[b], sizes[b], pab)
+                                for i in range(sizes[a]))
+
+    return from_edges(n, *_bernoulli_rows(rng, rows()), community=labels)
 
 
 def gen_ba(n: int, m: int, seed: SeedLike) -> FeaturedGraph:
@@ -526,17 +524,6 @@ def rooted_neighborhood(graph: FeaturedGraph, roots: Sequence[int], radius: int,
         row = sorted(local[w] for w in graph.neighbors(g).tolist() if w in dist)
         adj.append(tuple(row))
     return RootedGraph(adj=tuple(adj), roots=tuple(range(len(roots))), radius=radius)
-
-
-def rooted_to_graph(rg: RootedGraph) -> FeaturedGraph:
-    """View a rooted subgraph as a bare FeaturedGraph (no features)."""
-    us, vs = [], []
-    for u, row in enumerate(rg.adj):
-        for v in row:
-            if u < v:
-                us.append(u)
-                vs.append(v)
-    return from_edges(rg.n, np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,9 @@ anchor variable.
 A type is stored as (k, bits) with pair (i, j), i < j, at bit j(j-1)/2 + i
 (colex order); restriction masks the low bits, extension appends above them.
 
-Weights come in float and exact `Fraction` flavors. The exact ones make the
-normalization identity (the weights over all extensions of a type sum to
-one) hold with no rounding at all, which the float versions inherit only
-approximately.
+Weights are exact `Fraction`s, so the normalization identity (the weights
+over all extensions of a type sum to one) holds with no rounding at all;
+a caller that wants a float converts the Fraction.
 """
 
 from __future__ import annotations
@@ -23,19 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import index
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import ConfigError
 
-__all__ = [
-    "GraphType",
-    "enumerate_extensions",
-    "alpha_weight",
-    "alpha_weight_exact",
-    "alpha_weight_local",
-    "alpha_weight_local_exact",
-    "alpha_weight_sbm",
-]
+__all__ = ["GraphType", "enumerate_extensions", "alpha_weight_exact"]
 
 
 def _npairs(k: int) -> int:
@@ -85,14 +76,6 @@ class GraphType:
         return frozenset((i, j) for j in range(self.k) for i in range(j)
                          if self._bits >> (_npairs(j) + i) & 1)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        i, j = sorted((_int(i, "pair entry"), _int(j, "pair entry")))
-        if i == j:
-            raise ConfigError("graph types have no self pairs")
-        if not (0 <= i and j < self.k):
-            raise ConfigError(f"pair ({i}, {j}) is out of range for k={self.k}")
-        return bool(self._bits >> (_npairs(j) + i) & 1)
-
     def bits(self) -> int:
         """The pair decisions as an int, pair (i, j) at bit j(j-1)/2 + i."""
         return self._bits
@@ -111,6 +94,11 @@ class GraphType:
         return GraphType._make(m, self._bits & ((1 << _npairs(m)) - 1))
 
 
+def _check_anchor(t: GraphType, anchor: Optional[int]) -> None:
+    if anchor is not None and not (0 <= anchor < t.k):
+        raise ConfigError(f"anchor {anchor} out of range for a {t.k}-type")
+
+
 def enumerate_extensions(t: GraphType,
                          anchor: Optional[int] = None) -> list:
     """All one-variable extensions of t, optionally forced adjacent to anchor.
@@ -120,8 +108,7 @@ def enumerate_extensions(t: GraphType,
     2^(k-1), all containing the edge (i, t.k). Order is deterministic: the
     edge subsets are swept as binary counters over the free pair slots.
     """
-    if anchor is not None and not (0 <= anchor < t.k):
-        raise ConfigError(f"anchor {anchor} out of range for a {t.k}-type")
+    _check_anchor(t, anchor)
     base, shift = t._bits, _npairs(t.k)
     return [GraphType._make(t.k + 1, base | new << shift)
             for new in range(1 << t.k) if anchor is None or new >> anchor & 1]
@@ -147,77 +134,19 @@ def _weights(p_limit, n: int) -> tuple:
     return tuple(p ** r * (1 - p) ** (n - r) for r in range(n + 1))
 
 
-def alpha_weight_exact(t: GraphType, t_ext: GraphType, p_limit) -> Fraction:
-    """Exact weight p^r (1-p)^(k-r) where r counts the new variable's edges."""
-    return _weights(p_limit, t.k)[_new_edges(t, t_ext).bit_count()]
+def alpha_weight_exact(t: GraphType, t_ext: GraphType, p_limit,
+                       anchor: Optional[int] = None) -> Fraction:
+    """Exact weight p^r (1-p)^(m-r) of the extension t_ext of t.
 
-
-def alpha_weight(t: GraphType, t_ext: GraphType, p_limit) -> float:
-    """Float weight of one unanchored extension; sums to 1 over all of them."""
-    return float(alpha_weight_exact(t, t_ext, p_limit))
-
-
-def alpha_weight_local_exact(t: GraphType, t_ext: GraphType, anchor: int,
-                             p_limit) -> Fraction:
-    """Exact anchored weight p^r (1-p)^(k-1-r), r excluding the anchor edge.
-
-    The extension must contain the anchor edge: anchored extensions model a
-    node drawn from the anchor's neighborhood, so that edge carries no
-    probability factor.
+    r counts the new variable's edges and m = t.k. With an anchor the
+    extension must contain the anchor edge, which is left out of r and m:
+    anchored extensions model a node drawn from the anchor's neighborhood,
+    so that edge carries no probability factor.
     """
-    if not (0 <= anchor < t.k):
-        raise ConfigError(f"anchor {anchor} out of range for a {t.k}-type")
+    if anchor is None:
+        return _weights(p_limit, t.k)[_new_edges(t, t_ext).bit_count()]
+    _check_anchor(t, anchor)
     touched = _new_edges(t, t_ext)
     if not touched >> anchor & 1:
         raise ConfigError("anchored extension must contain the anchor edge")
     return _weights(p_limit, t.k - 1)[touched.bit_count() - 1]
-
-
-def alpha_weight_local(t: GraphType, t_ext: GraphType, anchor: int,
-                       p_limit) -> float:
-    return float(alpha_weight_local_exact(t, t_ext, anchor, p_limit))
-
-
-def alpha_weight_sbm(t: GraphType, t_ext: GraphType,
-                     communities: Sequence[int],
-                     fractions: Sequence[float],
-                     p,
-                     anchor: Optional[int] = None) -> float:
-    """Weight of an extension whose variables carry block-model communities.
-
-    `communities` assigns 1-based labels to all k+1 variables (the last one
-    is the new variable). The weight is the probability that a random node
-    lands in the new variable's community and realizes exactly the
-    extension's edge pattern against the old variables at the block edge
-    probabilities:
-
-        q_c * prod_{i edge} P[c_i, c] * prod_{i non-edge} (1 - P[c_i, c])
-
-    With an anchor, the anchor edge must be present and its factor is the
-    conditional P[c_anchor, c] as usual; summing over patterns and c then
-    gives sum_c q_c P[c_anchor, c] rather than 1, the anchored normalizer.
-    """
-    touched = _new_edges(t, t_ext)
-    if anchor is not None:
-        if not (0 <= anchor < t.k):
-            raise ConfigError(f"anchor {anchor} out of range for a {t.k}-type")
-        if not touched >> anchor & 1:
-            raise ConfigError("anchored extension must contain the anchor edge")
-    m = len(fractions)
-    pm = [list(row) for row in p]
-    if len(pm) != m or any(len(row) != m for row in pm):
-        raise ConfigError("block probability matrix must be M x M")
-    labels = [int(c) for c in communities]
-    if len(labels) != t_ext.k:
-        raise ConfigError(
-            f"need {t_ext.k} community labels, got {len(labels)}")
-    if any(not (1 <= c <= m) for c in labels):
-        raise ConfigError(f"community labels must lie in 1..{m}")
-    c_new = labels[-1]
-    weight = float(fractions[c_new - 1])
-    for i in range(t.k):
-        pic = float(pm[labels[i] - 1][c_new - 1])
-        if not (0.0 <= pic <= 1.0):
-            raise ConfigError("block probabilities must lie in [0, 1]")
-        weight *= pic if touched >> i & 1 else (1.0 - pic)
-    return weight

@@ -137,6 +137,22 @@ class McEngine:
         step = max(1, _CHUNK_ROWS // self.inner_mc)
         return [(lo, min(m, lo + step)) for lo in range(0, m, step)]
 
+    def _weight_arg(self, term, *args) -> Optional[np.ndarray]:
+        """The aggregate's weight argument, or None under the map "one",
+        which never reads it (so its inner draws are never made)."""
+        if term.weight_map == "one":
+            return None
+        return self._eval(term.weight_arg, *args)
+
+    def _inner_first(self, block: Optional[np.ndarray],
+                     rows: int) -> Optional[np.ndarray]:
+        """(rows * inner_mc, d) block of a nested chunk as an (inner_mc,
+        rows, d) view: inner draws lead, so each outer row gets its own
+        mean. None (an unread weight argument) stays None."""
+        if block is None:
+            return None
+        return block.reshape(rows, self.inner_mc, self.d).swapaxes(0, 1)
+
     def _aggregate(self, term, scope, m: int, depth: int) -> np.ndarray:
         outer = (set(free_vars(term.value))
                  | set(free_vars(term.weight_arg))) - {term.bound}

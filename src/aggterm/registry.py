@@ -115,10 +115,6 @@ def _concat_pad(*args):
     return fit_width(np.concatenate(args, axis=-1), args[0].shape[-1])
 
 
-def make_scale(c: float) -> Callable:
-    return lambda x: c * x
-
-
 def make_leaky_relu(alpha: float) -> Callable:
     return lambda x: np.where(x >= 0, x, alpha * x)
 
@@ -160,16 +156,6 @@ def make_concat_pad(widths: Sequence[int]) -> Callable:
                 f"concat_pad expects {len(widths)} arguments, got {len(args)}")
         flat = np.concatenate([a[..., :w] for a, w in zip(args, widths)], axis=-1)
         return fit_width(flat, args[0].shape[-1])
-
-    return fn
-
-
-def make_constant(value: np.ndarray) -> Callable:
-    """Zero-argument function returning a fixed vector (for named constants)."""
-    value = np.asarray(value, dtype=np.float64)
-
-    def fn():
-        return value
 
     return fn
 

@@ -10,7 +10,6 @@ the rows of a block of sources only ceil(kmax/2) times, either as sorted
 (work follows the walks: sparse graphs) or as a dense (B, n) slab times a
 dense S (work B n^2 per step: dense graphs). The choice compares the two
 work estimates, both from the degrees, so time grows smoothly with n.
-rw_encoding samples walks instead only when asked (method="monte_carlo").
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import FeaturedGraph
-from .rng import stream
 
+# unused here; bench/workloads.py sizes its single-node rw tolerance by it
 DEFAULT_WALKS = 100_000
 # work in slab multiply-adds: one expanded triple costs about 3000 of them
 # (2500 timed on one BLAS thread, 3500 on two), one dense S entry about 100
@@ -116,36 +115,14 @@ def walk_returns(indptr: np.ndarray, indices: np.ndarray, sources,
     return out
 
 
-def _monte_carlo(graph: FeaturedGraph, v: int, kmax: int, walks: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    deg = graph.degrees
-    cur = np.full(walks, v, dtype=np.int64)
-    out = np.zeros(kmax)
-    for step in range(kmax):
-        picks = rng.integers(0, deg[cur])
-        cur = graph.indices[graph.indptr[cur] + picks]
-        out[step] = np.count_nonzero(cur == v) / walks
-    return out
-
-
-def rw_encoding(graph: FeaturedGraph, v: int, kmax: int, method: str | None = None,
-                walks: int = DEFAULT_WALKS, seed: int = 0) -> np.ndarray:
-    """Length-kmax return-probability vector for node v.
-
-    method None or "exact_local" is exact for every node (walk_returns);
-    "monte_carlo" estimates it from `walks` sampled walks.
-    """
+def rw_encoding(graph: FeaturedGraph, v: int, kmax: int) -> np.ndarray:
+    """Length-kmax return-probability vector for node v, exact (walk_returns)."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     if not (isinstance(v, (int, np.integer)) and 0 <= v < graph.n):
         raise ValueError(f"node {v!r} is not an integer in [0, {graph.n})")
-    if method not in (None, "exact_local", "monte_carlo"):
-        raise ValueError(f"unknown rw method {method!r}")
     if graph.degrees[v] == 0:
         return np.zeros(kmax)
-    if method == "monte_carlo":
-        rng = stream(seed, "rw", v, kmax)
-        return _monte_carlo(graph, v, kmax, walks, rng)
     return walk_returns(graph.indptr, graph.indices, [v], kmax)[0]
 
 

@@ -112,9 +112,14 @@ def _union_rw(adj, kmax: int) -> np.ndarray:
     return walk_returns(indptr, indices, np.arange(len(adj)), kmax)
 
 
-def _stack(blocks, m: int, d: int) -> np.ndarray:
-    """(len(blocks), m, d) stack of (m, d) blocks, also when there are none."""
-    return np.stack(blocks) if blocks else np.zeros((0, m, d))
+def _stack(blocks, m: int, d: int, join=np.stack) -> Optional[np.ndarray]:
+    """join (np.stack by default) of (m, d) blocks, also when there are none.
+
+    Blocks of None, the weight arguments a map "one" never reads, give None.
+    """
+    if blocks and blocks[0] is None:
+        return None
+    return join(blocks) if blocks else np.zeros((0, m, d))
 
 
 @dataclass
@@ -243,7 +248,7 @@ class _SparseEngine(McEngine):
         for j in ctx.adj[ctx.var_nodes[term.anchor]]:
             sub = ctx.bind(term.bound, j)
             vals.append(self._eval(term.value, sub, depth + 1))
-            etas.append(self._eval(term.weight_arg, sub, depth + 1))
+            etas.append(self._weight_arg(term, sub, depth + 1))
         # rebinding frees the per-neighbour blocks before the reduction
         vals, etas = _stack(vals, ctx.m, self.d), _stack(etas, ctx.m, self.d)
         return wmean_reduce(vals, etas, term.weight_map, self.registry, None)
@@ -268,10 +273,11 @@ class _SparseEngine(McEngine):
                        feats=self._pool(depth, (code.hex(),), len(adj)),
                        rw={})
             vals.append(self._eval(term.value, sub, depth + 1))
-            etas.append(self._eval(term.weight_arg, sub, depth + 1))
+            etas.append(self._weight_arg(term, sub, depth + 1))
         m = vals[0].shape[0]
         mass = np.repeat([wt / m for _, wt, _ in types], m)
-        vals, etas = np.concatenate(vals), np.concatenate(etas)
+        vals = np.concatenate(vals)
+        etas = _stack(etas, m, self.d, np.concatenate)
         return wmean_reduce(vals, etas, term.weight_map, self.registry, None,
                             mass)
 
@@ -305,11 +311,12 @@ class _SparseEngine(McEngine):
                 sub = _Ctx(adj=joined, var_nodes=vn,
                            feats=np.concatenate([outer, fresh], axis=0),
                            rw={})
-                vs.append(self._eval(term.value, sub, depth + 1)
-                          .reshape(rows, inner, self.d).swapaxes(0, 1))
-                es.append(self._eval(term.weight_arg, sub, depth + 1)
-                          .reshape(rows, inner, self.d).swapaxes(0, 1))
-            vs, es = np.concatenate(vs), np.concatenate(es)
+                vs.append(self._inner_first(
+                    self._eval(term.value, sub, depth + 1), rows))
+                es.append(self._inner_first(
+                    self._weight_arg(term, sub, depth + 1), rows))
+            vs = np.concatenate(vs)
+            es = _stack(es, rows, self.d, np.concatenate)
             out[lo:hi] = wmean_reduce(vs, es, term.weight_map, self.registry,
                                       None, mass)
         return out

@@ -124,6 +124,32 @@ def test_open_term_with_aggregate():
     assert abs(float(v.estimate[0]) - 0.7) < max(0.005, 4 * float(v.stderr[0]))
 
 
+def test_weight_argument_skipped_under_one(monkeypatch):
+    # mean[...] sugar repeats the value as an unread weight argument; its
+    # nested aggregate's inner draws must not be made a second time
+    import aggterm.dense_limit as dl
+    rows = []
+
+    def counting(dist, count, rng):
+        rows.append(count)
+        return draw(dist, count, rng)
+
+    draw = dl.draw_features
+    monkeypatch.setattr(dl, "draw_features", counting)
+    term = t("mean[x](mean[y](hadamard(H(x), H(y))))")
+    got = dense_controller(term, ER01, Uniform01(1), 1000, 14, inner_mc=8)
+    assert sum(rows) == 17000
+    # the same estimate with the value repeated as a weight the map reads
+    # (exp of 0 * body is 1 everywhere), where both are evaluated
+    rows.clear()
+    weighted = t("wmean[x](mean[y](hadamard(H(x), H(y))), exp, "
+                 "hadamard(0, mean[y](hadamard(H(x), H(y)))))")
+    ref = dense_controller(weighted, ER01, Uniform01(1), 1000, 14,
+                           inner_mc=8)
+    assert sum(rows) == 33000
+    assert np.array_equal(got.estimate, ref.estimate)
+
+
 def test_gcn_rejected():
     with pytest.raises(UnsupportedTermError):
         dense_controller(t("mean[v](gcn[u in N(v)](H(u)))"), ER01,

@@ -11,9 +11,9 @@ from aggterm.graphs import (AlternatingSchedule, BaModel, BernoulliFeatures,
                             LogSchedule, PaddedFeatures, RootSchedule,
                             SbmModel, SparseSchedule, Uniform01, UniformRange,
                             attach_features, draw_features, eval_schedule,
-                            feature_dim, from_edges, read_graph,
-                            rooted_neighborhood, sample_graph, sbm_sizes,
-                            write_graph)
+                            feature_dim, from_edges, gen_er, gen_sbm,
+                            read_graph, rooted_neighborhood, sample_graph,
+                            sbm_sizes, write_graph)
 from aggterm.rng import stream
 
 
@@ -54,6 +54,15 @@ def test_er_sparse_mean_degree():
     mean_deg = 2 * g.num_edges / g.n
     assert abs(mean_deg - 3.0) < 0.15
     g.validate()
+
+
+def test_one_block_sbm_is_dense_er():
+    # both scan the upper triangle row by row with the same Bernoulli draws
+    for n in (57, 300, 1000):
+        er = gen_er(n, DenseSchedule(0.3), np.random.default_rng(n))
+        sbm = gen_sbm(n, (1.0,), ((0.3,),), np.random.default_rng(n))
+        assert np.array_equal(er.indptr, sbm.indptr)
+        assert np.array_equal(er.indices, sbm.indices)
 
 
 def test_sbm_sizes_and_block_density():
