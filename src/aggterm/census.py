@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .canonical import canonical_code, decode_code
-from .errors import ConfigError, NeighborhoodTooLargeError
+from .errors import ConfigError, NeighborhoodTooLargeError, as_int
 from .graphs import (BaModel, ErModel, RootedGraph, SparseSchedule,
                      rooted_neighborhood, sample_graph)
 from .rng import stream
@@ -127,21 +127,14 @@ def neighborhood_census(model, n: int, radius: int, k: int,
             "census needs a sparse-class model (edge schedule K/n or "
             "preferential attachment); growing degrees make neighborhood "
             "balls explode with n")
-    if radius < 0:
-        raise ConfigError("radius must be >= 0")
-    if k < 1:
-        raise ConfigError("root count must be >= 1")
-    if node_samples < 1:
-        raise ConfigError("need at least one root sample")
-    if n <= k:
-        raise ConfigError("graph size must exceed the root count")
-    if size_cap < k:
-        raise ConfigError("size cap below the root count")
+    radius = as_int(radius, "radius", 0)
+    k = as_int(k, "root count", 1)
+    node_samples = as_int(node_samples, "root sample count", 1)
+    n = as_int(n, "graph size", k + 1)
+    size_cap = as_int(size_cap, "size cap", k)
     if graphs is None:
         graphs = max(1, math.ceil(node_samples / _GRAPH_BATCH))
-    graphs = min(graphs, node_samples)
-    if graphs < 1:
-        raise ConfigError("need at least one graph")
+    graphs = min(as_int(graphs, "graph count", 1), node_samples)
     base, extra = divmod(node_samples, graphs)
     tallies: Dict[bytes, int] = {}
     overflow = 0

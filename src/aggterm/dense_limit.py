@@ -98,7 +98,7 @@ class _DenseEngine(McEngine):
             raise UnsupportedTermError(
                 "degree-normalized aggregation has no dense-limit construction")
         if isinstance(term, (LocalWMean, GlobalWMean)):
-            return self._aggregate(term, env, m, depth)
+            return self._aggregate(term, env, (m, self.d), depth)
         raise ConfigError(f"unknown term node {type(term).__name__}")
 
     def _collapsed(self, term, depth: int) -> np.ndarray:
@@ -109,9 +109,9 @@ class _DenseEngine(McEngine):
                             self._weight_arg(term, env, mp, depth + 1),
                             term.weight_map, self.registry, None)
 
-    def _nested(self, term, env, m: int, depth: int) -> np.ndarray:
-        inner = self.inner_mc
-        out = np.empty((m, self.d))
+    def _nested(self, term, env, shape: tuple, depth: int) -> np.ndarray:
+        m, inner = shape[0], self.inner_mc
+        out = np.empty(shape)
         for lo, hi in self._chunks(m):
             rows = hi - lo
             total = rows * inner
@@ -186,10 +186,6 @@ def dense_controller(term: Term, model, feature_dist: FeatureDist,
         raise UnsupportedTermError(
             "degree-normalized aggregation has no dense-limit construction")
     dense_limit_p(model)
-    if mc_samples < 2:
-        raise ConfigError("mc_samples must be >= 2")
-    if inner_mc < 2:
-        raise ConfigError("inner_mc must be >= 2")
     engine = _DenseEngine(term, reg, feature_dist, draw_features,
                           mc_samples, seed, inner_mc)
     fvs = free_vars(term)

@@ -1,4 +1,7 @@
-"""Shared exception types."""
+"""Shared exception types, and the integer check behind ConfigError."""
+
+from operator import index
+from typing import Optional
 
 
 class AggtermError(Exception):
@@ -24,3 +27,17 @@ class NeighborhoodTooLargeError(AggtermError):
 
 class UnsupportedTermError(AggtermError):
     """The requested limit construction does not cover this term."""
+
+
+def as_int(x, what: str, low: Optional[int] = None) -> int:
+    """x through operator.index, so NumPy integers pass and floats do not.
+
+    With low, a value below it is refused too. Both failures are ConfigError.
+    """
+    try:
+        val = index(x)
+    except TypeError:
+        raise ConfigError(f"{what} must be an integer, got {x!r}") from None
+    if low is not None and val < low:
+        raise ConfigError(f"{what} must be >= {low}, got {val}")
+    return val

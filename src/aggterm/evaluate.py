@@ -13,7 +13,9 @@ Design notes:
   on two or more variables fall back to explicit expansion.
 * Neighborhood aggregation expands (anchor, neighbor) pairs into flat
   arrays and reduces with segment sums, chunked so the expansion never
-  exceeds a few million rows at a time.
+  exceeds a few million rows at a time. That kernel, local_aggregate, is
+  shared with the sparse limit engine, which runs it on a disjoint union
+  of decoded neighborhood classes with feature draws as trailing axes.
 * Every weighted mean, here and in both limit engines, goes through
   wmean_reduce, which owns the exp shift, the denominator check and the
   empty-neighborhood rule.
@@ -25,6 +27,7 @@ import numpy as np
 
 from . import terms as T
 from .errors import ConfigError, EvaluationError
+from .graphs import flat_ranges
 from .registry import FunctionRegistry, default_registry, fit_width
 from .rw import rw_encoding_all
 from .terms import free_vars, validate_term
@@ -61,13 +64,13 @@ def wmean_reduce(vals: np.ndarray, eta: np.ndarray | None, weight_map: str,
                  mass: np.ndarray | None = None) -> np.ndarray:
     """Weighted means of the rows of vals, over segments or the leading axis.
 
-    With seg, vals and eta are (rows, d), segment k covers rows
-    seg[k]:seg[k+1], and the result is (len(seg) - 1, d). With seg=None
-    they are (rows, ..., d), one mean runs over the leading axis for every
-    trailing index with a plain axis sum, and the result drops that axis.
-    Row weights are weight_map(eta), times mass[row] when a mass is given,
-    so a mixture can weight each row by its share. The weight map "one"
-    never reads eta, which may then be None.
+    vals and eta are (rows, ..., d). With seg, segment k covers rows
+    seg[k]:seg[k+1] and the result is (len(seg) - 1, ..., d). With
+    seg=None one mean runs over the leading axis with a plain axis sum, and
+    the result drops that axis. Either way every trailing index gets its
+    own mean. Row weights are weight_map(eta), times mass[row] when a mass
+    is given, so a mixture can weight each row by its share. The weight map
+    "one" never reads eta, which may then be None.
 
     exp weights are stabilized by subtracting the per-mean maximum of eta
     before exponentiating. Weighted means are invariant under this shift,
@@ -80,7 +83,9 @@ def wmean_reduce(vals: np.ndarray, eta: np.ndarray | None, weight_map: str,
     if seg is None and vals.shape[0] == 0:
         return np.zeros(vals.shape[1:])
     counts = None if seg is None else np.diff(seg)
-    # the repeated segment maxima are a (rows, d) temporary: leave them
+    # shape that broadcasts a per-row (or per-segment) scalar along rows
+    col = (-1,) + (1,) * (vals.ndim - 1)
+    # the repeated segment maxima are a vals-sized temporary: leave them
     # unnamed so they are freed before exp allocates its result
     if weight_map == "one":
         w = None
@@ -93,7 +98,7 @@ def wmean_reduce(vals: np.ndarray, eta: np.ndarray | None, weight_map: str,
         w = np.exp(eta - np.repeat(_segment_reduce(np.maximum, eta, seg),
                                    counts, axis=0))
     if mass is not None:
-        mass = mass.reshape((-1,) + (1,) * (vals.ndim - 1))
+        mass = mass.reshape(col)
         w = mass if w is None else w * mass
     if seg is None:
         num = vals.sum(axis=0) if w is None else (vals * w).sum(axis=0)
@@ -101,7 +106,7 @@ def wmean_reduce(vals: np.ndarray, eta: np.ndarray | None, weight_map: str,
     else:
         nonempty = counts > 0
         if w is None:
-            num, den = _segment_reduce(np.add, vals, seg), counts[:, None]
+            num, den = _segment_reduce(np.add, vals, seg), counts.reshape(col)
         else:
             num = _segment_reduce(np.add, vals * w, seg)
             den = _segment_reduce(np.add, w, seg)
@@ -116,9 +121,59 @@ def wmean_reduce(vals: np.ndarray, eta: np.ndarray | None, weight_map: str,
             f"weighted mean under weight map {weight_map!r} is not finite")
     if seg is None:
         return res
-    out = np.zeros((counts.shape[0], vals.shape[1]))
+    out = np.zeros((counts.shape[0],) + vals.shape[1:])
     out[nonempty] = res
     return out
+
+
+def local_aggregate(term, frame: dict, out: np.ndarray, indptr: np.ndarray,
+                    indices: np.ndarray, value_at, registry: FunctionRegistry,
+                    path: tuple, chunk_rows: int = _CHUNK_ROWS) -> np.ndarray:
+    """Fill out with term, a LocalWMean or GcnAgg on the CSR graph (indptr,
+    indices), at the node ids frame gives per row of out. Anchor chunks
+    expand to about chunk_rows (anchor, neighbor) rows, on which
+    value_at(subterm, child_frame, rows, path) returns (rows, ..., d)."""
+    kind = "gcn" if isinstance(term, T.GcnAgg) else "wmean"
+    sub = path + (f"{kind}[{term.bound} in N({term.anchor})]",)
+    anchors, deg = frame[term.anchor], np.diff(indptr)
+    counts = deg[anchors]
+    cum = np.concatenate([[0], np.cumsum(counts)])
+    start, m = 0, out.shape[0]
+    while start < m:
+        end = int(np.searchsorted(cum, cum[start] + chunk_rows, side="right")) - 1
+        end = min(max(end, start + 1), m)
+        cnt = counts[start:end]
+        seg = cum[start:end + 1] - cum[start]
+        total = int(seg[-1])
+        rep = np.repeat(np.arange(end - start), cnt)
+        nbrs = indices[flat_ranges(indptr[anchors[start:end]], cnt)]
+        child = {v: arr[start:end][rep] for v, arr in frame.items()}
+        child[term.bound] = nbrs
+        if kind == "gcn":
+            vals = value_at(term.value, child, total, sub)
+            scale = 1.0 / np.sqrt(deg[anchors[start:end]][rep] * deg[nbrs])
+            out[start:end] = _segment_reduce(
+                np.add, vals * scale.reshape((-1,) + (1,) * (vals.ndim - 1)),
+                seg)
+        else:
+            out[start:end] = _wmean(term, child, total, seg, sub, value_at,
+                                    registry)
+        start = end
+    if not np.all(np.isfinite(out)):
+        raise EvaluationError(f"non-finite value in {_join(sub)}")
+    return out
+
+
+def _wmean(term, child: dict, rows: int, seg, sub: tuple, value_at,
+           registry: FunctionRegistry) -> np.ndarray:
+    """Evaluate an aggregate's body on expanded rows and reduce them."""
+    vals = value_at(term.value, child, rows, sub)
+    eta = (None if term.weight_map == "one"
+           else value_at(term.weight_arg, child, rows, sub))
+    try:
+        return wmean_reduce(vals, eta, term.weight_map, registry, seg)
+    except EvaluationError as err:
+        raise EvaluationError(f"{err} in {_join(sub)}") from None
 
 
 class Evaluator:
@@ -138,7 +193,6 @@ class Evaluator:
         self.registry = registry if registry is not None else default_registry()
         self.d = graph.d
         self._feat = np.asarray(graph.features, dtype=np.float64)
-        self._deg = np.diff(graph.indptr)
         self._closed_cache: dict[str, np.ndarray] = {}
         self._node_cache: dict[str, np.ndarray] = {}
         self._skel: dict[tuple[int, str | None], str] = {}
@@ -240,50 +294,13 @@ class Evaluator:
                 out = self.registry.call(term.fn, args)
             self._check_finite(out, sub)
             return out
-        if isinstance(term, T.LocalWMean):
-            return self._local(term, frame, m, path, gcn=False)
-        if isinstance(term, T.GcnAgg):
-            return self._local(term, frame, m, path, gcn=True)
+        if isinstance(term, (T.LocalWMean, T.GcnAgg)):
+            return local_aggregate(term, frame, np.empty((m, self.d)),
+                                   self.graph.indptr, self.graph.indices,
+                                   self._value_at, self.registry, path)
         if isinstance(term, T.GlobalWMean):
             return self._global(term, frame, m, path)
         raise TypeError(f"not a term: {term!r}")
-
-    def _local(self, term, frame: dict, m: int, path: tuple, gcn: bool) -> np.ndarray:
-        if gcn:
-            sub = path + (f"gcn[{term.bound} in N({term.anchor})]",)
-        else:
-            sub = path + (f"wmean[{term.bound} in N({term.anchor})]",)
-        anchors = frame[term.anchor]
-        counts = self._deg[anchors]
-        cum = np.concatenate([[0], np.cumsum(counts)])
-        out = np.empty((m, self.d))
-        start = 0
-        while start < m:
-            end = int(np.searchsorted(cum, cum[start] + _CHUNK_ROWS, side="right")) - 1
-            end = min(max(end, start + 1), m)
-            self._local_block(term, frame, anchors, counts, cum, start, end,
-                              out, sub, gcn)
-            start = end
-        self._check_finite(out, sub)
-        return out
-
-    def _local_block(self, term, frame, anchors, counts, cum, start, end,
-                     out, sub, gcn) -> None:
-        g = self.graph
-        cnt = counts[start:end]
-        seg = cum[start:end + 1] - cum[start]
-        total = int(seg[-1])
-        rep = np.repeat(np.arange(end - start), cnt)
-        offsets = np.arange(total) - np.repeat(seg[:-1], cnt)
-        nbrs = g.indices[g.indptr[anchors[start:end]][rep] + offsets]
-        child = {v: arr[start:end][rep] for v, arr in frame.items()}
-        child[term.bound] = nbrs
-        if not gcn:
-            out[start:end] = self._wmean(term, child, total, seg, sub)
-            return
-        vals = self._value_at(term.value, child, total, sub)
-        scale = 1.0 / np.sqrt(self._deg[anchors[start:end]][rep] * self._deg[nbrs])
-        out[start:end] = _segment_reduce(np.add, vals * scale[:, None], seg)
 
     def _global(self, term, frame: dict, m: int, path: tuple) -> np.ndarray:
         sub = path + (f"wmean[{term.bound}]",)
@@ -293,7 +310,8 @@ class Evaluator:
         fv_eta = set(free_vars(term.weight_arg)) - {term.bound}
         if not fv_val and (term.weight_map == "one" or not fv_eta):
             # the aggregate is one global vector; compute over all nodes once
-            res = self._wmean(term, {term.bound: allv}, n, None, sub)
+            res = _wmean(term, {term.bound: allv}, n, None, sub,
+                         self._value_at, self.registry)
             return np.broadcast_to(res, (m, self.d))
 
         rows_per = max(1, _CHUNK_ROWS // n)
@@ -304,19 +322,10 @@ class Evaluator:
             rep = np.repeat(np.arange(nrows), n)
             child = {v: arr[s:e][rep] for v, arr in frame.items()}
             child[term.bound] = np.tile(allv, nrows)
-            out[s:e] = self._wmean(term, child, nrows * n,
-                                   np.arange(nrows + 1) * n, sub)
+            out[s:e] = _wmean(term, child, nrows * n,
+                              np.arange(nrows + 1) * n, sub, self._value_at,
+                              self.registry)
         return out
-
-    def _wmean(self, term, child: dict, rows: int, seg, sub: tuple) -> np.ndarray:
-        """Evaluate an aggregate's body on expanded rows and reduce them."""
-        vals = self._value_at(term.value, child, rows, sub)
-        eta = (None if term.weight_map == "one"
-               else self._value_at(term.weight_arg, child, rows, sub))
-        try:
-            return wmean_reduce(vals, eta, term.weight_map, self.registry, seg)
-        except EvaluationError as err:
-            raise EvaluationError(f"{err} in {_join(sub)}") from None
 
     # ------------------------------------------------------------------
     # helpers

@@ -266,6 +266,13 @@ def from_edges(n: int, u: np.ndarray, v: np.ndarray,
     return FeaturedGraph(n, indptr, dst, features, community)
 
 
+def flat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges starts[i] : starts[i] + counts[i], concatenated; with CSR
+    row starts and degrees, the positions of those rows' neighbors."""
+    seg = np.concatenate([[0], np.cumsum(counts)])
+    return np.arange(seg[-1]) + np.repeat(starts - seg[:-1], counts)
+
+
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------

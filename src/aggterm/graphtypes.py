@@ -24,21 +24,13 @@ from functools import lru_cache
 from operator import index
 from typing import Optional
 
-from .errors import ConfigError
+from .errors import ConfigError, as_int
 
 __all__ = ["GraphType", "enumerate_extensions", "alpha_weight_exact"]
 
 
 def _npairs(k: int) -> int:
     return k * (k - 1) // 2
-
-
-def _int(x, what: str) -> int:
-    """x through operator.index, so NumPy integers pass and floats do not."""
-    try:
-        return index(x)
-    except TypeError:
-        raise ConfigError(f"{what} must be an integer, got {x!r}") from None
 
 
 @dataclass(frozen=True, init=False)
@@ -53,11 +45,10 @@ class GraphType:
     _bits: int
 
     def __init__(self, k: int, edges=frozenset()):
-        if (k := _int(k, "variable count")) < 0:
-            raise ConfigError("variable count must be >= 0")
+        k = as_int(k, "variable count", 0)
         bits = 0
         for i, j in edges:
-            i, j = _int(i, "pair entry"), _int(j, "pair entry")
+            i, j = as_int(i, "pair entry"), as_int(j, "pair entry")
             if not (0 <= i < j < k):
                 raise ConfigError(
                     f"pair ({i}, {j}) is not ordered and below k={k}")

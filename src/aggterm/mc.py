@@ -17,7 +17,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, as_int
 from .graphs import FeatureDist, feature_dim
 from .registry import FunctionRegistry
 from .rng import stream
@@ -100,6 +100,8 @@ class McEngine:
     def __init__(self, term: Term, registry: FunctionRegistry,
                  dist: FeatureDist, draw: Callable, mc_samples: int,
                  seed: int, inner_mc: int):
+        mc_samples = as_int(mc_samples, "mc_samples", 2)
+        inner_mc = as_int(inner_mc, "inner_mc", 2)
         self.term = term
         self.registry = registry
         self.dist = dist
@@ -153,16 +155,17 @@ class McEngine:
             return None
         return block.reshape(rows, self.inner_mc, self.d).swapaxes(0, 1)
 
-    def _aggregate(self, term, scope, m: int, depth: int) -> np.ndarray:
+    def _aggregate(self, term, scope, shape: tuple, depth: int) -> np.ndarray:
+        """The aggregate as a block of the given shape, whose last axis is d."""
         outer = (set(free_vars(term.value))
                  | set(free_vars(term.weight_arg))) - {term.bound}
         if outer:
-            return self._nested(term, scope, m, depth)
+            return self._nested(term, scope, shape, depth)
         key = (term, depth)
         cached = self._cache.get(key)
         if cached is None:
             cached = self._cache[key] = self._collapsed(term, depth)
-        return np.broadcast_to(cached, (m, self.d))
+        return np.broadcast_to(cached, shape)
 
     def run(self, sel: slice, tag, root) -> np.ndarray:
         """One pass of the recursion on the draws sel, tagged for reruns."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import FeaturedGraph
+from .graphs import FeaturedGraph, flat_ranges
 
 # unused here; bench/workloads.py sizes its single-node rw tolerance by it
 DEFAULT_WALKS = 100_000
@@ -36,8 +36,7 @@ def _triple_rows(indptr, indices, scale, sources, half):
         node = key % n
         counts = indptr[node + 1] - indptr[node]
         owner = np.repeat(np.arange(len(key)), counts)
-        flat = np.arange(len(owner)) + np.repeat(
-            indptr[node] - np.cumsum(counts) + counts, counts)
+        flat = flat_ranges(indptr[node], counts)
         new = key[owner] - node[owner] + indices[flat]
         # stable, so each source's summation order ignores its block
         order = np.argsort(new, kind="stable")

@@ -12,42 +12,41 @@ probability tending to one, so its aggregate mixes over neighborhood
 classes with their census proportions, each class contributing a disjoint
 fresh component.
 
-Evaluation therefore runs on a growing disjoint union: every global binder
-in scope contributes one decoded component with its own feature draws, and
-bound variables point at nodes of the union. The census behind each global
-is estimated once per required radius (see aggregation_depth below) and
-truncated to the heaviest classes covering at least 1 - eps of the mass,
-renormalized; the dropped mass is reported on the result. Expectations
-over feature draws are Monte-Carlo means with the same collapsed/nested
-split as the dense construction: a global whose body reads only its own
-binder uses one shared pool of mc_samples draws per nesting depth and
-decoded class (memory scales with class size times mc_samples), while a
-body that also reads outer variables gets a smaller nested pool of
-inner_mc draws per outer sample, at O(1/inner_mc) ratio bias. Error bars
-rerun the recursion on disjoint blocks of the draws; census sampling noise
-is not included, so size the census budget generously. The pools, the
-split and the reruns live in mc.McEngine, shared with the dense
-construction; every weighted mean, the class mixtures included, goes
-through evaluate.wmean_reduce.
+Each global's census is drawn once per required radius (see
+aggregation_depth below) and cut to the heaviest classes covering 1 - eps
+of the mass, renormalized; the dropped mass is reported. The kept classes
+are laid out once as one disjoint-union CSR graph; variables bind to
+arrays of node ids, every subterm is a (rows, samples, d) block, and local
+and gcn aggregates run the evaluator's evaluate.local_aggregate. Feature
+expectations are Monte-Carlo means split as in the dense construction
+(mc.McEngine, whose block reruns give error bars without census noise, so
+size the census budget generously). A global whose body reads only its
+binder is collapsed: a chunk of classes is one union, a row per class, on
+shared pools of mc_samples draws. Otherwise it is nested, at O(1/inner_mc)
+ratio bias: per chunk of outer samples, each class's component with
+inner_mc fresh draws per outer sample joins the outer rows' components,
+whose bindings repeat per class. A class mixture is one mean over all
+draws, each of mass q / draws. Chunks over classes, outer rows and anchors
+keep blocks near _BLOCK elements whatever the class count; only one class,
+row or anchor alone (or a nested row's mixture) exceeds it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .census import (DEFAULT_SIZE_CAP, CensusTable, is_sparse_class,
                      neighborhood_census)
 from .errors import ConfigError, EvaluationError
-from .evaluate import wmean_reduce
-from .graphs import FeatureDist, draw_features, feature_dim
+from .evaluate import local_aggregate, wmean_reduce
+from .graphs import FeatureDist, draw_features, feature_dim, flat_ranges
 from .mc import ControllerValue, McEngine
 from .registry import FunctionRegistry, default_registry, fit_width
 from .rng import stream
-from .rw import walk_returns
+from .rw import _blocks, walk_returns
 from .terms import (Apply, Const, Feature, GcnAgg, GlobalWMean, LocalWMean,
                     Rw, Term, contains_gcn, free_vars, validate_term)
 
@@ -105,52 +104,65 @@ def _census_radius(term: GlobalWMean) -> int:
     return depth + pad
 
 
-def _union_rw(adj, kmax: int) -> np.ndarray:
-    """(nodes, kmax) walk returns of every node of the union graph adj."""
-    indptr = np.cumsum([0] + [len(row) for row in adj])
-    indices = [u for row in adj for u in row]
-    return walk_returns(indptr, indices, np.arange(len(adj)), kmax)
+# elements per evaluated block: nodes or rows, times samples, times d
+_BLOCK = 1 << 18
 
 
-def _stack(blocks, m: int, d: int, join=np.stack) -> Optional[np.ndarray]:
-    """join (np.stack by default) of (m, d) blocks, also when there are none.
+class _Union(NamedTuple):
+    """Disjoint components as one CSR graph; component c is nodes
+    starts[c]:starts[c + 1]. feats is (nodes, samples, d) or None."""
 
-    Blocks of None, the weight arguments a map "one" never reads, give None.
-    """
-    if blocks and blocks[0] is None:
+    indptr: np.ndarray
+    indices: np.ndarray
+    starts: np.ndarray
+    feats: Optional[np.ndarray] = None
+
+
+def _offsets(counts) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+
+
+def _layout(adjs) -> _Union:
+    """The union of components given as adjacency rows."""
+    starts = _offsets([len(adj) for adj in adjs])
+    indices = [base + v for base, adj in zip(starts.tolist(), adjs)
+               for row in adj for v in row]
+    return _Union(_offsets([len(row) for adj in adjs for row in adj]),
+                  np.array(indices, dtype=np.int64), starts)
+
+
+def _pick(u: _Union, comps: np.ndarray) -> Tuple[_Union, np.ndarray]:
+    """Components comps (ascending) of u alone, and their nodes' old ids."""
+    size = u.starts[comps + 1] - u.starts[comps]
+    keep = flat_ranges(u.starts[comps], size)
+    deg = u.indptr[keep + 1] - u.indptr[keep]
+    new = np.zeros(len(u.indptr) - 1, dtype=np.int64)
+    new[keep] = np.arange(len(keep))
+    edges = u.indices[flat_ranges(u.indptr[keep], deg)]
+    return _Union(_offsets(deg), new[edges], _offsets(size)), keep
+
+
+def _join(a: _Union, b: _Union, feats: np.ndarray) -> _Union:
+    """b's components appended after a's, with the given features."""
+    n = len(a.indptr) - 1
+    return _Union(np.concatenate([a.indptr, b.indptr[1:] + a.indptr[-1]]),
+                  np.concatenate([a.indices, b.indices + n]),
+                  np.concatenate([a.starts, b.starts[1:] + n]), feats)
+
+
+def _mixture(blocks, rows: int, draws: int) -> Optional[np.ndarray]:
+    """Class-major (classes * rows, samples * draws, d) blocks as one
+    (classes * draws, rows, samples, d) array, or None for unread weights."""
+    if blocks[0] is None:
         return None
-    return join(blocks) if blocks else np.zeros((0, m, d))
-
-
-@dataclass
-class _Ctx:
-    """A finite union graph with per-node feature draws.
-
-    adj is the disjoint union of the components opened by the global
-    binders in scope; var_nodes points each bound variable at its node.
-    feats has shape (nodes, samples, d); every subterm evaluates to a
-    (samples, d) array over the same sample axis. rw caches the exact
-    walk returns of every union node per kmax and is shared across
-    variable rebindings.
-    """
-
-    adj: Tuple[Tuple[int, ...], ...]
-    var_nodes: Dict[str, int]
-    feats: np.ndarray
-    rw: Dict[int, np.ndarray]
-
-    @property
-    def m(self) -> int:
-        return self.feats.shape[1]
-
-    def bind(self, var: str, node: int) -> "_Ctx":
-        vn = dict(self.var_nodes)
-        vn[var] = node
-        return _Ctx(self.adj, vn, self.feats, self.rw)
+    x = np.concatenate(blocks)
+    c, s, d = x.shape[0] // rows, x.shape[1] // draws, x.shape[2]
+    return (x.reshape(c, rows, s, draws, d).transpose(0, 3, 1, 2, 4)
+            .reshape(c * draws, rows, s, d))
 
 
 class _SparseEngine(McEngine):
-    """Censuses and the eval recursion on decoded classes for one term."""
+    """Censuses and the eval recursion on unions of decoded classes."""
 
     kind = "sparse"
 
@@ -163,7 +175,7 @@ class _SparseEngine(McEngine):
         self.census = census
         self.eps = eps
         self._tables: Dict[int, CensusTable] = {}
-        # radius -> (kept [(code, weight, adj)], dropped mass)
+        # radius -> (union, codes, weights, dropped mass) of the kept classes
         self._kept: Dict[int, tuple] = {}
 
     # censuses -----------------------------------------------------------
@@ -181,144 +193,124 @@ class _SparseEngine(McEngine):
         return tab
 
     def _types(self, radius: int) -> tuple:
-        """Kept (code, weight, adjacency) triples plus the dropped mass."""
+        """Kept classes as (union, codes, weights) plus the dropped mass."""
         got = self._kept.get(radius)
         if got is None:
             tab = self._table(radius)
             target = 1.0 - self.eps - 1e-12
-            kept: List[Tuple[bytes, float]] = []
-            cum = 0.0
-            for code, prop in tab.types_by_mass():
-                kept.append((code, prop))
-                cum += prop
-                if cum >= target:
-                    break
+            ranked = tab.types_by_mass()
+            sums = np.cumsum([prop for _, prop in ranked])
+            kept = ranked[:int(np.searchsorted(sums, target)) + 1]
+            cum = float(sums[len(kept) - 1]) if kept else 0.0
             if cum < target:
                 raise ConfigError(
                     f"census at radius {radius} reaches only {cum:.4f} of the "
                     f"mass ({tab.truncated_mass:.4f} went over size cap "
                     f"{self.census.size_cap}); raise eps, the cap, or the "
                     f"sample budget")
-            types = tuple((code, prop / cum, tab.decode(code).adj)
-                          for code, prop in kept)
-            got = (types, max(0.0, 1.0 - cum))
+            codes, props = zip(*kept)
+            got = (_layout([tab.decode(code).adj for code in codes]), codes,
+                   np.array(props) / cum, max(0.0, 1.0 - cum))
             self._kept[radius] = got
         return got
 
     def truncated_mass(self) -> float:
-        return max((drop for _, drop in self._kept.values()), default=0.0)
+        return max((got[3] for got in self._kept.values()), default=0.0)
 
     # recursion ----------------------------------------------------------
 
     def _top(self, _root) -> np.ndarray:
-        ctx = _Ctx(adj=(), var_nodes={},
-                   feats=np.zeros((0, 1, self.d)), rw={})
-        return self._eval(self.term, ctx, 0)
+        empty = _layout([])._replace(feats=np.zeros((0, 1, self.d)))
+        return self._eval(self.term, empty, {}, 1, 0)[:, 0]
 
-    def _eval(self, term: Term, ctx: _Ctx, depth: int) -> np.ndarray:
+    def _eval(self, term: Term, g: _Union, frame: dict, rows: int,
+              depth: int) -> np.ndarray:
+        shape = (rows, g.feats.shape[1], self.d)
         if isinstance(term, Const):
             return np.broadcast_to(np.asarray(term.value, dtype=np.float64),
-                                   (ctx.m, self.d))
+                                   shape)
         if isinstance(term, Feature):
-            return ctx.feats[ctx.var_nodes[term.var]]
+            return g.feats[frame[term.var]]
         if isinstance(term, Rw):
-            mat = ctx.rw.get(term.kmax)
-            if mat is None:
-                mat = ctx.rw[term.kmax] = _union_rw(ctx.adj, term.kmax)
-            vec = mat[ctx.var_nodes[term.var]]
-            return np.broadcast_to(fit_width(vec, self.d), (ctx.m, self.d))
+            vec = walk_returns(g.indptr, g.indices, frame[term.var],
+                               term.kmax)
+            return np.broadcast_to(fit_width(vec, self.d)[:, None], shape)
         if isinstance(term, Apply):
-            args = [self._eval(a, ctx, depth) for a in term.args]
+            args = [self._eval(a, g, frame, rows, depth).reshape(-1, self.d)
+                    for a in term.args]
             out = self.registry.call(term.fn, args)
             if not np.all(np.isfinite(out)):
                 raise EvaluationError(
                     f"non-finite value from function {term.fn!r}")
-            return out
-        if isinstance(term, LocalWMean):
-            return self._local(term, ctx, depth)
-        if isinstance(term, GcnAgg):
-            return self._gcn(term, ctx, depth)
+            return np.broadcast_to(out, (rows * shape[1], self.d)).reshape(
+                shape)
+        if isinstance(term, (LocalWMean, GcnAgg)):
+            return local_aggregate(
+                term, frame, np.empty(shape), g.indptr, g.indices,
+                lambda t, child, n, _: self._eval(t, g, child, n, depth + 1),
+                self.registry, (), max(1, _BLOCK // (shape[1] * self.d)))
         if isinstance(term, GlobalWMean):
-            return self._aggregate(term, ctx, ctx.m, depth)
+            return self._aggregate(term, (g, frame), shape, depth)
         raise ConfigError(f"unknown term node {type(term).__name__}")
 
-    def _local(self, term: LocalWMean, ctx: _Ctx, depth: int) -> np.ndarray:
-        """One mean per sample over the anchor's neighbours, stacked first."""
-        vals, etas = [], []
-        for j in ctx.adj[ctx.var_nodes[term.anchor]]:
-            sub = ctx.bind(term.bound, j)
-            vals.append(self._eval(term.value, sub, depth + 1))
-            etas.append(self._weight_arg(term, sub, depth + 1))
-        # rebinding frees the per-neighbour blocks before the reduction
-        vals, etas = _stack(vals, ctx.m, self.d), _stack(etas, ctx.m, self.d)
-        return wmean_reduce(vals, etas, term.weight_map, self.registry, None)
-
-    def _gcn(self, term: GcnAgg, ctx: _Ctx, depth: int) -> np.ndarray:
-        anchor = ctx.var_nodes[term.anchor]
-        nbrs = ctx.adj[anchor]
-        out = np.zeros((ctx.m, self.d))
-        for j in nbrs:
-            sub = ctx.bind(term.bound, j)
-            val = self._eval(term.value, sub, depth + 1)
-            out = out + val / math.sqrt(len(nbrs) * len(ctx.adj[j]))
-        return out
-
     def _collapsed(self, term: GlobalWMean, depth: int) -> np.ndarray:
-        """One fresh component per class from shared pools; each of a
-        class's rows carries mass q / mc."""
-        types, _ = self._types(_census_radius(term))
+        """One row per class, a chunk of classes at a time, on pools."""
+        u, codes, weights, _ = self._types(_census_radius(term))
+        sizes = np.diff(u.starts)
+        m = len(range(self.mc)[self._sel])
+        # every pool is drawn before the first block: cached pools drawn in
+        # between transient blocks fragment the heap and raise peak RSS
+        pools = [self._pool(depth, (code.hex(),), size)
+                 for code, size in zip(codes, sizes)]
         vals, etas = [], []
-        for code, _, adj in types:
-            sub = _Ctx(adj=adj, var_nodes={term.bound: 0},
-                       feats=self._pool(depth, (code.hex(),), len(adj)),
-                       rw={})
-            vals.append(self._eval(term.value, sub, depth + 1))
-            etas.append(self._weight_arg(term, sub, depth + 1))
-        m = vals[0].shape[0]
-        mass = np.repeat([wt / m for _, wt, _ in types], m)
-        vals = np.concatenate(vals)
-        etas = _stack(etas, m, self.d, np.concatenate)
+        for a, b in _blocks(sizes * (m * self.d), _BLOCK):
+            g = _pick(u, np.arange(a, b))[0]._replace(
+                feats=np.concatenate(pools[a:b]))
+            args = (g, {term.bound: g.starts[:-1]}, b - a, depth + 1)
+            vals.append(self._eval(term.value, *args))
+            etas.append(self._weight_arg(term, *args))
+        # rebinding frees the per-chunk blocks before the reduction
+        vals, etas = _mixture(vals, 1, m), _mixture(etas, 1, m)
         return wmean_reduce(vals, etas, term.weight_map, self.registry, None,
-                            mass)
+                            np.repeat(weights / m, m))[0, 0]
 
-    def _nested(self, term: GlobalWMean, ctx: _Ctx, m: int,
+    def _nested(self, term: GlobalWMean, scope: tuple, shape: tuple,
                 depth: int) -> np.ndarray:
-        """Global whose body reads outer variables: nested pools per class.
-
-        Each outer sample is paired with inner_mc draws for the fresh
-        component of every class; its class mixture is one mean over the
-        draws of all classes, each carrying mass q / inner_mc.
-        """
-        types, _ = self._types(_census_radius(term))
-        inner = self.inner_mc
-        base_n = len(ctx.adj)
-        exts = []
-        for code, _, adj in types:
-            joined = ctx.adj + tuple(tuple(base_n + u for u in row)
-                                     for row in adj)
-            vn = dict(ctx.var_nodes)
-            vn[term.bound] = base_n
-            exts.append((code, joined, vn, len(adj)))
-        mass = np.repeat([wt / inner for _, wt, _ in types], inner)
-        out = np.empty((m, self.d))
-        for lo, hi in self._chunks(m):
-            rows = hi - lo
-            outer = np.repeat(ctx.feats[:, lo:hi, :], inner, axis=1)
-            vs, es = [], []
-            for code, joined, vn, count in exts:
-                fresh = self._inner_draws(depth, lo, rows * inner,
-                                          (code.hex(),), count)
-                sub = _Ctx(adj=joined, var_nodes=vn,
-                           feats=np.concatenate([outer, fresh], axis=0),
-                           rw={})
-                vs.append(self._inner_first(
-                    self._eval(term.value, sub, depth + 1), rows))
-                es.append(self._inner_first(
-                    self._weight_arg(term, sub, depth + 1), rows))
-            vs = np.concatenate(vs)
-            es = _stack(es, rows, self.d, np.concatenate)
-            out[lo:hi] = wmean_reduce(vs, es, term.weight_map, self.registry,
-                                      None, mass)
+        """Per chunk of outer samples and rows, every class's fresh
+        component joins the rows' components, bindings repeated per class."""
+        g, frame = scope
+        u, codes, weights, _ = self._types(_census_radius(term))
+        sizes, inner = np.diff(u.starts), self.inner_mc
+        mass = np.repeat(weights / inner, inner)
+        out = np.empty(shape)
+        for lo, hi in self._chunks(shape[1]):
+            slots = (hi - lo) * inner
+            cost = slots * self.d  # elements per node or row
+            per_row = np.full(shape[0], len(codes) * cost)
+            for r0, r1 in _blocks(per_row, _BLOCK):
+                n = r1 - r0
+                nodes = np.concatenate([arr[r0:r1] for arr in frame.values()])
+                part, keep = _pick(g, np.unique(
+                    np.searchsorted(g.starts, nodes, side="right") - 1))
+                outer = np.repeat(g.feats[keep, lo:hi], inner, axis=1)
+                bound = {v: np.searchsorted(keep, arr[r0:r1])
+                         for v, arr in frame.items()}
+                vals, etas = [], []
+                for a, b in _blocks((sizes + n) * cost, _BLOCK):
+                    comp, _ = _pick(u, np.arange(a, b))
+                    fresh = [self._inner_draws(depth, lo, slots,
+                                               (codes[c].hex(),), sizes[c])
+                             for c in range(a, b)]
+                    joined = _join(part, comp, np.concatenate([outer] + fresh))
+                    roots = len(keep) + comp.starts[:-1]
+                    sub = {v: np.tile(arr, b - a) for v, arr in bound.items()}
+                    sub[term.bound] = np.repeat(roots, n)
+                    args = (joined, sub, (b - a) * n, depth + 1)
+                    vals.append(self._eval(term.value, *args))
+                    etas.append(self._weight_arg(term, *args))
+                vals, etas = _mixture(vals, n, inner), _mixture(etas, n, inner)
+                out[r0:r1, lo:hi] = wmean_reduce(
+                    vals, etas, term.weight_map, self.registry, None, mass)
         return out
 
 
@@ -346,10 +338,6 @@ def sparse_limit(term: Term, model, feature_dist: FeatureDist,
             f"model {model!r} is not sparse-class; use dense_controller")
     if not isinstance(census, CensusConfig):
         raise ConfigError("census must be a CensusConfig")
-    if mc_samples < 2:
-        raise ConfigError("mc_samples must be >= 2")
-    if inner_mc < 2:
-        raise ConfigError("inner_mc must be >= 2")
     if not (0.0 <= eps < 1.0):
         raise ConfigError("mass tolerance eps must lie in [0, 1)")
     engine = _SparseEngine(term, reg, feature_dist, model, census,

@@ -9,7 +9,7 @@ from aggterm import rw
 from aggterm.graphs import (BaModel, DenseSchedule, ErModel, LogSchedule,
                             SparseSchedule, from_edges, sample_graph)
 from aggterm.rw import rw_encoding, rw_encoding_all, walk_returns
-from aggterm.sparse_limit import _union_rw
+from aggterm.sparse_limit import _layout
 from conftest import path_graph, rand_graph, star_graph
 
 
@@ -178,4 +178,7 @@ def test_sparse_engine_union_returns():
     adj = ((1, 2), (0, 2), (0, 1), (4,), (3, 5), (4,), ())
     u, v = zip(*[(a, b) for a, row in enumerate(adj) for b in row if a < b])
     ref = power_returns(from_edges(len(adj), u, v), 6)
-    assert np.abs(_union_rw(adj, 6) - ref).max() < 1e-12
+    # the same graph as the sparse engine's union CSR of three components
+    union = _layout([((1, 2), (0, 2), (0, 1)), ((1,), (0, 2), (1,)), ((),)])
+    got = walk_returns(union.indptr, union.indices, np.arange(len(adj)), 6)
+    assert np.abs(got - ref).max() < 1e-12

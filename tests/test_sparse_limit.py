@@ -5,15 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from aggterm.canonical import decode_code
+from aggterm.census import neighborhood_census
 from aggterm.dense_limit import dense_controller
 from aggterm.errors import ConfigError
-from aggterm.evaluate import eval_closed
-from aggterm.graphs import (BaModel, DenseSchedule, ErModel, SparseSchedule,
-                            Uniform01, attach_features, sample_graph)
+from aggterm.evaluate import eval_closed, eval_nodewise
+from aggterm.graphs import (BaModel, ConstantFeatures, DenseSchedule,
+                            ErModel, SparseSchedule, Uniform01,
+                            attach_features, from_edges, sample_graph)
 from aggterm.parser import parse_term
 from aggterm.registry import default_registry
 from aggterm.rng import stream
-from aggterm.sparse_limit import CensusConfig, sparse_limit
+from aggterm.sparse_limit import CensusConfig, _SparseEngine, sparse_limit
 
 REG = default_registry()
 K1 = ErModel(SparseSchedule(1.0))
@@ -147,3 +150,63 @@ def test_unreachable_eps_reports_mass():
     term = t("mean[x](mean[y in N(x)](mean[z in N(y)](H(z))))")
     with pytest.raises(ConfigError, match="mass"):
         sparse_limit(term, BaModel(4), Uniform01(1), cfg, 500, 2, eps=0.01)
+
+
+@pytest.mark.parametrize("src, d, model", [
+    (ISO, 1, K1),
+    ("mean[u](gcn[v in N(u)](H(v)))", 1, K1),
+    ("mean[u](rw(u, 2))", 2, K1),
+    ("mean[u](wmean[v in N(u)](mean[w in N(v)](H(w)), exp, H(v)))", 1, K2),
+])
+def test_exact_class_mixture(src, d, model):
+    # constant features make every draw equal, so the limit must be the
+    # census mixture of the body at each kept class's root, exactly
+    term = t(src, d)
+    dist = ConstantFeatures(0.7, d)
+    engine = _SparseEngine(term, REG, dist, model,
+                           CensusConfig(n=1500, node_samples=1500), 50, 31,
+                           0.05, 8)
+    got = engine.estimate().estimate
+    [(_, codes, weights, _)] = engine._kept.values()
+    want = np.zeros(d)
+    for code, q in zip(codes, weights):
+        adj = decode_code(code).adj
+        pairs = [(a, b) for a, row in enumerate(adj) for b in row if a < b]
+        g = from_edges(len(adj), [a for a, _ in pairs], [b for _, b in pairs])
+        g = g.with_features(np.full((len(adj), d), 0.7))
+        want += q * eval_nodewise(term.value, g, REG)[0]
+    assert len(codes) > 1
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+COUNT_CALLS = {
+    "dense mc_samples": lambda: dense_controller(
+        t("mean[v](H(v))"), ErModel(DenseSchedule(0.1)), Uniform01(1), 100.5,
+        1),
+    "dense inner_mc": lambda: dense_controller(
+        t("mean[x](mean[y](hadamard(H(x), H(y))))"),
+        ErModel(DenseSchedule(0.1)), Uniform01(1), 100, 1, inner_mc=8.5),
+    "sparse mc_samples": lambda: sparse_limit(
+        t(ISO), K1, Uniform01(1), CENSUS, 100.5, 1),
+    "sparse inner_mc": lambda: sparse_limit(
+        t(ISO), K1, Uniform01(1), CENSUS, 100, 1, inner_mc=8.5),
+    "census n": lambda: sparse_limit(
+        t(ISO), K1, Uniform01(1), CensusConfig(n=500.5, node_samples=200),
+        100, 1),
+    "census node_samples": lambda: sparse_limit(
+        t(ISO), K1, Uniform01(1), CensusConfig(n=500, node_samples=200.5),
+        100, 1),
+    "census size_cap": lambda: sparse_limit(
+        t(ISO), K1, Uniform01(1),
+        CensusConfig(n=500, node_samples=200, size_cap=3.5), 100, 1),
+    "census radius": lambda: neighborhood_census(K1, 500, 1.5, 1, 200, 1),
+    "census k": lambda: neighborhood_census(K1, 500, 1, 1.5, 200, 1),
+    "census graphs": lambda: neighborhood_census(K1, 500, 1, 1, 200, 1,
+                                                 graphs=2.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_CALLS))
+def test_count_arguments_are_config_errors(name):
+    with pytest.raises(ConfigError, match="integer"):
+        COUNT_CALLS[name]()

@@ -6,7 +6,7 @@ import pytest
 
 from aggterm.dense_limit import dense_controller
 from aggterm.errors import EvaluationError
-from aggterm.evaluate import eval_closed
+from aggterm.evaluate import eval_closed, wmean_reduce
 from aggterm.graphs import (DenseSchedule, ErModel, SparseSchedule, Uniform01,
                             attach_features, sample_graph)
 from aggterm.parser import parse_term
@@ -68,3 +68,24 @@ def test_limit_engines_shift_exp_weights(engine, template):
                                 registry=reg), reg, 5)
     assert np.all(np.isfinite(far))
     assert np.allclose(far, base, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("seg", ([0, 3, 3, 7, 8, 8], [0, 3, 4, 7, 8]),
+                         ids=("empty segments", "all nonempty"))
+@pytest.mark.parametrize("samples", (3, "nseg"))
+@pytest.mark.parametrize("weight_map", ("one", "exp", "softplus"))
+def test_segments_over_trailing_sample_axis(seg, samples, weight_map):
+    # (rows, samples, d) blocks reduce per sample exactly as (rows, d) ones;
+    # samples == nseg would hide a per-segment count broadcast on the
+    # wrong axis
+    seg = np.array(seg)
+    samples = len(seg) - 1 if samples == "nseg" else samples
+    rng = np.random.default_rng(17)
+    vals = rng.random((seg[-1], samples, 2))
+    eta = 5.0 * rng.standard_normal((seg[-1], samples, 2))
+    reg = default_registry()
+    got = wmean_reduce(vals, eta, weight_map, reg, seg)
+    want = np.stack([wmean_reduce(vals[:, s], eta[:, s], weight_map, reg,
+                                  seg) for s in range(samples)], axis=1)
+    assert got.shape == (len(seg) - 1, samples, 2)
+    assert np.array_equal(got, want)
