@@ -26,7 +26,8 @@ draws each, which introduces O(1/inner_mc) ratio bias; raise inner_mc
 when such terms need tight answers. Error bars come from rerunning the
 recursion on disjoint blocks of the draws. The pools, the collapsed and
 nested split and the reruns live in mc.McEngine, shared with the sparse
-construction; each ratio goes through evaluate.wmean_reduce.
+construction; node meanings come from the evaluator's interpreter
+(evaluate.Interpreter), and each ratio goes through evaluate.wmean_reduce.
 
 Degree-normalized aggregation has no construction here and is rejected.
 """
@@ -37,14 +38,13 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, EvaluationError, UnsupportedTermError
+from .errors import ConfigError, UnsupportedTermError
 from .evaluate import wmean_reduce
 from .graphs import (DenseSchedule, ErModel, FeatureDist, LogSchedule,
                      RootSchedule, SbmModel, draw_features, feature_dim)
 from .mc import ControllerValue, McEngine
 from .registry import FunctionRegistry, default_registry
-from .terms import (Apply, Const, Feature, GcnAgg, GlobalWMean, LocalWMean,
-                    Rw, Term, contains_gcn, free_vars, validate_term)
+from .terms import Term, contains_gcn, free_vars, validate_term
 
 __all__ = ["dense_controller", "DenseController", "dense_limit_p"]
 
@@ -71,45 +71,34 @@ def dense_limit_p(model) -> float:
 
 
 class _DenseEngine(McEngine):
-    """The eval recursion over i.i.d. feature draws for one term."""
+    """The term over i.i.d. feature draws: a scope's bindings map each
+    variable to its (rows, d) draws."""
 
     kind = "dense"
 
     def _top(self, env0: Dict[str, np.ndarray]) -> np.ndarray:
-        return self._eval(self.term, env0, 1, 0)
+        return self._eval(self.term, (env0, 0), (1, self.d), ())
 
-    def _eval(self, term: Term, env: Dict[str, np.ndarray], m: int,
-              depth: int) -> np.ndarray:
-        if isinstance(term, Const):
-            return np.broadcast_to(np.asarray(term.value, dtype=np.float64),
-                                   (m, self.d))
-        if isinstance(term, Feature):
-            return env[term.var]
-        if isinstance(term, Rw):
-            return np.zeros((m, self.d))
-        if isinstance(term, Apply):
-            args = [self._eval(a, env, m, depth) for a in term.args]
-            out = self.registry.call(term.fn, args)
-            if not np.all(np.isfinite(out)):
-                raise EvaluationError(
-                    f"non-finite value from function {term.fn!r}")
-            return out
-        if isinstance(term, GcnAgg):
-            raise UnsupportedTermError(
-                "degree-normalized aggregation has no dense-limit construction")
-        if isinstance(term, (LocalWMean, GlobalWMean)):
-            return self._aggregate(term, env, (m, self.d), depth)
-        raise ConfigError(f"unknown term node {type(term).__name__}")
+    def _feature(self, term, scope: tuple) -> np.ndarray:
+        return scope[0][term.var]
 
-    def _collapsed(self, term, depth: int) -> np.ndarray:
+    def _rw(self, term, scope: tuple, shape: tuple) -> np.ndarray:
+        return np.zeros(shape)
+
+    # structure is gone in the limit: a neighbor is a fresh draw, as a
+    # globally bound node is
+    _local = McEngine._global
+
+    def _collapsed(self, term, depth: int, path: tuple) -> np.ndarray:
         pool = self._pool(depth)[0]
-        env = {term.bound: pool}
-        mp = pool.shape[0]
-        return wmean_reduce(self._eval(term.value, env, mp, depth + 1),
-                            self._weight_arg(term, env, mp, depth + 1),
+        args = (({term.bound: pool}, depth + 1), pool.shape, path)
+        return wmean_reduce(self._eval(term.value, *args),
+                            self._weight_arg(term, *args),
                             term.weight_map, self.registry, None)
 
-    def _nested(self, term, env, shape: tuple, depth: int) -> np.ndarray:
+    def _nested(self, term, scope: tuple, shape: tuple,
+                path: tuple) -> np.ndarray:
+        env, depth = scope
         m, inner = shape[0], self.inner_mc
         out = np.empty(shape)
         for lo, hi in self._chunks(m):
@@ -118,8 +107,9 @@ class _DenseEngine(McEngine):
             sub = {v: np.repeat(arr[lo:hi], inner, axis=0)
                    for v, arr in env.items()}
             sub[term.bound] = self._inner_draws(depth, lo, total)[0]
-            vals = self._eval(term.value, sub, total, depth + 1)
-            eta = self._weight_arg(term, sub, total, depth + 1)
+            args = ((sub, depth + 1), (total, self.d), path)
+            vals = self._eval(term.value, *args)
+            eta = self._weight_arg(term, *args)
             out[lo:hi] = wmean_reduce(self._inner_first(vals, rows),
                                       self._inner_first(eta, rows),
                                       term.weight_map, self.registry, None)

@@ -1,8 +1,16 @@
 """Evaluation of aggregation terms over featured graphs.
 
-One engine serves all three entry points (closed terms, nodewise maps,
-single assignments), so the same term on the same graph always produces
-bit-identical numbers regardless of how it is invoked.
+Interpreter holds the one definition of what each term node means. It
+has three users: Evaluator here, on a sampled graph, and the dense and
+sparse limit engines (mc.McEngine), on feature draws. The base owns
+constants and function application, including the finiteness check and
+the error path; each user supplies only features, walk returns and the
+two aggregate kinds, so a term's value on a graph and its predicted
+limit cannot drift apart in meaning.
+
+One Evaluator serves all three entry points (closed terms, nodewise
+maps, single assignments), so the same term on the same graph always
+produces bit-identical numbers regardless of how it is invoked.
 
 Design notes:
 
@@ -132,9 +140,8 @@ def local_aggregate(term, frame: dict, out: np.ndarray, indptr: np.ndarray,
     """Fill out with term, a LocalWMean or GcnAgg on the CSR graph (indptr,
     indices), at the node ids frame gives per row of out. Anchor chunks
     expand to about chunk_rows (anchor, neighbor) rows, on which
-    value_at(subterm, child_frame, rows, path) returns (rows, ..., d)."""
-    kind = "gcn" if isinstance(term, T.GcnAgg) else "wmean"
-    sub = path + (f"{kind}[{term.bound} in N({term.anchor})]",)
+    value_at(subterm, child_frame, shape, path) returns a block of that
+    shape, (rows,) + out.shape[1:]. path ends with the node itself."""
     anchors, deg = frame[term.anchor], np.diff(indptr)
     counts = deg[anchors]
     cum = np.concatenate([[0], np.cumsum(counts)])
@@ -144,44 +151,104 @@ def local_aggregate(term, frame: dict, out: np.ndarray, indptr: np.ndarray,
         end = min(max(end, start + 1), m)
         cnt = counts[start:end]
         seg = cum[start:end + 1] - cum[start]
-        total = int(seg[-1])
+        shape = (int(seg[-1]),) + out.shape[1:]
         rep = np.repeat(np.arange(end - start), cnt)
         nbrs = indices[flat_ranges(indptr[anchors[start:end]], cnt)]
         child = {v: arr[start:end][rep] for v, arr in frame.items()}
         child[term.bound] = nbrs
-        if kind == "gcn":
-            vals = value_at(term.value, child, total, sub)
+        if isinstance(term, T.GcnAgg):
+            vals = value_at(term.value, child, shape, path)
             scale = 1.0 / np.sqrt(deg[anchors[start:end]][rep] * deg[nbrs])
             out[start:end] = _segment_reduce(
                 np.add, vals * scale.reshape((-1,) + (1,) * (vals.ndim - 1)),
                 seg)
         else:
-            out[start:end] = _wmean(term, child, total, seg, sub, value_at,
+            out[start:end] = _wmean(term, child, shape, seg, path, value_at,
                                     registry)
         start = end
     if not np.all(np.isfinite(out)):
-        raise EvaluationError(f"non-finite value in {_join(sub)}")
+        raise EvaluationError(f"non-finite value in {_join(path)}")
     return out
 
 
-def _wmean(term, child: dict, rows: int, seg, sub: tuple, value_at,
+def _wmean(term, child: dict, shape: tuple, seg, path: tuple, value_at,
            registry: FunctionRegistry) -> np.ndarray:
     """Evaluate an aggregate's body on expanded rows and reduce them."""
-    vals = value_at(term.value, child, rows, sub)
+    vals = value_at(term.value, child, shape, path)
     eta = (None if term.weight_map == "one"
-           else value_at(term.weight_arg, child, rows, sub))
+           else value_at(term.weight_arg, child, shape, path))
     try:
         return wmean_reduce(vals, eta, term.weight_map, registry, seg)
     except EvaluationError as err:
-        raise EvaluationError(f"{err} in {_join(sub)}") from None
+        raise EvaluationError(f"{err} in {_join(path)}") from None
 
 
-class Evaluator:
+def reads_outer(term) -> bool:
+    """Whether an aggregate's body reads a variable other than its binder.
+
+    One that does not is a single vector for every outer assignment, so it
+    is computed once. Under the weight map "one" the weight argument is
+    never read and does not count.
+    """
+    body = (term.value,) if term.weight_map == "one" else T.children(term)
+    return any(set(free_vars(t)) - {term.bound} for t in body)
+
+
+class Interpreter:
+    """The meaning of each term node, shared by every evaluator of terms.
+
+    _eval is the one dispatch over node kinds. A scope binds the free
+    variables (node ids, feature draws, or both) and a block of the given
+    shape, whose last axis is d, holds one value per row of the scope.
+    The base owns constants and function application; a subclass supplies
+    features, walk returns, local and global aggregates, and may route
+    subterms through a cache in _value. Errors name the path of nodes from
+    the root of the term to the one that failed.
+    """
+
+    registry: FunctionRegistry
+    d: int
+
+    def _eval(self, term: T.Term, scope, shape: tuple, path: tuple) -> np.ndarray:
+        if isinstance(term, T.Const):
+            return np.broadcast_to(np.asarray(term.value, dtype=np.float64), shape)
+        if isinstance(term, T.Feature):
+            return self._feature(term, scope)
+        if isinstance(term, T.Rw):
+            return self._rw(term, scope, shape)
+        if isinstance(term, T.Apply):
+            sub = path + (term.fn,)
+            args = [self._value(a, scope, shape, sub).reshape(-1, self.d)
+                    for a in term.args]
+            out = self.registry.call(term.fn, args)
+            if args:
+                out = out.reshape(shape)
+            elif out.shape == (self.d,):
+                out = np.broadcast_to(out, shape)
+            else:
+                raise EvaluationError(
+                    f"{term.fn} returned shape {out.shape}, expected ({self.d},)")
+            if not np.all(np.isfinite(out)):
+                raise EvaluationError(f"non-finite value in {_join(sub)}")
+            return out
+        if isinstance(term, (T.LocalWMean, T.GcnAgg)):
+            return self._local(term, scope, shape, path + (_label(term),))
+        if isinstance(term, T.GlobalWMean):
+            return self._global(term, scope, shape, path + (_label(term),))
+        raise TypeError(f"not a term: {term!r}")
+
+    def _value(self, term: T.Term, scope, shape: tuple, path: tuple) -> np.ndarray:
+        """A subterm's block; the evaluator serves it from its caches."""
+        return self._eval(term, scope, shape, path)
+
+
+class Evaluator(Interpreter):
     """Caching evaluator bound to one featured graph.
 
     Reuse one instance when evaluating several related terms on the same
     graph; shared subterms are computed once. The arrays returned by
-    nodewise() are cached internally and marked read-only.
+    nodewise() are cached internally and marked read-only. A scope is a
+    frame mapping each free variable to an array of node ids.
     """
 
     def __init__(self, graph, registry: FunctionRegistry | None = None):
@@ -229,7 +296,7 @@ class Evaluator:
             if not (0 <= int(node) < self.graph.n):
                 raise EvaluationError(f"assignment {v}={node} is out of range")
         frame = {v: np.array([int(assignment[v])]) for v in fv}
-        return self._value_at(term, frame, 1, ())[0].copy()
+        return self._value(term, frame, (1, self.d), ())[0].copy()
 
     # ------------------------------------------------------------------
     # caching layers
@@ -248,7 +315,7 @@ class Evaluator:
         key = self._skeleton(term, None)
         val = self._closed_cache.get(key)
         if val is None:
-            val = np.ascontiguousarray(self._structural(term, {}, 1, path)[0])
+            val = np.ascontiguousarray(self._eval(term, {}, (1, self.d), path)[0])
             val.flags.writeable = False
             self._closed_cache[key] = val
         return val
@@ -257,124 +324,95 @@ class Evaluator:
         key = self._skeleton(term, var)
         rows = self._node_cache.get(key)
         if rows is None:
-            frame = {var: np.arange(self.graph.n)}
-            rows = np.ascontiguousarray(self._structural(term, frame, self.graph.n, path))
+            n = self.graph.n
+            rows = np.ascontiguousarray(
+                self._eval(term, {var: np.arange(n)}, (n, self.d), path))
             rows.flags.writeable = False
             self._node_cache[key] = rows
         return rows
 
-    def _value_at(self, term: T.Term, frame: dict, m: int, path: tuple) -> np.ndarray:
+    def _value(self, term: T.Term, frame: dict, shape: tuple, path: tuple) -> np.ndarray:
         fv = free_vars(term)
         if not fv:
-            return np.broadcast_to(self._closed(term, path), (m, self.d))
+            return np.broadcast_to(self._closed(term, path), shape)
         if len(fv) == 1:
             return self._nodewise_rows(term, fv[0], path)[frame[fv[0]]]
-        return self._structural(term, frame, m, path)
+        return self._eval(term, frame, shape, path)
 
     # ------------------------------------------------------------------
-    # structural evaluation
+    # node kinds
 
-    def _structural(self, term: T.Term, frame: dict, m: int, path: tuple) -> np.ndarray:
-        if isinstance(term, T.Const):
-            return np.broadcast_to(np.asarray(term.value, dtype=np.float64), (m, self.d))
-        if isinstance(term, T.Feature):
-            return self._feat[frame[term.var]]
-        if isinstance(term, T.Rw):
-            return self._rw_matrix(term.kmax)[frame[term.var]]
-        if isinstance(term, T.Apply):
-            sub = path + (term.fn,)
-            if not term.args:
-                val = np.asarray(self.registry.call(term.fn, []), dtype=np.float64)
-                if val.shape != (self.d,):
-                    raise EvaluationError(
-                        f"{term.fn} returned shape {val.shape}, expected ({self.d},)")
-                out = np.broadcast_to(val, (m, self.d))
-            else:
-                args = [self._value_at(a, frame, m, sub) for a in term.args]
-                out = self.registry.call(term.fn, args)
-            self._check_finite(out, sub)
-            return out
-        if isinstance(term, (T.LocalWMean, T.GcnAgg)):
-            return local_aggregate(term, frame, np.empty((m, self.d)),
-                                   self.graph.indptr, self.graph.indices,
-                                   self._value_at, self.registry, path)
-        if isinstance(term, T.GlobalWMean):
-            return self._global(term, frame, m, path)
-        raise TypeError(f"not a term: {term!r}")
+    def _feature(self, term: T.Feature, frame: dict) -> np.ndarray:
+        return self._feat[frame[term.var]]
 
-    def _global(self, term, frame: dict, m: int, path: tuple) -> np.ndarray:
-        sub = path + (f"wmean[{term.bound}]",)
+    def _rw(self, term: T.Rw, frame: dict, shape: tuple) -> np.ndarray:
+        mat = self._rw_cache.get(term.kmax)
+        if mat is None:
+            mat = np.ascontiguousarray(
+                fit_width(rw_encoding_all(self.graph, term.kmax), self.d))
+            mat.flags.writeable = False
+            self._rw_cache[term.kmax] = mat
+        return mat[frame[term.var]]
+
+    def _local(self, term, frame: dict, shape: tuple, path: tuple) -> np.ndarray:
+        return local_aggregate(term, frame, np.empty(shape), self.graph.indptr,
+                               self.graph.indices, self._value, self.registry,
+                               path)
+
+    def _global(self, term, frame: dict, shape: tuple, path: tuple) -> np.ndarray:
         n = self.graph.n
         allv = np.arange(n)
-        fv_val = set(free_vars(term.value)) - {term.bound}
-        fv_eta = set(free_vars(term.weight_arg)) - {term.bound}
-        if not fv_val and (term.weight_map == "one" or not fv_eta):
+        if not reads_outer(term):
             # the aggregate is one global vector; compute over all nodes once
-            res = _wmean(term, {term.bound: allv}, n, None, sub,
-                         self._value_at, self.registry)
-            return np.broadcast_to(res, (m, self.d))
+            res = _wmean(term, {term.bound: allv}, (n, self.d), None, path,
+                         self._value, self.registry)
+            return np.broadcast_to(res, shape)
 
+        m = shape[0]
         rows_per = max(1, _CHUNK_ROWS // n)
-        out = np.empty((m, self.d))
+        out = np.empty(shape)
         for s in range(0, m, rows_per):
             e = min(m, s + rows_per)
             nrows = e - s
             rep = np.repeat(np.arange(nrows), n)
             child = {v: arr[s:e][rep] for v, arr in frame.items()}
             child[term.bound] = np.tile(allv, nrows)
-            out[s:e] = _wmean(term, child, nrows * n,
-                              np.arange(nrows + 1) * n, sub, self._value_at,
+            out[s:e] = _wmean(term, child, (nrows * n, self.d),
+                              np.arange(nrows + 1) * n, path, self._value,
                               self.registry)
         return out
-
-    # ------------------------------------------------------------------
-    # helpers
-
-    def _rw_matrix(self, kmax: int) -> np.ndarray:
-        mat = self._rw_cache.get(kmax)
-        if mat is None:
-            mat = np.ascontiguousarray(
-                fit_width(rw_encoding_all(self.graph, kmax), self.d))
-            mat.flags.writeable = False
-            self._rw_cache[kmax] = mat
-        return mat
-
-    def _check_finite(self, arr: np.ndarray, path: tuple) -> None:
-        if not np.all(np.isfinite(arr)):
-            raise EvaluationError(f"non-finite value in {_join(path)}")
 
 
 def _join(path: tuple) -> str:
     return " / ".join(path) if path else "term"
 
 
+def _label(term) -> str:
+    """How an error path names an aggregate node."""
+    kind = "gcn" if isinstance(term, T.GcnAgg) else "wmean"
+    nbhd = f" in N({term.anchor})" if hasattr(term, "anchor") else ""
+    return f"{kind}[{term.bound}{nbhd}]"
+
+
 def _skel_string(term: T.Term, env: dict, depth: int) -> str:
+    """A cache key for term that names each variable by env or, for a
+    binder, by its depth, so equal subterms under renaming share a key."""
     if isinstance(term, T.Const):
         return "C" + repr(term.value)
     if isinstance(term, T.Feature):
         return "H:" + env[term.var]
     if isinstance(term, T.Rw):
         return f"rw:{env[term.var]}:{term.kmax}"
+    kids = T.children(term)
     if isinstance(term, T.Apply):
-        inner = ",".join(_skel_string(a, env, depth) for a in term.args)
-        return f"A:{term.fn}({inner})"
-    if isinstance(term, T.LocalWMean):
-        tag = f"b{depth}"
-        env2 = {**env, term.bound: tag}
-        return (f"L[{tag}<{env[term.anchor]}]:{term.weight_map}"
-                f"({_skel_string(term.value, env2, depth + 1)};"
-                f"{_skel_string(term.weight_arg, env2, depth + 1)})")
-    if isinstance(term, T.GlobalWMean):
-        tag = f"b{depth}"
-        env2 = {**env, term.bound: tag}
-        return (f"G[{tag}]:{term.weight_map}"
-                f"({_skel_string(term.value, env2, depth + 1)};"
-                f"{_skel_string(term.weight_arg, env2, depth + 1)})")
-    if isinstance(term, T.GcnAgg):
-        tag = f"b{depth}"
-        env2 = {**env, term.bound: tag}
-        return f"N[{tag}<{env[term.anchor]}]({_skel_string(term.value, env2, depth + 1)})"
-    raise TypeError(f"not a term: {term!r}")
+        head = "A:" + term.fn
+    else:
+        anchor = env.get(getattr(term, "anchor", None), "")
+        env = {**env, term.bound: f"b{depth}"}
+        head = (f"{type(term).__name__}[b{depth}<{anchor}]:"
+                f"{getattr(term, 'weight_map', '')}")
+        depth += 1
+    return f"{head}({';'.join(_skel_string(k, env, depth) for k in kids)})"
 
 
 def eval_closed(term: T.Term, graph, registry: FunctionRegistry | None = None) -> np.ndarray:

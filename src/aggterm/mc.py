@@ -18,10 +18,11 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from .errors import ConfigError, as_int
+from .evaluate import Interpreter, reads_outer
 from .graphs import FeatureDist, feature_dim
 from .registry import FunctionRegistry
 from .rng import stream
-from .terms import Term, free_vars
+from .terms import Term
 
 DEFAULT_BLOCKS = 10
 
@@ -79,20 +80,24 @@ def batch_stderr(block_values: np.ndarray) -> np.ndarray:
     return np.std(vals, axis=0, ddof=1) / np.sqrt(vals.shape[0])
 
 
-class McEngine:
+class McEngine(Interpreter):
     """Monte-Carlo scaffold shared by the dense and sparse limit engines.
 
-    Holds one term's feature-draw pools and runs its eval recursion once
-    on all draws and once per error block. Subclasses supply _top, _eval,
-    _collapsed and _nested. An aggregate whose body reads only its own
-    binder is collapsed: computed once per run from one shared pool of
-    mc_samples draws per nesting depth (and key) and broadcast. One whose
-    body also reads outer variables is nested: each outer row gets
-    inner_mc fresh draws. Streams are keyed (seed, kind, "pool", depth,
-    *key) for pools and (seed, kind, "inner", depth, run tag, *key, chunk
-    offset) for inner draws, so reruns reproduce exactly while every outer
-    sample still gets independent inner draws, and the inner noise averages
-    out across the run instead of being floored at 1/sqrt(inner_mc).
+    Holds one term's feature-draw pools and runs the term through the
+    shared interpreter (evaluate.Interpreter) once on all draws and once
+    per error block. A scope is (bindings, depth): what the engine binds
+    its variables to, and the nesting depth of aggregates around the
+    node. Subclasses supply _top, _feature, _rw, _local, _collapsed and
+    _nested; _global picks between the last two. An aggregate whose body
+    reads only its own binder (evaluate.reads_outer) is collapsed:
+    computed once per run from one shared pool of mc_samples draws per
+    nesting depth (and key) and broadcast. One whose body also reads
+    outer variables is nested: each outer row gets inner_mc fresh draws.
+    Streams are keyed (seed, kind, "pool", depth, *key) for pools and
+    (seed, kind, "inner", depth, run tag, *key, chunk offset) for inner
+    draws, so reruns reproduce exactly while every outer sample still
+    gets independent inner draws, and the inner noise averages out across
+    the run instead of being floored at 1/sqrt(inner_mc).
     """
 
     kind = ""  # first stream key after the seed: "dense" or "sparse"
@@ -155,16 +160,15 @@ class McEngine:
             return None
         return block.reshape(rows, self.inner_mc, self.d).swapaxes(0, 1)
 
-    def _aggregate(self, term, scope, shape: tuple, depth: int) -> np.ndarray:
-        """The aggregate as a block of the given shape, whose last axis is d."""
-        outer = (set(free_vars(term.value))
-                 | set(free_vars(term.weight_arg))) - {term.bound}
-        if outer:
-            return self._nested(term, scope, shape, depth)
+    def _global(self, term, scope: tuple, shape: tuple,
+                path: tuple) -> np.ndarray:
+        if reads_outer(term):
+            return self._nested(term, scope, shape, path)
+        depth = scope[1]
         key = (term, depth)
         cached = self._cache.get(key)
         if cached is None:
-            cached = self._cache[key] = self._collapsed(term, depth)
+            cached = self._cache[key] = self._collapsed(term, depth, path)
         return np.broadcast_to(cached, shape)
 
     def run(self, sel: slice, tag, root) -> np.ndarray:

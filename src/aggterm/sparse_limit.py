@@ -16,8 +16,10 @@ Each global's census is drawn once per required radius (see
 aggregation_depth below) and cut to the heaviest classes covering 1 - eps
 of the mass, renormalized; the dropped mass is reported. The kept classes
 are laid out once as one disjoint-union CSR graph; variables bind to
-arrays of node ids, every subterm is a (rows, samples, d) block, and local
-and gcn aggregates run the evaluator's evaluate.local_aggregate. Feature
+arrays of node ids, and every subterm is a (rows, samples, d) block. The
+term runs through the evaluator's own interpreter (evaluate.Interpreter):
+features read the draws on the union, walk returns are exact on it, and
+local and gcn aggregates run evaluate.local_aggregate. Feature
 expectations are Monte-Carlo means split as in the dense construction
 (mc.McEngine, whose block reruns give error bars without census noise, so
 size the census budget generously). A global whose body reads only its
@@ -40,15 +42,15 @@ import numpy as np
 
 from .census import (DEFAULT_SIZE_CAP, CensusTable, is_sparse_class,
                      neighborhood_census)
-from .errors import ConfigError, EvaluationError
+from .errors import ConfigError
 from .evaluate import local_aggregate, wmean_reduce
 from .graphs import FeatureDist, draw_features, feature_dim, flat_ranges
 from .mc import ControllerValue, McEngine
 from .registry import FunctionRegistry, default_registry, fit_width
 from .rng import stream
 from .rw import _blocks, walk_returns
-from .terms import (Apply, Const, Feature, GcnAgg, GlobalWMean, LocalWMean,
-                    Rw, Term, contains_gcn, free_vars, validate_term)
+from .terms import (GcnAgg, GlobalWMean, LocalWMean, Rw, Term, children,
+                    contains_gcn, free_vars, validate_term)
 
 __all__ = ["CensusConfig", "sparse_limit", "aggregation_depth"]
 
@@ -77,31 +79,16 @@ def aggregation_depth(term: Term) -> int:
     structure around outer variables, and the components decoded for those
     variables must extend far enough to serve it.
     """
-    if isinstance(term, (Const, Feature)):
-        return 0
     if isinstance(term, Rw):
         return term.kmax
-    if isinstance(term, Apply):
-        return max((aggregation_depth(a) for a in term.args), default=0)
-    if isinstance(term, LocalWMean):
-        return max(aggregation_depth(term.value),
-                   aggregation_depth(term.weight_arg)) + 1
-    if isinstance(term, GcnAgg):
-        return aggregation_depth(term.value) + 1
-    if isinstance(term, GlobalWMean):
-        return max(aggregation_depth(term.value),
-                   aggregation_depth(term.weight_arg))
-    raise TypeError(f"not a term: {term!r}")
+    inner = max(map(aggregation_depth, children(term)), default=0)
+    return inner + 1 if isinstance(term, (LocalWMean, GcnAgg)) else inner
 
 
 def _census_radius(term: GlobalWMean) -> int:
     # degree-normalized sums read the degree of the bound node, which needs
     # one ring of neighborhood beyond the deepest node the body visits
-    depth = max(aggregation_depth(term.value),
-                aggregation_depth(term.weight_arg))
-    pad = 1 if (contains_gcn(term.value)
-                or contains_gcn(term.weight_arg)) else 0
-    return depth + pad
+    return aggregation_depth(term) + (1 if contains_gcn(term) else 0)
 
 
 # elements per evaluated block: nodes or rows, times samples, times d
@@ -162,7 +149,7 @@ def _mixture(blocks, rows: int, draws: int) -> Optional[np.ndarray]:
 
 
 class _SparseEngine(McEngine):
-    """Censuses and the eval recursion on unions of decoded classes."""
+    """Censuses, and the term evaluated on unions of decoded classes."""
 
     kind = "sparse"
 
@@ -218,42 +205,34 @@ class _SparseEngine(McEngine):
         return max((got[3] for got in self._kept.values()), default=0.0)
 
     # recursion ----------------------------------------------------------
+    # a scope's bindings are (union, frame): the union of components the
+    # variables live in and each variable's node ids, one per block row
 
     def _top(self, _root) -> np.ndarray:
         empty = _layout([])._replace(feats=np.zeros((0, 1, self.d)))
-        return self._eval(self.term, empty, {}, 1, 0)[:, 0]
+        return self._eval(self.term, ((empty, {}), 0), (1, 1, self.d),
+                          ())[:, 0]
 
-    def _eval(self, term: Term, g: _Union, frame: dict, rows: int,
-              depth: int) -> np.ndarray:
-        shape = (rows, g.feats.shape[1], self.d)
-        if isinstance(term, Const):
-            return np.broadcast_to(np.asarray(term.value, dtype=np.float64),
-                                   shape)
-        if isinstance(term, Feature):
-            return g.feats[frame[term.var]]
-        if isinstance(term, Rw):
-            vec = walk_returns(g.indptr, g.indices, frame[term.var],
-                               term.kmax)
-            return np.broadcast_to(fit_width(vec, self.d)[:, None], shape)
-        if isinstance(term, Apply):
-            args = [self._eval(a, g, frame, rows, depth).reshape(-1, self.d)
-                    for a in term.args]
-            out = self.registry.call(term.fn, args)
-            if not np.all(np.isfinite(out)):
-                raise EvaluationError(
-                    f"non-finite value from function {term.fn!r}")
-            return np.broadcast_to(out, (rows * shape[1], self.d)).reshape(
-                shape)
-        if isinstance(term, (LocalWMean, GcnAgg)):
-            return local_aggregate(
-                term, frame, np.empty(shape), g.indptr, g.indices,
-                lambda t, child, n, _: self._eval(t, g, child, n, depth + 1),
-                self.registry, (), max(1, _BLOCK // (shape[1] * self.d)))
-        if isinstance(term, GlobalWMean):
-            return self._aggregate(term, (g, frame), shape, depth)
-        raise ConfigError(f"unknown term node {type(term).__name__}")
+    def _feature(self, term, scope: tuple) -> np.ndarray:
+        g, frame = scope[0]
+        return g.feats[frame[term.var]]
 
-    def _collapsed(self, term: GlobalWMean, depth: int) -> np.ndarray:
+    def _rw(self, term, scope: tuple, shape: tuple) -> np.ndarray:
+        g, frame = scope[0]
+        vec = walk_returns(g.indptr, g.indices, frame[term.var], term.kmax)
+        return np.broadcast_to(fit_width(vec, self.d)[:, None], shape)
+
+    def _local(self, term, scope: tuple, shape: tuple,
+               path: tuple) -> np.ndarray:
+        (g, frame), depth = scope
+        return local_aggregate(
+            term, frame, np.empty(shape), g.indptr, g.indices,
+            lambda t, child, sh, p: self._eval(t, ((g, child), depth + 1),
+                                               sh, p),
+            self.registry, path, max(1, _BLOCK // (shape[1] * self.d)))
+
+    def _collapsed(self, term: GlobalWMean, depth: int,
+                   path: tuple) -> np.ndarray:
         """One row per class, a chunk of classes at a time, on pools."""
         u, codes, weights, _ = self._types(_census_radius(term))
         sizes = np.diff(u.starts)
@@ -266,7 +245,8 @@ class _SparseEngine(McEngine):
         for a, b in _blocks(sizes * (m * self.d), _BLOCK):
             g = _pick(u, np.arange(a, b))[0]._replace(
                 feats=np.concatenate(pools[a:b]))
-            args = (g, {term.bound: g.starts[:-1]}, b - a, depth + 1)
+            args = (((g, {term.bound: g.starts[:-1]}), depth + 1),
+                    (b - a, m, self.d), path)
             vals.append(self._eval(term.value, *args))
             etas.append(self._weight_arg(term, *args))
         # rebinding frees the per-chunk blocks before the reduction
@@ -275,10 +255,10 @@ class _SparseEngine(McEngine):
                             np.repeat(weights / m, m))[0, 0]
 
     def _nested(self, term: GlobalWMean, scope: tuple, shape: tuple,
-                depth: int) -> np.ndarray:
+                path: tuple) -> np.ndarray:
         """Per chunk of outer samples and rows, every class's fresh
         component joins the rows' components, bindings repeated per class."""
-        g, frame = scope
+        (g, frame), depth = scope
         u, codes, weights, _ = self._types(_census_radius(term))
         sizes, inner = np.diff(u.starts), self.inner_mc
         mass = np.repeat(weights / inner, inner)
@@ -305,7 +285,8 @@ class _SparseEngine(McEngine):
                     roots = len(keep) + comp.starts[:-1]
                     sub = {v: np.tile(arr, b - a) for v, arr in bound.items()}
                     sub[term.bound] = np.repeat(roots, n)
-                    args = (joined, sub, (b - a) * n, depth + 1)
+                    args = (((joined, sub), depth + 1),
+                            ((b - a) * n, slots, self.d), path)
                     vals.append(self._eval(term.value, *args))
                     etas.append(self._weight_arg(term, *args))
                 vals, etas = _mixture(vals, n, inner), _mixture(etas, n, inner)

@@ -77,40 +77,31 @@ class GcnAgg:
 Term = Union[Const, Feature, Rw, Apply, LocalWMean, GlobalWMean, GcnAgg]
 
 
+def children(term: Term) -> tuple:
+    """The node's direct subterms; a binder's body comes first."""
+    if isinstance(term, (Const, Feature, Rw)):
+        return ()
+    if isinstance(term, Apply):
+        return term.args
+    if isinstance(term, (LocalWMean, GlobalWMean)):
+        return (term.value, term.weight_arg)
+    if isinstance(term, GcnAgg):
+        return (term.value,)
+    raise TypeError(f"not a term: {term!r}")
+
+
 def free_vars(term: Term) -> tuple[str, ...]:
     """Free variables in order of first occurrence."""
     out: list[str] = []
 
-    def add(v):
-        if v not in out:
-            out.append(v)
-
     def walk(t, bound):
-        if isinstance(t, Const):
-            return
-        if isinstance(t, Feature):
-            if t.var not in bound:
-                add(t.var)
-        elif isinstance(t, Rw):
-            if t.var not in bound:
-                add(t.var)
-        elif isinstance(t, Apply):
-            for a in t.args:
-                walk(a, bound)
-        elif isinstance(t, LocalWMean):
-            if t.anchor not in bound:
-                add(t.anchor)
-            walk(t.value, bound | {t.bound})
-            walk(t.weight_arg, bound | {t.bound})
-        elif isinstance(t, GlobalWMean):
-            walk(t.value, bound | {t.bound})
-            walk(t.weight_arg, bound | {t.bound})
-        elif isinstance(t, GcnAgg):
-            if t.anchor not in bound:
-                add(t.anchor)
-            walk(t.value, bound | {t.bound})
-        else:
-            raise TypeError(f"not a term: {t!r}")
+        # a Feature or Rw reads its var, a neighborhood its anchor
+        for v in (getattr(t, "var", None), getattr(t, "anchor", None)):
+            if v is not None and v not in bound and v not in out:
+                out.append(v)
+        inner = bound | {t.bound} if hasattr(t, "bound") else bound
+        for c in children(t):
+            walk(c, inner)
 
     walk(term, frozenset())
     return tuple(out)
@@ -118,34 +109,16 @@ def free_vars(term: Term) -> tuple[str, ...]:
 
 def reach(term: Term) -> int:
     """How many hops of graph structure the term's value can depend on."""
-    if isinstance(term, (Const, Feature)):
-        return 0
     if isinstance(term, Rw):
         return term.kmax
-    if isinstance(term, Apply):
-        return max((reach(a) for a in term.args), default=0)
-    if isinstance(term, LocalWMean):
-        return max(reach(term.value), reach(term.weight_arg)) + 1
-    if isinstance(term, GcnAgg):
-        return reach(term.value) + 1
     if isinstance(term, GlobalWMean):
         return 0
-    raise TypeError(f"not a term: {term!r}")
+    inner = max(map(reach, children(term)), default=0)
+    return inner + 1 if isinstance(term, (LocalWMean, GcnAgg)) else inner
 
 
 def contains_gcn(term: Term) -> bool:
-    if isinstance(term, GcnAgg):
-        return True
-    if isinstance(term, Apply):
-        return any(contains_gcn(a) for a in term.args)
-    if isinstance(term, (LocalWMean, GlobalWMean)):
-        inner = contains_gcn(term.value)
-        if isinstance(term, LocalWMean):
-            inner = inner or contains_gcn(term.weight_arg)
-        elif isinstance(term, GlobalWMean):
-            inner = inner or contains_gcn(term.weight_arg)
-        return inner
-    return False
+    return isinstance(term, GcnAgg) or any(map(contains_gcn, children(term)))
 
 
 def substitute(term: Term, mapping: dict) -> Term:
@@ -186,30 +159,24 @@ def validate_term(term: Term, registry, d: int) -> None:
             if not all(isinstance(x, (int, float)) and math.isfinite(x)
                        for x in t.value):
                 raise ConfigError("constants must be finite numbers")
-        elif isinstance(t, (Feature, Rw)):
-            if isinstance(t, Rw) and t.kmax < 1:
-                raise ConfigError("rw needs kmax >= 1")
+        elif isinstance(t, Rw) and t.kmax < 1:
+            raise ConfigError("rw needs kmax >= 1")
         elif isinstance(t, Apply):
             entry = registry.entry(t.fn)
             if entry.arity is not None and entry.arity != len(t.args):
                 raise ConfigError(
                     f"{t.fn} expects {entry.arity} argument(s), got {len(t.args)}")
-            for a in t.args:
-                walk(a, scope)
         elif isinstance(t, (LocalWMean, GlobalWMean, GcnAgg)):
             if t.bound in scope:
                 raise ConfigError(f"bound variable {t.bound!r} shadows an outer variable")
-            if isinstance(t, (LocalWMean, GlobalWMean)):
+            if not isinstance(t, GcnAgg):
                 entry = registry.entry(t.weight_map)
                 if not entry.positive:
                     raise ConfigError(f"weight map {t.weight_map!r} is not flagged positive")
                 if entry.arity not in (1, None):
                     raise ConfigError(f"weight map {t.weight_map!r} must take one argument")
-            inner = scope | {t.bound}
-            walk(t.value, inner)
-            if isinstance(t, (LocalWMean, GlobalWMean)):
-                walk(t.weight_arg, inner)
-        else:
-            raise TypeError(f"not a term: {t!r}")
+            scope = scope | {t.bound}
+        for c in children(t):
+            walk(c, scope)
 
     walk(term, set(free_vars(term)))
