@@ -27,7 +27,7 @@ from . import config as cfg
 from .architectures import compile_architecture, init_weights
 from .census import neighborhood_census
 from .dense_limit import dense_controller
-from .errors import AggtermError, ConfigError
+from .errors import AggtermError, ConfigError, as_int
 from .evaluate import eval_closed
 from .graphs import (AlternatingSchedule, ErModel, Uniform01, feature_dim,
                      read_graph, sample_graph, attach_features, write_graph)
@@ -75,9 +75,7 @@ def _load_features(path, default=None):
 
 def _load_arch(path: str):
     doc = _load_json(path)
-    seed = doc.pop("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("architecture seed must be an integer")
+    seed = as_int(doc.pop("seed", 0), "architecture seed")
     arch = cfg.arch_from_spec(doc)
     return compile_architecture(arch, init_weights(arch, seed))
 

@@ -1,198 +1,135 @@
 """JSON-friendly specs for models, schedules, features, and architectures.
 
 The CLI and the sweep provenance hash both need a stable text form of every
-configurable object. Specs are plain dicts with a discriminator key
-("kind" for schedules, features, and architectures, "family" for graph
-models), so config files stay hand-editable and diffable. from_spec
-functions validate eagerly and raise ConfigError with the offending value.
+configurable object. Specs are plain dicts with a discriminator key ("kind"
+for schedules and features, "family" for graph models), so config files
+stay hand-editable and diffable. One codec serves every spec class: field
+names and types come from the dataclasses, which check their own ranges.
+from_spec converts each value by its declared type, so a mistyped value
+fails as ConfigError naming the group, the field and the value instead of
+being cast.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import sys
+from functools import partial
+from typing import Union, get_args, get_origin, get_type_hints
 
 from .architectures import ArchConfig
-from .errors import ConfigError
+from .errors import ConfigError, as_int
 from .graphs import (AlternatingSchedule, BaModel, BernoulliFeatures,
                      ConstantFeatures, DenseSchedule, ErModel, LogSchedule,
                      PaddedFeatures, RootSchedule, SbmModel, SparseSchedule,
                      Uniform01, UniformRange)
 
 __all__ = [
-    "schedule_to_spec", "schedule_from_spec",
-    "model_to_spec", "model_from_spec",
-    "features_to_spec", "features_from_spec",
-    "arch_to_spec", "arch_from_spec",
+    "to_spec", "from_spec", "schedule_to_spec", "schedule_from_spec",
+    "model_to_spec", "model_from_spec", "features_to_spec",
+    "features_from_spec", "arch_to_spec", "arch_from_spec",
     "canonical_json", "spec_digest",
 ]
 
+# group -> (discriminator key, {discriminator value: spec class})
+_GROUPS = {
+    "schedule": ("kind", {"dense": DenseSchedule, "root": RootSchedule,
+                          "log": LogSchedule, "sparse": SparseSchedule,
+                          "alternating": AlternatingSchedule}),
+    "model": ("family", {"er": ErModel, "sbm": SbmModel, "ba": BaModel}),
+    "features": ("kind", {"uniform01": Uniform01, "uniform": UniformRange,
+                          "bernoulli": BernoulliFeatures,
+                          "constant": ConstantFeatures,
+                          "padded": PaddedFeatures}),
+    "architecture": (None, {None: ArchConfig}),
+}
 
-def _need(spec: dict, key: str, what: str):
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{what} spec must be an object, got {type(spec).__name__}")
-    if key not in spec:
-        raise ConfigError(f"{what} spec is missing {key!r}: {spec!r}")
-    return spec[key]
-
-
-def _no_extras(spec: dict, allowed: set, what: str):
-    extras = sorted(set(spec) - allowed)
-    if extras:
-        raise ConfigError(f"unknown {what} keys {extras}")
-
-
-# schedules ---------------------------------------------------------------
-
-def schedule_to_spec(sched) -> dict:
-    if isinstance(sched, DenseSchedule):
-        return {"kind": "dense", "p": sched.p}
-    if isinstance(sched, RootSchedule):
-        return {"kind": "root", "k": sched.k, "beta": sched.beta}
-    if isinstance(sched, LogSchedule):
-        return {"kind": "log", "k": sched.k}
-    if isinstance(sched, SparseSchedule):
-        return {"kind": "sparse", "k": sched.k}
-    if isinstance(sched, AlternatingSchedule):
-        return {"kind": "alternating",
-                "even": schedule_to_spec(sched.even),
-                "odd": schedule_to_spec(sched.odd)}
-    raise ConfigError(f"not a schedule: {sched!r}")
+# spec class -> (group, discriminator key, discriminator value)
+_TAGS = {cls: (group, key, tag) for group, (key, classes) in _GROUPS.items()
+         for tag, cls in classes.items()}
 
 
-def schedule_from_spec(spec: dict):
-    kind = _need(spec, "kind", "schedule")
-    if kind == "dense":
-        _no_extras(spec, {"kind", "p"}, "schedule")
-        return DenseSchedule(float(_need(spec, "p", "dense schedule")))
-    if kind == "root":
-        _no_extras(spec, {"kind", "k", "beta"}, "schedule")
-        return RootSchedule(float(_need(spec, "k", "root schedule")),
-                            float(_need(spec, "beta", "root schedule")))
-    if kind == "log":
-        _no_extras(spec, {"kind", "k"}, "schedule")
-        return LogSchedule(float(_need(spec, "k", "log schedule")))
-    if kind == "sparse":
-        _no_extras(spec, {"kind", "k"}, "schedule")
-        return SparseSchedule(float(_need(spec, "k", "sparse schedule")))
-    if kind == "alternating":
-        _no_extras(spec, {"kind", "even", "odd"}, "schedule")
-        return AlternatingSchedule(
-            schedule_from_spec(_need(spec, "even", "alternating schedule")),
-            schedule_from_spec(_need(spec, "odd", "alternating schedule")))
-    raise ConfigError(f"unknown schedule kind {kind!r}")
-
-
-# graph models ------------------------------------------------------------
-
-def model_to_spec(model) -> dict:
-    if isinstance(model, ErModel):
-        return {"family": "er", "schedule": schedule_to_spec(model.schedule)}
-    if isinstance(model, SbmModel):
-        return {"family": "sbm",
-                "fractions": list(model.fractions),
-                "p": [list(row) for row in model.p]}
-    if isinstance(model, BaModel):
-        return {"family": "ba", "m": model.m}
-    raise ConfigError(f"not a graph model: {model!r}")
-
-
-def model_from_spec(spec: dict):
-    family = _need(spec, "family", "model")
-    if family == "er":
-        _no_extras(spec, {"family", "schedule"}, "model")
-        return ErModel(schedule_from_spec(_need(spec, "schedule", "er model")))
-    if family == "sbm":
-        _no_extras(spec, {"family", "fractions", "p"}, "model")
-        fractions = _need(spec, "fractions", "sbm model")
-        p = _need(spec, "p", "sbm model")
-        return SbmModel(tuple(float(q) for q in fractions),
-                        tuple(tuple(float(x) for x in row) for row in p))
-    if family == "ba":
-        _no_extras(spec, {"family", "m"}, "model")
-        return BaModel(int(_need(spec, "m", "ba model")))
-    raise ConfigError(f"unknown model family {family!r}")
-
-
-# feature distributions ---------------------------------------------------
-
-def features_to_spec(dist) -> dict:
-    if isinstance(dist, Uniform01):
-        return {"kind": "uniform01", "dim": dist.dim}
-    if isinstance(dist, UniformRange):
-        return {"kind": "uniform", "a": dist.a, "b": dist.b, "dim": dist.dim}
-    if isinstance(dist, BernoulliFeatures):
-        return {"kind": "bernoulli", "q": dist.q, "dim": dist.dim}
-    if isinstance(dist, ConstantFeatures):
-        return {"kind": "constant", "c": dist.c, "dim": dist.dim}
-    if isinstance(dist, PaddedFeatures):
-        return {"kind": "padded", "base": features_to_spec(dist.base),
-                "dim": dist.dim}
-    raise ConfigError(f"not a feature distribution: {dist!r}")
-
-
-def features_from_spec(spec: dict):
-    kind = _need(spec, "kind", "features")
-    if kind == "uniform01":
-        _no_extras(spec, {"kind", "dim"}, "features")
-        return Uniform01(int(_need(spec, "dim", "uniform01 features")))
-    if kind == "uniform":
-        _no_extras(spec, {"kind", "a", "b", "dim"}, "features")
-        return UniformRange(float(_need(spec, "a", "uniform features")),
-                            float(_need(spec, "b", "uniform features")),
-                            int(_need(spec, "dim", "uniform features")))
-    if kind == "bernoulli":
-        _no_extras(spec, {"kind", "q", "dim"}, "features")
-        return BernoulliFeatures(float(_need(spec, "q", "bernoulli features")),
-                                 int(_need(spec, "dim", "bernoulli features")))
-    if kind == "constant":
-        _no_extras(spec, {"kind", "c", "dim"}, "features")
-        return ConstantFeatures(float(_need(spec, "c", "constant features")),
-                                int(_need(spec, "dim", "constant features")))
-    if kind == "padded":
-        _no_extras(spec, {"kind", "base", "dim"}, "features")
-        return PaddedFeatures(
-            features_from_spec(_need(spec, "base", "padded features")),
-            int(_need(spec, "dim", "padded features")))
-    raise ConfigError(f"unknown feature kind {kind!r}")
-
-
-# architectures -----------------------------------------------------------
-
-_ARCH_KEYS = {"kind", "layers", "hidden", "classes", "in_dim", "rw_len",
-              "activation", "skips", "global_readout"}
-
-
-def arch_to_spec(config: ArchConfig) -> dict:
-    spec = {"kind": config.kind, "layers": config.layers,
-            "hidden": config.hidden, "classes": config.classes,
-            "in_dim": config.in_dim, "activation": config.activation,
-            "global_readout": config.global_readout,
-            "skips": [list(pair) for pair in config.skips]}
-    if config.rw_len is not None:
-        spec["rw_len"] = config.rw_len
+def to_spec(obj) -> dict:
+    """The spec dict of any spec object, JSON-serializable as-is."""
+    if type(obj) not in _TAGS:
+        raise ConfigError(f"not a spec object: {obj!r}")
+    _, key, tag = _TAGS[type(obj)]
+    spec = {} if key is None else {key: tag}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if value is not None or f.default is not None:
+            spec[f.name] = _plain(value)
     return spec
 
 
-def arch_from_spec(spec: dict) -> ArchConfig:
-    _need(spec, "kind", "architecture")
-    _no_extras(spec, _ARCH_KEYS, "architecture")
-    kwargs = {
-        "kind": spec["kind"],
-        "layers": int(_need(spec, "layers", "architecture")),
-        "hidden": int(_need(spec, "hidden", "architecture")),
-        "classes": int(_need(spec, "classes", "architecture")),
-        "in_dim": int(_need(spec, "in_dim", "architecture")),
-    }
-    if "rw_len" in spec and spec["rw_len"] is not None:
-        kwargs["rw_len"] = int(spec["rw_len"])
-    if "activation" in spec:
-        kwargs["activation"] = str(spec["activation"])
-    if "skips" in spec:
-        kwargs["skips"] = tuple((int(a), int(b)) for a, b in spec["skips"])
-    if "global_readout" in spec:
-        kwargs["global_readout"] = bool(spec["global_readout"])
-    return ArchConfig(**kwargs)
+def _plain(value):
+    if type(value) in _TAGS:
+        return to_spec(value)
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
+def from_spec(group: str, spec):
+    """The spec object a group's spec dict describes, validated."""
+    key, classes = _GROUPS[group]
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{group} spec must be an object, got {type(spec).__name__}")
+    if key is not None and key not in spec:
+        raise ConfigError(f"{group} spec is missing {key!r}: {spec!r}")
+    tag = spec.get(key)
+    cls = classes.get(tag) if isinstance(tag, str) or tag is None else None
+    if cls is None:
+        raise ConfigError(f"unknown {group} {key} {tag!r}")
+    fields = dataclasses.fields(cls)
+    extras = sorted(set(spec) - {f.name for f in fields} - {key})
+    if extras:
+        raise ConfigError(f"unknown {group} keys {extras}")
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields:
+        if f.name in spec:
+            kwargs[f.name] = _convert(hints[f.name], spec[f.name],
+                                      f"{group} field {f.name!r}")
+        elif f.default is dataclasses.MISSING:
+            raise ConfigError(f"{group} spec is missing {f.name!r}: {spec!r}")
+    return cls(**kwargs)
+
+
+def _convert(tp, value, what: str):
+    """value as the declared type tp, or ConfigError naming what and value."""
+    args = get_args(tp)
+    if tp is int and not isinstance(value, bool):
+        return as_int(value, what)
+    if (tp is float and isinstance(value, (int, float))
+            and not isinstance(value, bool) and abs(value) <= sys.float_info.max):
+        return float(value)
+    if tp in (str, bool) and type(value) is tp:
+        return value
+    if get_origin(tp) is Union:
+        if value is None and type(None) in args:
+            return None
+        rest = [a for a in args if a is not type(None)]
+        if len(rest) == 1:
+            return _convert(rest[0], value, what)
+        # a union of spec classes is one group's nested spec
+        return from_spec(_TAGS[rest[0]][0], value)
+    if get_origin(tp) is tuple and isinstance(value, (list, tuple)):
+        if args[-1] is Ellipsis:
+            return tuple(_convert(args[0], v, what) for v in value)
+        if len(value) == len(args):
+            return tuple(_convert(a, v, what) for a, v in zip(args, value))
+    name = tp.__name__ if isinstance(tp, type) else repr(tp).replace("typing.", "")
+    raise ConfigError(f"{what} must be {name}, got {value!r}")
+
+
+schedule_to_spec = model_to_spec = features_to_spec = arch_to_spec = to_spec
+schedule_from_spec = partial(from_spec, "schedule")
+model_from_spec = partial(from_spec, "model")
+features_from_spec = partial(from_spec, "features")
+arch_from_spec = partial(from_spec, "architecture")
 
 
 # hashing -----------------------------------------------------------------

@@ -40,8 +40,8 @@ import numpy as np
 
 from .errors import ConfigError, UnsupportedTermError
 from .evaluate import wmean_reduce
-from .graphs import (DenseSchedule, ErModel, FeatureDist, LogSchedule,
-                     RootSchedule, SbmModel, draw_features, feature_dim)
+from .graphs import (DenseSchedule, FeatureDist, LogSchedule, RootSchedule,
+                     SbmModel, draw_features, feature_dim)
 from .mc import ControllerValue, McEngine
 from .registry import FunctionRegistry, default_registry
 from .terms import Term, contains_gcn, free_vars, validate_term
@@ -52,22 +52,26 @@ __all__ = ["dense_controller", "DenseController", "dense_limit_p"]
 def dense_limit_p(model) -> float:
     """Limiting edge probability of a densifying model.
 
-    Constant schedules keep their p; root and log schedules thin out to 0.
-    Sparse-class models have no densifying limit and are rejected. Block
-    models return None: their limit is the (q, P) pair, not a scalar.
+    A schedule is densifying when the expected degree n p(n) grows without
+    bound: a constant p > 0, a root schedule with k > 0 and beta < 1, or a
+    log schedule with k > 0. The limit of p(n) is p, 0 (log, and root with
+    beta > 0), min(1, k) (beta = 0) or 1 (beta < 0). Every other schedule
+    and every sparse-class model is rejected. Block models return None:
+    their limit is the (q, P) pair, not a scalar.
     """
-    if isinstance(model, ErModel):
-        sched = model.schedule
-        if isinstance(sched, DenseSchedule):
-            return float(sched.p)
-        if isinstance(sched, (RootSchedule, LogSchedule)):
-            return 0.0
-        raise ConfigError(
-            f"schedule {sched!r} is not densifying; use the sparse construction")
     if isinstance(model, SbmModel):
         return None
+    sched = getattr(model, "schedule", None)
+    if isinstance(sched, DenseSchedule) and sched.p > 0:
+        return float(sched.p)
+    if isinstance(sched, RootSchedule) and sched.k > 0 and sched.beta < 1:
+        if sched.beta > 0:
+            return 0.0
+        return min(1.0, sched.k) if sched.beta == 0 else 1.0
+    if isinstance(sched, LogSchedule) and sched.k > 0:
+        return 0.0
     raise ConfigError(
-        f"model {model!r} has no dense limit; use the sparse construction")
+        f"model {model!r} is not densifying; use the sparse construction")
 
 
 class _DenseEngine(McEngine):
@@ -77,7 +81,7 @@ class _DenseEngine(McEngine):
     kind = "dense"
 
     def _top(self, env0: Dict[str, np.ndarray]) -> np.ndarray:
-        return self._eval(self.term, (env0, 0), (1, self.d), ())
+        return self._eval(self.term, (env0, 0, ()), (1, self.d), ())
 
     def _feature(self, term, scope: tuple) -> np.ndarray:
         return scope[0][term.var]
@@ -91,14 +95,14 @@ class _DenseEngine(McEngine):
 
     def _collapsed(self, term, depth: int, path: tuple) -> np.ndarray:
         pool = self._pool(depth)[0]
-        args = (({term.bound: pool}, depth + 1), pool.shape, path)
+        args = (({term.bound: pool}, depth + 1, ()), pool.shape, path)
         return wmean_reduce(self._eval(term.value, *args),
                             self._weight_arg(term, *args),
-                            term.weight_map, self.registry, None)
+                            term.weight_map, self.registry, None, path=path)
 
     def _nested(self, term, scope: tuple, shape: tuple,
                 path: tuple) -> np.ndarray:
-        env, depth = scope
+        env, depth, chunks = scope
         m, inner = shape[0], self.inner_mc
         out = np.empty(shape)
         for lo, hi in self._chunks(m):
@@ -106,13 +110,14 @@ class _DenseEngine(McEngine):
             total = rows * inner
             sub = {v: np.repeat(arr[lo:hi], inner, axis=0)
                    for v, arr in env.items()}
-            sub[term.bound] = self._inner_draws(depth, lo, total)[0]
-            args = ((sub, depth + 1), (total, self.d), path)
+            sub[term.bound] = self._inner_draws(scope, lo, total)[0]
+            args = ((sub, depth + 1, chunks + (lo,)), (total, self.d), path)
             vals = self._eval(term.value, *args)
             eta = self._weight_arg(term, *args)
             out[lo:hi] = wmean_reduce(self._inner_first(vals, rows),
                                       self._inner_first(eta, rows),
-                                      term.weight_map, self.registry, None)
+                                      term.weight_map, self.registry, None,
+                                      path=path)
         return out
 
 

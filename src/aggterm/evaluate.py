@@ -69,7 +69,7 @@ def _segment_reduce(ufunc: np.ufunc, data: np.ndarray,
 
 def wmean_reduce(vals: np.ndarray, eta: np.ndarray | None, weight_map: str,
                  registry: FunctionRegistry, seg: np.ndarray | None,
-                 mass: np.ndarray | None = None) -> np.ndarray:
+                 mass: np.ndarray | None = None, path: tuple = ()) -> np.ndarray:
     """Weighted means of the rows of vals, over segments or the leading axis.
 
     vals and eta are (rows, ..., d). With seg, segment k covers rows
@@ -85,8 +85,8 @@ def wmean_reduce(vals: np.ndarray, eta: np.ndarray | None, weight_map: str,
     and it keeps denominators in a sane floating range. A denominator that
     is zero or not finite (a weight map that underflows to zero across a
     whole segment) raises instead of dividing, as does a mean that is not
-    finite. An empty segment, or an empty leading axis, yields zeros by
-    definition.
+    finite; the error names path, the term nodes down to the aggregate. An
+    empty segment, or an empty leading axis, yields zeros by definition.
     """
     if seg is None and vals.shape[0] == 0:
         return np.zeros(vals.shape[1:])
@@ -122,11 +122,12 @@ def wmean_reduce(vals: np.ndarray, eta: np.ndarray | None, weight_map: str,
     if not (np.all(den > 0) and np.all(np.isfinite(den))):
         raise EvaluationError(
             f"weight map {weight_map!r} produced a zero or non-finite "
-            f"denominator")
+            f"denominator in {_join(path)}")
     res = num / den
     if not np.all(np.isfinite(res)):
         raise EvaluationError(
-            f"weighted mean under weight map {weight_map!r} is not finite")
+            f"weighted mean under weight map {weight_map!r} is not finite "
+            f"in {_join(path)}")
     if seg is None:
         return res
     out = np.zeros((counts.shape[0],) + vals.shape[1:])
@@ -177,21 +178,16 @@ def _wmean(term, child: dict, shape: tuple, seg, path: tuple, value_at,
     vals = value_at(term.value, child, shape, path)
     eta = (None if term.weight_map == "one"
            else value_at(term.weight_arg, child, shape, path))
-    try:
-        return wmean_reduce(vals, eta, term.weight_map, registry, seg)
-    except EvaluationError as err:
-        raise EvaluationError(f"{err} in {_join(path)}") from None
+    return wmean_reduce(vals, eta, term.weight_map, registry, seg, path=path)
 
 
 def reads_outer(term) -> bool:
     """Whether an aggregate's body reads a variable other than its binder.
 
     One that does not is a single vector for every outer assignment, so it
-    is computed once. Under the weight map "one" the weight argument is
-    never read and does not count.
+    is computed once. Only the children it reads count (T.read_children).
     """
-    body = (term.value,) if term.weight_map == "one" else T.children(term)
-    return any(set(free_vars(t)) - {term.bound} for t in body)
+    return any(set(free_vars(t)) - {term.bound} for t in T.read_children(term))
 
 
 class Interpreter:

@@ -31,15 +31,27 @@ def _as_rng(seed: SeedLike, *tags) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
+class _Rate:
+    """Root, log and sparse schedules scale with a finite rate k >= 0."""
+
+    def __post_init__(self):
+        if not (math.isfinite(self.k) and self.k >= 0):
+            raise ConfigError(f"schedule rate k must be finite and >= 0, got {self.k}")
+
+
 @dataclass(frozen=True)
 class DenseSchedule:
     """Constant edge probability p(n) = p."""
 
     p: float
 
+    def __post_init__(self):
+        if not (0.0 <= self.p <= 1.0):
+            raise ConfigError(f"edge probability p must lie in [0, 1], got {self.p}")
+
 
 @dataclass(frozen=True)
-class RootSchedule:
+class RootSchedule(_Rate):
     """p(n) = min(1, K * n**-beta)."""
 
     k: float
@@ -47,14 +59,14 @@ class RootSchedule:
 
 
 @dataclass(frozen=True)
-class LogSchedule:
+class LogSchedule(_Rate):
     """p(n) = min(1, K * log(n) / n)."""
 
     k: float
 
 
 @dataclass(frozen=True)
-class SparseSchedule:
+class SparseSchedule(_Rate):
     """p(n) = min(1, K / n)."""
 
     k: float
@@ -137,36 +149,60 @@ GraphModel = Union[ErModel, SbmModel, BaModel]
 # ---------------------------------------------------------------------------
 
 
+class _Features:
+    """Every feature distribution draws dim >= 1 coordinates per node."""
+
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ConfigError(f"feature dimension must be >= 1, got {self.dim}")
+
+
 @dataclass(frozen=True)
-class Uniform01:
+class Uniform01(_Features):
     dim: int
 
 
 @dataclass(frozen=True)
-class UniformRange:
+class UniformRange(_Features):
     a: float
     b: float
     dim: int
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.a > self.b:
+            raise ConfigError("need a <= b for uniform range features")
+
 
 @dataclass(frozen=True)
-class BernoulliFeatures:
+class BernoulliFeatures(_Features):
     q: float
     dim: int
 
+    def __post_init__(self):
+        super().__post_init__()
+        if not (0.0 <= self.q <= 1.0):
+            raise ConfigError("Bernoulli parameter must lie in [0, 1]")
+
 
 @dataclass(frozen=True)
-class ConstantFeatures:
+class ConstantFeatures(_Features):
     c: float
     dim: int
 
 
 @dataclass(frozen=True)
-class PaddedFeatures:
+class PaddedFeatures(_Features):
     """Draws from `base`, zero-padded on the right to `dim` coordinates."""
 
     base: "FeatureDist"
     dim: int
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.base.dim > self.dim:
+            raise ConfigError(
+                f"cannot pad {self.base.dim}-wide draws into {self.dim} coordinates")
 
 
 FeatureDist = Union[Uniform01, UniformRange, BernoulliFeatures,
@@ -434,25 +470,16 @@ def sample_graph(model: GraphModel, n: int, seed: SeedLike) -> FeaturedGraph:
 def draw_features(dist: FeatureDist, count: int, rng: np.random.Generator) -> np.ndarray:
     """(count, d) array of i.i.d. draws from a feature distribution."""
     d = feature_dim(dist)
-    if d < 1:
-        raise ConfigError("feature dimension must be >= 1")
     if isinstance(dist, Uniform01):
         return rng.random((count, d))
     if isinstance(dist, UniformRange):
-        if dist.a > dist.b:
-            raise ConfigError("need a <= b for uniform range features")
         return dist.a + (dist.b - dist.a) * rng.random((count, d))
     if isinstance(dist, BernoulliFeatures):
-        if not (0.0 <= dist.q <= 1.0):
-            raise ConfigError("Bernoulli parameter must lie in [0, 1]")
         return (rng.random((count, d)) < dist.q).astype(np.float64)
     if isinstance(dist, ConstantFeatures):
         return np.full((count, d), float(dist.c))
     if isinstance(dist, PaddedFeatures):
         inner = draw_features(dist.base, count, rng)
-        if inner.shape[1] > d:
-            raise ConfigError(
-                f"cannot pad {inner.shape[1]}-wide draws into {d} coordinates")
         out = np.zeros((count, d))
         out[:, :inner.shape[1]] = inner
         return out
@@ -566,8 +593,9 @@ def read_graph(path) -> FeaturedGraph:
     lines = [ln for ln in raw if ln.strip()]
     if not lines or not lines[0].startswith(_HEADER_PREFIX):
         raise ConfigError("not an aggterm graph file (bad header)")
-    fields = dict(part.split("=", 1) for part in lines[0][len(_HEADER_PREFIX):].split())
     try:
+        fields = dict(part.split("=", 1)
+                      for part in lines[0][len(_HEADER_PREFIX):].split())
         n = int(fields["n"])
         d = int(fields["d"])
         m = int(fields["communities"])
@@ -580,27 +608,30 @@ def read_graph(path) -> FeaturedGraph:
     features = np.zeros((n, d))
     community = np.zeros(n, dtype=np.int64) if m > 0 else None
     for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "F":
-            v = int(parts[1])
-            vals = [float(x) for x in parts[2:]]
-            if len(vals) != d or not (0 <= v < n):
-                raise ConfigError(f"bad feature line: {ln!r}")
-            features[v] = vals
-        elif parts[0] == "C":
-            v = int(parts[1])
-            if community is None or not (0 <= v < n):
-                raise ConfigError(f"bad community line: {ln!r}")
-            community[v] = int(parts[2])
-        else:
-            u, v = int(parts[0]), int(parts[1])
-            if not (0 <= u < v < n):
-                raise ConfigError(f"bad edge line: {ln!r}")
-            if (u, v) in seen:
-                raise ConfigError(f"duplicate edge: {ln!r}")
-            seen.add((u, v))
-            us.append(u)
-            vs.append(v)
+        try:
+            parts = ln.split()
+            if parts[0] == "F":
+                v = int(parts[1])
+                vals = [float(x) for x in parts[2:]]
+                if len(vals) != d or not (0 <= v < n):
+                    raise ConfigError(f"bad feature line: {ln!r}")
+                features[v] = vals
+            elif parts[0] == "C":
+                v = int(parts[1])
+                if community is None or not (0 <= v < n):
+                    raise ConfigError(f"bad community line: {ln!r}")
+                community[v] = int(parts[2])
+            else:
+                u, v = int(parts[0]), int(parts[1])
+                if not (0 <= u < v < n):
+                    raise ConfigError(f"bad edge line: {ln!r}")
+                if (u, v) in seen:
+                    raise ConfigError(f"duplicate edge: {ln!r}")
+                seen.add((u, v))
+                us.append(u)
+                vs.append(v)
+        except (ValueError, IndexError):
+            raise ConfigError(f"malformed graph line: {ln!r}") from None
     if community is not None and community.min() < 1:
         raise ConfigError("community labels must cover all nodes with labels >= 1")
     return from_edges(n, np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64),

@@ -28,7 +28,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .architectures import CompiledModel
-from .config import canonical_json, features_to_spec, model_to_spec
+from .config import features_to_spec, model_to_spec, spec_digest
 from .errors import ConfigError, EvaluationError
 from .evaluate import eval_closed
 from .graphs import FeatureDist, attach_features, feature_dim, sample_graph
@@ -247,8 +247,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             "seed": config.seed}
     spec.update(extras)
     provenance = {
-        "config_sha256": hashlib.sha256(
-            canonical_json(spec).encode("ascii")).hexdigest(),
+        "config_sha256": spec_digest(spec),
         "seed": config.seed,
         "version": VERSION,
     }

@@ -85,19 +85,21 @@ class McEngine(Interpreter):
 
     Holds one term's feature-draw pools and runs the term through the
     shared interpreter (evaluate.Interpreter) once on all draws and once
-    per error block. A scope is (bindings, depth): what the engine binds
-    its variables to, and the nesting depth of aggregates around the
-    node. Subclasses supply _top, _feature, _rw, _local, _collapsed and
-    _nested; _global picks between the last two. An aggregate whose body
-    reads only its own binder (evaluate.reads_outer) is collapsed:
-    computed once per run from one shared pool of mc_samples draws per
-    nesting depth (and key) and broadcast. One whose body also reads
-    outer variables is nested: each outer row gets inner_mc fresh draws.
-    Streams are keyed (seed, kind, "pool", depth, *key) for pools and
-    (seed, kind, "inner", depth, run tag, *key, chunk offset) for inner
-    draws, so reruns reproduce exactly while every outer sample still
-    gets independent inner draws, and the inner noise averages out across
-    the run instead of being floored at 1/sqrt(inner_mc).
+    per error block. A scope is (bindings, depth, chunks): what the
+    engine binds its variables to, the nesting depth of aggregates around
+    the node, and the outer-row offsets of the nested-aggregate chunks
+    enclosing it. Subclasses supply _top, _feature, _rw, _local,
+    _collapsed and _nested; _global picks between the last two. An
+    aggregate whose body reads only its own binder (evaluate.reads_outer)
+    is collapsed: computed once per run from one shared pool of
+    mc_samples draws per nesting depth (and key) and broadcast. One whose
+    body also reads outer variables is nested: each outer row gets
+    inner_mc fresh draws. Streams are keyed (seed, kind, "pool", depth,
+    *key) for pools and (seed, kind, "inner", depth, run tag, *key,
+    *chunks, chunk offset) for inner draws, so reruns reproduce exactly
+    while every outer sample, in every enclosing chunk, still gets
+    independent inner draws, and the inner noise averages out across the
+    run instead of being floored at 1/sqrt(inner_mc).
     """
 
     kind = ""  # first stream key after the seed: "dense" or "sparse"
@@ -132,10 +134,12 @@ class McEngine(Interpreter):
             self._pools[(depth,) + key] = pool
         return pool[:, self._sel]
 
-    def _inner_draws(self, depth: int, lo: int, slots: int, key: tuple = (),
+    def _inner_draws(self, scope: tuple, lo: int, slots: int, key: tuple = (),
                      count: int = 1) -> np.ndarray:
-        """Fresh (count, slots, d) draws for the chunk at outer row lo."""
-        rng = stream(self.seed, self.kind, "inner", depth, self._tag, *key, lo)
+        """Fresh (count, slots, d) draws for the nested chunk at outer row lo."""
+        _, depth, chunks = scope
+        rng = stream(self.seed, self.kind, "inner", depth, self._tag, *key,
+                     *chunks, lo)
         return self._draw(self.dist, count * slots, rng).reshape(
             count, slots, self.d)
 

@@ -49,8 +49,8 @@ from .mc import ControllerValue, McEngine
 from .registry import FunctionRegistry, default_registry, fit_width
 from .rng import stream
 from .rw import _blocks, walk_returns
-from .terms import (GcnAgg, GlobalWMean, LocalWMean, Rw, Term, children,
-                    contains_gcn, free_vars, validate_term)
+from .terms import (GcnAgg, GlobalWMean, LocalWMean, Rw, Term, contains_gcn,
+                    free_vars, read_children, validate_term)
 
 __all__ = ["CensusConfig", "sparse_limit", "aggregation_depth"]
 
@@ -77,11 +77,12 @@ def aggregation_depth(term: Term) -> int:
     evaluates on it exactly. It differs from reach in one place: a global
     binder does not reset the count, because its body may still read
     structure around outer variables, and the components decoded for those
-    variables must extend far enough to serve it.
+    variables must extend far enough to serve it. Like reach, it counts
+    only the children a node reads (terms.read_children).
     """
     if isinstance(term, Rw):
         return term.kmax
-    inner = max(map(aggregation_depth, children(term)), default=0)
+    inner = max(map(aggregation_depth, read_children(term)), default=0)
     return inner + 1 if isinstance(term, (LocalWMean, GcnAgg)) else inner
 
 
@@ -210,7 +211,7 @@ class _SparseEngine(McEngine):
 
     def _top(self, _root) -> np.ndarray:
         empty = _layout([])._replace(feats=np.zeros((0, 1, self.d)))
-        return self._eval(self.term, ((empty, {}), 0), (1, 1, self.d),
+        return self._eval(self.term, ((empty, {}), 0, ()), (1, 1, self.d),
                           ())[:, 0]
 
     def _feature(self, term, scope: tuple) -> np.ndarray:
@@ -224,11 +225,11 @@ class _SparseEngine(McEngine):
 
     def _local(self, term, scope: tuple, shape: tuple,
                path: tuple) -> np.ndarray:
-        (g, frame), depth = scope
+        (g, frame), depth, chunks = scope
         return local_aggregate(
             term, frame, np.empty(shape), g.indptr, g.indices,
-            lambda t, child, sh, p: self._eval(t, ((g, child), depth + 1),
-                                               sh, p),
+            lambda t, child, sh, p: self._eval(
+                t, ((g, child), depth + 1, chunks), sh, p),
             self.registry, path, max(1, _BLOCK // (shape[1] * self.d)))
 
     def _collapsed(self, term: GlobalWMean, depth: int,
@@ -245,20 +246,20 @@ class _SparseEngine(McEngine):
         for a, b in _blocks(sizes * (m * self.d), _BLOCK):
             g = _pick(u, np.arange(a, b))[0]._replace(
                 feats=np.concatenate(pools[a:b]))
-            args = (((g, {term.bound: g.starts[:-1]}), depth + 1),
+            args = (((g, {term.bound: g.starts[:-1]}), depth + 1, ()),
                     (b - a, m, self.d), path)
             vals.append(self._eval(term.value, *args))
             etas.append(self._weight_arg(term, *args))
         # rebinding frees the per-chunk blocks before the reduction
         vals, etas = _mixture(vals, 1, m), _mixture(etas, 1, m)
         return wmean_reduce(vals, etas, term.weight_map, self.registry, None,
-                            np.repeat(weights / m, m))[0, 0]
+                            np.repeat(weights / m, m), path=path)[0, 0]
 
     def _nested(self, term: GlobalWMean, scope: tuple, shape: tuple,
                 path: tuple) -> np.ndarray:
         """Per chunk of outer samples and rows, every class's fresh
         component joins the rows' components, bindings repeated per class."""
-        (g, frame), depth = scope
+        (g, frame), depth, chunks = scope
         u, codes, weights, _ = self._types(_census_radius(term))
         sizes, inner = np.diff(u.starts), self.inner_mc
         mass = np.repeat(weights / inner, inner)
@@ -278,20 +279,21 @@ class _SparseEngine(McEngine):
                 vals, etas = [], []
                 for a, b in _blocks((sizes + n) * cost, _BLOCK):
                     comp, _ = _pick(u, np.arange(a, b))
-                    fresh = [self._inner_draws(depth, lo, slots,
+                    fresh = [self._inner_draws(scope, lo, slots,
                                                (codes[c].hex(),), sizes[c])
                              for c in range(a, b)]
                     joined = _join(part, comp, np.concatenate([outer] + fresh))
                     roots = len(keep) + comp.starts[:-1]
                     sub = {v: np.tile(arr, b - a) for v, arr in bound.items()}
                     sub[term.bound] = np.repeat(roots, n)
-                    args = (((joined, sub), depth + 1),
+                    args = (((joined, sub), depth + 1, chunks + (lo,)),
                             ((b - a) * n, slots, self.d), path)
                     vals.append(self._eval(term.value, *args))
                     etas.append(self._weight_arg(term, *args))
                 vals, etas = _mixture(vals, n, inner), _mixture(etas, n, inner)
                 out[r0:r1, lo:hi] = wmean_reduce(
-                    vals, etas, term.weight_map, self.registry, None, mass)
+                    vals, etas, term.weight_map, self.registry, None, mass,
+                    path=path)
         return out
 
 

@@ -90,6 +90,14 @@ def children(term: Term) -> tuple:
     raise TypeError(f"not a term: {term!r}")
 
 
+def read_children(term: Term) -> tuple:
+    """The direct subterms the node's value depends on: all but the weight
+    argument of an aggregate under the weight map "one", never read."""
+    if getattr(term, "weight_map", None) == "one":
+        return (term.value,)
+    return children(term)
+
+
 def free_vars(term: Term) -> tuple[str, ...]:
     """Free variables in order of first occurrence."""
     out: list[str] = []
@@ -113,12 +121,13 @@ def reach(term: Term) -> int:
         return term.kmax
     if isinstance(term, GlobalWMean):
         return 0
-    inner = max(map(reach, children(term)), default=0)
+    inner = max(map(reach, read_children(term)), default=0)
     return inner + 1 if isinstance(term, (LocalWMean, GcnAgg)) else inner
 
 
 def contains_gcn(term: Term) -> bool:
-    return isinstance(term, GcnAgg) or any(map(contains_gcn, children(term)))
+    """Whether the term's value depends on a degree-normalized aggregate."""
+    return isinstance(term, GcnAgg) or any(map(contains_gcn, read_children(term)))
 
 
 def substitute(term: Term, mapping: dict) -> Term:

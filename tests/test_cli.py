@@ -178,3 +178,46 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("line", ["F x 0.5", "0", "F 0 abc"])
+def test_malformed_graph_line_exits_2(files, capsys, line):
+    graph = files["dir"] / "bad.graph"
+    graph.write_text(f"aggterm-graph v1 n=3 d=1 communities=0\n0 1\n{line}\n")
+    assert main(["eval", "--term", files["mean_term"],
+                 "--graph", str(graph)]) == 2
+    assert repr(line) in capsys.readouterr().err
+
+
+ARCH = {"kind": "mean", "layers": 1, "hidden": 4, "classes": 3, "in_dim": 2}
+BAD_SPECS = [
+    ("p", "model", {"family": "er", "schedule": {"kind": "dense", "p": "abc"}}),
+    ("m", "model", {"family": "ba", "m": 2.7}),
+    ("m", "model", {"family": "ba", "m": 2.0}),
+    ("dim", "features", {"kind": "uniform01", "dim": "x"}),
+    ("layers", "arch", {**ARCH, "layers": "2"}),
+    ("global_readout", "arch", {**ARCH, "global_readout": "false"}),
+]
+
+
+@pytest.mark.parametrize("field, kind, spec", BAD_SPECS,
+                         ids=["p='abc'", "m=2.7", "m=2.0", "dim='x'",
+                              "layers='2'", "global_readout='false'"])
+def test_mistyped_spec_field_exits_2(files, capsys, field, kind, spec):
+    # each value used to be cast (int(2.7), bool("false")) or to fail with a
+    # traceback (float("abc"))
+    bad = str(files["dir"] / "bad.json")
+    with open(bad, "w") as fh:
+        json.dump(spec, fh)
+    graph = str(files["dir"] / "g.graph")
+    argv = {"model": ["gen", "--model", bad, "--size", "20", "--out", graph],
+            "features": ["gen", "--model", files["dense"], "--size", "20",
+                         "--features", bad, "--out", graph],
+            "arch": ["eval", "--arch", bad, "--graph", graph]}[kind]
+    if kind == "arch":
+        main(["gen", "--model", files["dense"], "--size", "20",
+              "--features", files["feat2"], "--out", graph])
+        capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"field {field!r}" in err

@@ -135,3 +135,36 @@ def test_extra_keys_rejected():
 def test_non_object_rejected():
     with pytest.raises(ConfigError):
         schedule_from_spec(["dense", 0.1])
+
+
+ARCH = {"kind": "mean", "layers": 2, "hidden": 4, "classes": 2, "in_dim": 4}
+
+
+@pytest.mark.parametrize("read, spec, message", [
+    (schedule_from_spec, {"kind": "dense", "p": True}, "field 'p'"),
+    (schedule_from_spec, {"kind": "dense", "p": float("nan")}, "field 'p'"),
+    (schedule_from_spec, {"kind": ["dense"], "p": 0.1}, "unknown schedule"),
+    (model_from_spec, {"family": "er", "schedule": {
+        "kind": "alternating", "even": {"kind": "dense", "p": "x"},
+        "odd": {"kind": "sparse", "k": 1.0}}}, "field 'p'"),
+    (model_from_spec, {"family": "sbm", "fractions": 0.5,
+                       "p": [[0.1]]}, "field 'fractions'"),
+    (arch_from_spec, {**ARCH, "skips": [[0, 1, 2]]}, "field 'skips'"),
+    (arch_from_spec, {**ARCH, "activation": 1}, "field 'activation'"),
+    (schedule_from_spec, {"kind": "dense", "p": 1.5}, r"\[0, 1\]"),
+    (schedule_from_spec, {"kind": "root", "k": -1.0, "beta": 0.5}, "rate"),
+    (features_from_spec, {"kind": "uniform01", "dim": 0}, "dimension"),
+    (features_from_spec, {"kind": "uniform", "a": 2.0, "b": 1.0, "dim": 1},
+     "a <= b"),
+    (features_from_spec, {"kind": "bernoulli", "q": 1.5, "dim": 1},
+     r"\[0, 1\]"),
+    (features_from_spec, {"kind": "padded", "dim": 2,
+                          "base": {"kind": "uniform01", "dim": 3}}, "pad"),
+])
+def test_bad_values_rejected(read, spec, message):
+    with pytest.raises(ConfigError, match=message):
+        read(spec)
+
+
+def test_optional_field_takes_null():
+    assert arch_from_spec({**ARCH, "rw_len": None}) == ArchConfig(**ARCH)

@@ -31,6 +31,8 @@ def test_limit_p_values():
     assert dense_limit_p(ErModel(DenseSchedule(0.3))) == 0.3
     assert dense_limit_p(ErModel(RootSchedule(2.0, 0.5))) == 0.0
     assert dense_limit_p(ErModel(LogSchedule(1.0))) == 0.0
+    assert dense_limit_p(ErModel(RootSchedule(0.5, 0.0))) == 0.5
+    assert dense_limit_p(ErModel(RootSchedule(0.5, -0.5))) == 1.0
     assert dense_limit_p(SbmModel((1.0,), ((0.2,),))) is None
     with pytest.raises(ConfigError):
         dense_limit_p(ErModel(SparseSchedule(1.0)))
@@ -150,6 +152,25 @@ def test_weight_argument_skipped_under_one(monkeypatch):
     assert np.array_equal(got.estimate, ref.estimate)
 
 
+def test_inner_draw_streams_are_distinct(monkeypatch):
+    # a depth-2 nested aggregate runs once per chunk of its depth-1 parent
+    # (10000 outer rows are three chunks at inner_mc=64); each chunk needs
+    # its own inner draws
+    import aggterm.mc as mc
+    keys = []
+
+    def recording(*key):
+        keys.append(key)
+        return stream(*key)
+
+    stream = mc.stream
+    monkeypatch.setattr(mc, "stream", recording)
+    term = t("mean[x](wmean[y](wmean[z](H(z), exp, hadamard(H(y), H(z))), "
+             "exp, hadamard(H(x), H(y))))")
+    dense_controller(term, ER01, Uniform01(1), 10000, 3, inner_mc=64)
+    assert len(set(keys)) == len(keys)
+
+
 def test_gcn_rejected():
     with pytest.raises(UnsupportedTermError):
         dense_controller(t("mean[v](gcn[u in N(v)](H(u)))"), ER01,
@@ -160,6 +181,18 @@ def test_sparse_model_rejected():
     with pytest.raises(ConfigError):
         dense_controller(t("mean[v](H(v))"), ErModel(SparseSchedule(1.0)),
                          Uniform01(1), 100, 14)
+
+
+@pytest.mark.parametrize("sched", [
+    RootSchedule(1.0, 1.0), RootSchedule(1.0, 1.5), RootSchedule(0.0, 0.5),
+    DenseSchedule(0.0), LogSchedule(0.0)])
+def test_non_densifying_schedule_rejected(sched):
+    # n p(n) stays bounded, so the isolated fraction does not vanish (0.388
+    # and 0.981 on n = 4000 graphs for the first two) and a dense
+    # prediction of 0 would be wrong
+    with pytest.raises(ConfigError, match="not densifying"):
+        dense_controller(t("mean[u](sub(1, mean[v in N(u)](1)))"),
+                         ErModel(sched), Uniform01(1), 100, 16)
 
 
 def test_tiny_mc_rejected():

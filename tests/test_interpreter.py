@@ -66,6 +66,19 @@ def test_errors_name_the_term_path():
             run()
 
 
+@pytest.mark.parametrize("body", ["H(y)", "add(H(x), H(y))"],
+                         ids=("collapsed", "nested"))
+def test_denominator_errors_name_the_term_path(body):
+    # positive on the registry's spot check, 0 at the feature value 30
+    reg = default_registry()
+    reg.register("g", 1, lambda x: np.exp(-x * x), positive=True)
+    term = parse_term(f"mean[x](wmean[y](H(y), g, {body}))", 1, registry=reg)
+    for run in _engines(term, reg, ConstantFeatures(30.0, 1)):
+        with pytest.raises(EvaluationError,
+                           match=r"denominator in wmean\[x\] / wmean\[y\]$"):
+            run()
+
+
 def test_engines_agree_on_structure_free_terms():
     """Under constant features a term that reads no structure has one value;
     the three engines give it to 1e-12 or all raise."""
@@ -90,4 +103,4 @@ def test_engines_agree_on_structure_free_terms():
             np.testing.assert_allclose(other, got[0], rtol=1e-12, atol=1e-12,
                                        err_msg=f"seed {seed}")
         checked += 1
-    assert (checked, raised) == (209, 1)
+    assert (checked, raised) == (215, 1)

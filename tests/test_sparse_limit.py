@@ -179,6 +179,18 @@ def test_exact_class_mixture(src, d, model):
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+def test_unread_weight_argument_needs_no_census_radius():
+    # the weight map one never reads the local mean, so one radius-0 class
+    # (a lone root) serves the term
+    term = t("wmean[y](H(y), one, mean[z in N(y)](H(z)))")
+    engine = _SparseEngine(term, REG, Uniform01(1), K2,
+                           CensusConfig(n=300, node_samples=300), 50, 31,
+                           0.05, 8)
+    engine.estimate()
+    assert list(engine._kept) == [0]
+    assert len(engine._kept[0][1]) == 1
+
+
 COUNT_CALLS = {
     "dense mc_samples": lambda: dense_controller(
         t("mean[v](H(v))"), ErModel(DenseSchedule(0.1)), Uniform01(1), 100.5,
