@@ -57,9 +57,16 @@ def dense_limit_p(model) -> float:
     log schedule with k > 0. The limit of p(n) is p, 0 (log, and root with
     beta > 0), min(1, k) (beta = 0) or 1 (beta < 0). Every other schedule
     and every sparse-class model is rejected. Block models return None:
-    their limit is the (q, P) pair, not a scalar.
+    their limit is the (q, P) pair, not a scalar. A block whose row of P
+    is all zero never gains an edge, so such a model is rejected too.
     """
     if isinstance(model, SbmModel):
+        for block, row in enumerate(model.p):
+            if not any(row):
+                raise ConfigError(
+                    f"block {block} of {model!r} has no positive edge "
+                    f"probability, so its nodes stay isolated and never "
+                    f"densify")
         return None
     sched = getattr(model, "schedule", None)
     if isinstance(sched, DenseSchedule) and sched.p > 0:

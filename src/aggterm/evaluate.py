@@ -27,6 +27,16 @@ Design notes:
 * Every weighted mean, here and in both limit engines, goes through
   wmean_reduce, which owns the exp shift, the denominator check and the
   empty-neighborhood rule.
+* Global attention skips the expansion. A global aggregate whose body
+  reads outer variables normally expands all (outer row, node) pairs, n
+  rows per outer row. When its weight map is exp, its value reads only
+  the bound variable, and its weight argument is f(a, b) with f carrying
+  a registered pairwise form, a free of the bound variable and b reading
+  only it (GPS's exp(q(x) . k(z) / sqrt(d)) attention; attention_form),
+  each chunk of outer rows instead gets its score matrix from the
+  pairwise form, one matrix product for dot_scaled, and
+  attention_reduce takes the means with two more. Chunks depend only on
+  n either way, and every other shape keeps the expansion.
 """
 
 from __future__ import annotations
@@ -119,6 +129,32 @@ def wmean_reduce(vals: np.ndarray, eta: np.ndarray | None, weight_map: str,
             num = _segment_reduce(np.add, vals * w, seg)
             den = _segment_reduce(np.add, w, seg)
         num, den = num[nonempty], den[nonempty]
+    res = _checked_ratio(num, den, weight_map, path)
+    if seg is None:
+        return res
+    out = np.zeros((counts.shape[0],) + vals.shape[1:])
+    out[nonempty] = res
+    return out
+
+
+def attention_reduce(scores: np.ndarray, vals: np.ndarray,
+                     path: tuple = ()) -> np.ndarray:
+    """Means of the rows of vals under weights exp(scores), one per score row.
+
+    scores is (m, k), one score per (outer row, pool row) pair, and vals is
+    (k, d). Row i of the (m, d) result is the mean wmean_reduce takes over a
+    k-row segment with weight map exp and eta[j] = scores[i, j] in every
+    component: the row is shifted by its maximum, then the ratio is
+    (exp(S) @ vals) / (exp(S) @ 1), two BLAS products in place of m * k
+    expanded rows. It keeps wmean_reduce's denominator and finiteness
+    checks and their errors.
+    """
+    w = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return _checked_ratio(w @ vals, w.sum(axis=1, keepdims=True), "exp", path)
+
+
+def _checked_ratio(num, den, weight_map: str, path: tuple) -> np.ndarray:
+    """num / den, refusing a zero or non-finite denominator or result."""
     if not (np.all(den > 0) and np.all(np.isfinite(den))):
         raise EvaluationError(
             f"weight map {weight_map!r} produced a zero or non-finite "
@@ -128,11 +164,29 @@ def wmean_reduce(vals: np.ndarray, eta: np.ndarray | None, weight_map: str,
         raise EvaluationError(
             f"weighted mean under weight map {weight_map!r} is not finite "
             f"in {_join(path)}")
-    if seg is None:
-        return res
-    out = np.zeros((counts.shape[0],) + vals.shape[1:])
-    out[nonempty] = res
-    return out
+    return res
+
+
+def attention_form(term, registry: FunctionRegistry):
+    """The (function name, a, b) of a global aggregate that attention_reduce
+    can take, or None.
+
+    That is wmean[z](value, exp, f(a, b)) where value reads only z, a does
+    not read z, b reads only z, and f carries a pairwise form in the
+    registry. The weight of node z for an outer assignment is then
+    exp(pairwise(A, B)[row, z]), with A the values of a on the outer rows
+    and B those of b on all nodes.
+    """
+    w = term.weight_arg
+    if (term.weight_map != "exp" or not isinstance(w, T.Apply)
+            or len(w.args) != 2 or registry.entry(w.fn).pairwise is None):
+        return None
+    a, b = w.args
+    only_bound = {term.bound}
+    if (set(free_vars(term.value)) - only_bound or term.bound in free_vars(a)
+            or set(free_vars(b)) - only_bound):
+        return None
+    return w.fn, a, b
 
 
 def local_aggregate(term, frame: dict, out: np.ndarray, indptr: np.ndarray,
@@ -367,15 +421,30 @@ class Evaluator(Interpreter):
         m = shape[0]
         rows_per = max(1, _CHUNK_ROWS // n)
         out = np.empty(shape)
+        att = attention_form(term, self.registry)
+        if att is not None:
+            fn, a, b = att
+            sub = path + (fn,)
+            every = {term.bound: allv}
+            vals = self._value(term.value, every, (n, self.d), path)
+            keys = self._value(b, every, (n, self.d), sub)
         for s in range(0, m, rows_per):
             e = min(m, s + rows_per)
             nrows = e - s
-            rep = np.repeat(np.arange(nrows), n)
-            child = {v: arr[s:e][rep] for v, arr in frame.items()}
-            child[term.bound] = np.tile(allv, nrows)
-            out[s:e] = _wmean(term, child, (nrows * n, self.d),
-                              np.arange(nrows + 1) * n, path, self._value,
-                              self.registry)
+            rows = {v: arr[s:e] for v, arr in frame.items()}
+            if att is not None:
+                queries = self._value(a, rows, (nrows, self.d), sub)
+                scores = self.registry.call_pairwise(fn, queries, keys)
+                if not np.all(np.isfinite(scores)):
+                    raise EvaluationError(f"non-finite value in {_join(sub)}")
+                out[s:e] = attention_reduce(scores, vals, path)
+            else:
+                rep = np.repeat(np.arange(nrows), n)
+                child = {v: arr[rep] for v, arr in rows.items()}
+                child[term.bound] = np.tile(allv, nrows)
+                out[s:e] = _wmean(term, child, (nrows * n, self.d),
+                                  np.arange(nrows + 1) * n, path, self._value,
+                                  self.registry)
         return out
 
 

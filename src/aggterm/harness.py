@@ -29,7 +29,7 @@ import numpy as np
 
 from .architectures import CompiledModel
 from .config import features_to_spec, model_to_spec, spec_digest
-from .errors import ConfigError, EvaluationError
+from .errors import ConfigError, EvaluationError, as_int
 from .evaluate import eval_closed
 from .graphs import FeatureDist, attach_features, feature_dim, sample_graph
 from .graphs import AlternatingSchedule, ErModel
@@ -75,18 +75,15 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = tuple(as_int(s, "size", 1) for s in self.sizes)
         if not sizes:
             raise ConfigError("need at least one size")
-        if any(s < 1 for s in sizes):
-            raise ConfigError("sizes must be positive")
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ConfigError("sizes must be strictly ascending")
         object.__setattr__(self, "sizes", sizes)
-        if self.samples < 1:
-            raise ConfigError("need at least one sample per size")
-        if self.workers < 1:
-            raise ConfigError("need at least one worker")
+        object.__setattr__(self, "samples",
+                           as_int(self.samples, "samples per size", 1))
+        object.__setattr__(self, "workers", as_int(self.workers, "workers", 1))
         limit = self.limit
         if isinstance(limit, ControllerValue):
             limit = limit.estimate

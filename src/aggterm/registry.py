@@ -4,6 +4,16 @@ Every registered function maps a list of (m, d) float arrays to one (m, d)
 array. Functions flagged `positive` may be used as weight maps; positivity
 is spot-checked on random inputs at registration time, which catches the
 common mistake of registering relu or a linear map as a weight.
+
+A two-argument function whose value on a pair of rows is one scalar score,
+repeated across all d components, may also carry a `pairwise` form:
+pairwise(F, G) takes (m, d) and (k, d) arrays and returns the (m, k)
+matrix of scores of every row of F against every row of G, so that
+fn(F[i], G[j]) == pairwise(F, G)[i, j] in each component. `dot_scaled`
+carries F @ G.T / sqrt(d). The evaluator uses it to score all (outer row,
+node) pairs of a global attention aggregate with one matrix product
+instead of expanding the pairs (evaluate.attention_reduce). The form is
+spot-checked against fn on random inputs at registration time.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ class RegistryEntry:
     arity: Optional[int]  # None means variadic, at least one argument
     fn: Callable
     positive: bool
+    pairwise: Optional[Callable] = None
 
 
 class FunctionRegistry:
@@ -33,7 +44,8 @@ class FunctionRegistry:
         self._entries: dict[str, RegistryEntry] = {}
 
     def register(self, name: str, arity: Optional[int], fn: Callable,
-                 positive: bool = False) -> None:
+                 positive: bool = False,
+                 pairwise: Optional[Callable] = None) -> None:
         if not _IDENT.match(name) or name in RESERVED:
             raise ConfigError(f"bad function name {name!r}")
         if name in self._entries:
@@ -44,7 +56,11 @@ class FunctionRegistry:
             if arity not in (1, None):
                 raise ConfigError("weight maps must take one argument")
             _check_positive(name, fn)
-        self._entries[name] = RegistryEntry(name, arity, fn, positive)
+        if pairwise is not None:
+            if arity != 2:
+                raise ConfigError("a pairwise form needs a two-argument function")
+            _check_pairwise(name, fn, pairwise)
+        self._entries[name] = RegistryEntry(name, arity, fn, positive, pairwise)
 
     def entry(self, name: str) -> RegistryEntry:
         try:
@@ -71,6 +87,16 @@ class FunctionRegistry:
                 f"{name} returned shape {out.shape}, expected {args[0].shape}")
         return out
 
+    def call_pairwise(self, name: str, x: np.ndarray,
+                      y: np.ndarray) -> np.ndarray:
+        """The (len(x), len(y)) score matrix of name's pairwise form."""
+        out = np.asarray(self.entry(name).pairwise(x, y), dtype=np.float64)
+        if out.shape != (x.shape[0], y.shape[0]):
+            raise EvaluationError(
+                f"pairwise {name} returned shape {out.shape}, expected "
+                f"{(x.shape[0], y.shape[0])}")
+        return out
+
 
 def _check_positive(name: str, fn: Callable) -> None:
     rng = np.random.default_rng(0)
@@ -80,6 +106,22 @@ def _check_positive(name: str, fn: Callable) -> None:
         if y.shape != x.shape or not np.all(np.isfinite(y)) or not np.all(y > 0):
             raise ConfigError(
                 f"function {name!r} is not strictly positive on sample inputs")
+
+
+def _check_pairwise(name: str, fn: Callable, pairwise: Callable) -> None:
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-3.0, 3.0, size=(3, 5))
+    y = rng.uniform(-3.0, 3.0, size=(4, 5))
+    s = np.asarray(pairwise(x, y), dtype=np.float64)
+    ok = s.shape == (3, 4) and np.all(np.isfinite(s))
+    if ok:
+        # every (row of x, row of y) pair, in row-major order of s
+        pairs = np.asarray(fn(np.repeat(x, 4, axis=0), np.tile(y, (3, 1))))
+        ok = pairs.shape == (12, 5) and np.allclose(
+            pairs, s.reshape(-1, 1), rtol=1e-12, atol=1e-12)
+    if not ok:
+        raise ConfigError(
+            f"pairwise form of {name!r} does not match it on sample inputs")
 
 
 def _sigmoid(x):
@@ -100,6 +142,10 @@ def _softmax(x):
 def _dot_scaled(x, y):
     s = np.sum(x * y, axis=-1, keepdims=True) / np.sqrt(x.shape[-1])
     return np.broadcast_to(s, x.shape)
+
+
+def _dot_scaled_pairwise(x, y):
+    return (x @ y.T) / np.sqrt(x.shape[-1])
 
 
 def fit_width(arr: np.ndarray, d: int) -> np.ndarray:
@@ -171,6 +217,6 @@ def default_registry() -> FunctionRegistry:
     reg.register("add", 2, np.add)
     reg.register("sub", 2, np.subtract)
     reg.register("hadamard", 2, np.multiply)
-    reg.register("dot_scaled", 2, _dot_scaled)
+    reg.register("dot_scaled", 2, _dot_scaled, pairwise=_dot_scaled_pairwise)
     reg.register("concat_pad", None, _concat_pad)
     return reg

@@ -195,6 +195,17 @@ def test_non_densifying_schedule_rejected(sched):
                          ErModel(sched), Uniform01(1), 100, 16)
 
 
+def test_sbm_with_an_empty_block_rejected():
+    # block 1 never gains an edge: half the nodes of every sample stay
+    # isolated (0.5 on n = 2000 graphs), where a dense prediction says 0
+    model = SbmModel((0.5, 0.5), ((0.5, 0.0), (0.0, 0.0)))
+    with pytest.raises(ConfigError, match="block 1 of"):
+        dense_controller(t("mean[u](sub(1, mean[v in N(u)](1)))"), model,
+                         Uniform01(1), 100, 17)
+    # a zero diagonal alone still densifies, through the other block
+    assert dense_limit_p(SbmModel((0.5, 0.5), ((0.0, 0.5), (0.5, 0.0)))) is None
+
+
 def test_tiny_mc_rejected():
     with pytest.raises(ConfigError):
         dense_controller(t("mean[v](H(v))"), ER01, Uniform01(1), 1, 15)

@@ -184,6 +184,20 @@ def test_config_validation():
         run_sweep(small_sweep(subject=t("mean[v in N(x)](H(v))")))
 
 
+@pytest.mark.parametrize("kw", [
+    dict(sizes=(200.7, 400.2)), dict(sizes=(20, 40.0)), dict(samples=1.5),
+    dict(samples=2.0), dict(workers=1.0)])
+def test_counts_must_be_integers(kw):
+    # floats were truncated (sizes) or kept as they were (samples, workers)
+    with pytest.raises(ConfigError, match="must be an integer"):
+        small_sweep(**kw)
+
+
+def test_numpy_integer_counts_accepted():
+    cfg = small_sweep(sizes=np.array([20, 40]), samples=np.int64(2))
+    assert cfg.sizes == (20, 40) and type(cfg.samples) is int
+
+
 def test_limit_width_checked():
     with pytest.raises(ConfigError):
         run_sweep(small_sweep(limit=np.array([0.5, 0.5])))
