@@ -21,22 +21,43 @@ from typing import Dict, List, Optional, Tuple
 
 from .canonical import canonical_code, decode_code
 from .errors import ConfigError, NeighborhoodTooLargeError, as_int
-from .graphs import (BaModel, ErModel, RootedGraph, SparseSchedule,
-                     rooted_neighborhood, sample_graph)
+from .graphs import (BaModel, ErModel, RootedGraph, RootSchedule,
+                     SparseSchedule, rooted_neighborhood, sample_graph)
 from .rng import stream
 
 __all__ = ["CensusTable", "neighborhood_census", "is_sparse_class",
-           "DEFAULT_SIZE_CAP"]
+           "reject_vanishing_degree", "DEFAULT_SIZE_CAP"]
 
 DEFAULT_SIZE_CAP = 64
 _GRAPH_BATCH = 500  # root samples drawn per sampled graph by default
 
 
+def reject_vanishing_degree(model) -> None:
+    """Raise ConfigError on an ER root schedule with beta > 1.
+
+    Its expected degree k n^(1 - beta) tends to 0, so the graphs are
+    neither densifying nor sparse-class: large ones have almost no edges,
+    and no limit predictor models that.
+    """
+    sched = getattr(model, "schedule", None)
+    if isinstance(sched, RootSchedule) and sched.beta > 1:
+        raise ConfigError(
+            f"model {model!r} is not densifying and not sparse-class: its "
+            f"expected degree k n^(1 - beta) vanishes as n grows")
+
+
 def is_sparse_class(model) -> bool:
-    """True when the model keeps expected degrees bounded as n grows."""
+    """True when the model keeps expected degrees bounded as n grows:
+    preferential attachment, and ER with p = K/n, from a sparse schedule or
+    a root schedule with beta = 1 (K = k). A root schedule with beta > 1
+    raises (reject_vanishing_degree)."""
+    reject_vanishing_degree(model)
     if isinstance(model, BaModel):
         return True
-    return isinstance(model, ErModel) and isinstance(model.schedule, SparseSchedule)
+    sched = getattr(model, "schedule", None)
+    return isinstance(model, ErModel) and (
+        isinstance(sched, SparseSchedule)
+        or isinstance(sched, RootSchedule) and sched.beta == 1)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
+from .census import reject_vanishing_degree
 from .errors import ConfigError, UnsupportedTermError
 from .evaluate import wmean_reduce
 from .graphs import (DenseSchedule, FeatureDist, LogSchedule, RootSchedule,
@@ -56,10 +57,12 @@ def dense_limit_p(model) -> float:
     bound: a constant p > 0, a root schedule with k > 0 and beta < 1, or a
     log schedule with k > 0. The limit of p(n) is p, 0 (log, and root with
     beta > 0), min(1, k) (beta = 0) or 1 (beta < 0). Every other schedule
-    and every sparse-class model is rejected. Block models return None:
-    their limit is the (q, P) pair, not a scalar. A block whose row of P
-    is all zero never gains an edge, so such a model is rejected too.
+    and every sparse-class model is rejected, a root schedule with
+    beta > 1 by reject_vanishing_degree. Block models return None: their
+    limit is the (q, P) pair, not a scalar. A block whose row of P is all
+    zero never gains an edge, so such a model is rejected too.
     """
+    reject_vanishing_degree(model)
     if isinstance(model, SbmModel):
         for block, row in enumerate(model.p):
             if not any(row):

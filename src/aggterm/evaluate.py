@@ -19,11 +19,21 @@ Design notes:
   all n nodes at once and cached as an (n, d) matrix; evaluation at
   specific nodes is then a row gather. Only subterms whose weights depend
   on two or more variables fall back to explicit expansion.
-* Neighborhood aggregation expands (anchor, neighbor) pairs into flat
-  arrays and reduces with segment sums, chunked so the expansion never
-  exceeds a few million rows at a time. That kernel, local_aggregate, is
-  shared with the sparse limit engine, which runs it on a disjoint union
-  of decoded neighborhood classes with feature draws as trailing axes.
+* Neighborhood aggregation that is linear in the body's nodewise rows
+  (linear_form: a gcn, or a mean under weight map one, whose body reads
+  only the bound variable, as in mean, gcn and GPS-MPNN layers) can be
+  one adjacency product for all nodes, (A @ H) / deg or
+  D^-1/2 A D^-1/2 H, taken as dense slabs of adjacency rows
+  (graphs.dense_rows, which also builds rw's dense S) times H
+  (adjacency_product). Like rw's plan, the choice compares two work
+  estimates from the node and edge counts: n^2 slab entries plus the
+  edges scattered into them, against the expanded rows below.
+* Every other neighborhood aggregate, and linear ones on sparse graphs,
+  expands (anchor, neighbor) pairs into flat arrays and reduces with
+  segment sums, chunked so the expansion never exceeds a few million rows
+  at a time. That kernel, local_aggregate, is shared with the sparse
+  limit engine, which runs it on a disjoint union of decoded neighborhood
+  classes with feature draws as trailing axes.
 * Every weighted mean, here and in both limit engines, goes through
   wmean_reduce, which owns the exp shift, the denominator check and the
   empty-neighborhood rule.
@@ -45,12 +55,17 @@ import numpy as np
 
 from . import terms as T
 from .errors import ConfigError, EvaluationError
-from .graphs import flat_ranges
+from .graphs import dense_rows, flat_ranges
 from .registry import FunctionRegistry, default_registry, fit_width
 from .rw import rw_encoding_all
 from .terms import free_vars, validate_term
 
 _CHUNK_ROWS = 1 << 21
+# work in slab multiply-adds, as in rw's plan: an expanded (anchor,
+# neighbor) row costs about _PAIR_COST per coordinate, a dense slab entry
+# _SLAB_ENTRY_COST plus its d multiply-adds, and an edge scattered into a
+# slab _SLAB_EDGE_COST (timed on one core at n = 1000 and 3000, d = 1..64)
+_PAIR_COST, _SLAB_ENTRY_COST, _SLAB_EDGE_COST = 250.0, 35.0, 270.0
 
 
 def _segment_reduce(ufunc: np.ufunc, data: np.ndarray,
@@ -196,7 +211,11 @@ def local_aggregate(term, frame: dict, out: np.ndarray, indptr: np.ndarray,
     indices), at the node ids frame gives per row of out. Anchor chunks
     expand to about chunk_rows (anchor, neighbor) rows, on which
     value_at(subterm, child_frame, shape, path) returns a block of that
-    shape, (rows,) + out.shape[1:]. path ends with the node itself."""
+    shape, (rows,) + out.shape[1:]. path ends with the node itself.
+
+    This is the general kernel and the oracle for adjacency_product, which
+    the evaluator takes instead for a linear_form aggregate on a graph
+    dense enough that slabs from graphs.dense_rows cost less."""
     anchors, deg = frame[term.anchor], np.diff(indptr)
     counts = deg[anchors]
     cum = np.concatenate([[0], np.cumsum(counts)])
@@ -233,6 +252,60 @@ def _wmean(term, child: dict, shape: tuple, seg, path: tuple, value_at,
     eta = (None if term.weight_map == "one"
            else value_at(term.weight_arg, child, shape, path))
     return wmean_reduce(vals, eta, term.weight_map, registry, seg, path=path)
+
+
+def linear_form(term) -> bool:
+    """Whether a local aggregate is linear in its body's nodewise rows: a
+    gcn, or a mean under weight map one, whose body reads only its bound
+    variable. adjacency_product takes exactly these."""
+    return ((isinstance(term, T.GcnAgg) or term.weight_map == "one")
+            and not reads_outer(term))
+
+
+def slab_pays(n: int, nnz: int, d: int) -> bool:
+    """Whether adjacency_product on n nodes, nnz CSR entries and d
+    coordinates costs less work than expanding its nnz rows."""
+    return (n * n * (_SLAB_ENTRY_COST + d) + _SLAB_EDGE_COST * nnz
+            < _PAIR_COST * d * nnz)
+
+
+def adjacency_product(term, vals: np.ndarray, indptr: np.ndarray,
+                      indices: np.ndarray, path: tuple,
+                      block: int = _CHUNK_ROWS) -> np.ndarray:
+    """All n rows of term, a local aggregate in linear_form, as products of
+    the adjacency A with vals, the (n, d) rows of its body.
+
+    A mean is (A @ vals) / deg and a gcn is s * (A @ (s * vals)) with
+    s = 1/sqrt(deg); an empty neighborhood gives 0 either way. A is
+    multiplied one dense slab of rows at a time (graphs.dense_rows), each
+    of about block entries, so each slab is one matrix product. Errors
+    are local_aggregate's.
+    """
+    n = vals.shape[0]
+    deg = np.diff(indptr)
+    nonempty = deg > 0
+    gcn = isinstance(term, T.GcnAgg)
+    if gcn:
+        scale = np.divide(1.0, np.sqrt(deg), out=np.zeros(n),
+                          where=nonempty)[:, None]
+        vals = scale * vals
+    vals = np.ascontiguousarray(vals)
+    out = np.zeros(vals.shape)
+    step = min(n, max(1, block // n))
+    slab = np.zeros((step, n))  # one buffer, cleared after each product
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        rows = dense_rows(indptr, indices, lo, hi, out=slab[:hi - lo])
+        out[lo:hi] = rows @ vals
+        rows.fill(0.0)
+    if gcn:
+        out *= scale
+        if not np.all(np.isfinite(out)):
+            raise EvaluationError(f"non-finite value in {_join(path)}")
+    else:
+        out[nonempty] = _checked_ratio(out[nonempty], deg[nonempty, None],
+                                       "one", path)
+    return out
 
 
 def reads_outer(term) -> bool:
@@ -405,9 +478,14 @@ class Evaluator(Interpreter):
         return mat[frame[term.var]]
 
     def _local(self, term, frame: dict, shape: tuple, path: tuple) -> np.ndarray:
-        return local_aggregate(term, frame, np.empty(shape), self.graph.indptr,
-                               self.graph.indices, self._value, self.registry,
-                               path)
+        g = self.graph
+        if linear_form(term) and slab_pays(g.n, len(g.indices), self.d):
+            vals = self._value(term.value, {term.bound: np.arange(g.n)},
+                               (g.n, self.d), path)
+            return adjacency_product(term, vals, g.indptr, g.indices,
+                                     path)[frame[term.anchor]]
+        return local_aggregate(term, frame, np.empty(shape), g.indptr,
+                               g.indices, self._value, self.registry, path)
 
     def _global(self, term, frame: dict, shape: tuple, path: tuple) -> np.ndarray:
         n = self.graph.n

@@ -292,11 +292,8 @@ def from_edges(n: int, u: np.ndarray, v: np.ndarray,
     """Build a FeaturedGraph from unique edge endpoint arrays with u < v."""
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
-    src = np.concatenate([u, v])
-    dst = np.concatenate([v, u])
-    order = np.lexsort((dst, src))
-    src = src[order]
-    dst = dst[order]
+    # one key per arc, source * n + neighbor, sorts rows and their entries
+    src, dst = np.divmod(np.sort(np.concatenate([u * n + v, v * n + u])), n)
     counts = np.bincount(src, minlength=n)
     indptr = np.concatenate([[0], np.cumsum(counts)])
     return FeaturedGraph(n, indptr, dst, features, community)
@@ -309,11 +306,36 @@ def flat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(seg[-1]) + np.repeat(starts - seg[:-1], counts)
 
 
+def cost_blocks(cost: np.ndarray, cap: float):
+    """Consecutive [lo, hi) ranges of items whose summed cost is about cap."""
+    group = (np.cumsum(cost) - cost) // cap
+    bounds = np.append(np.flatnonzero(np.diff(group, prepend=-1)), len(cost))
+    return zip(bounds[:-1], bounds[1:])
+
+
+def dense_rows(indptr: np.ndarray, indices: np.ndarray, lo: int, hi: int,
+               weights: Optional[np.ndarray] = None,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Rows lo:hi of the CSR adjacency as a dense (hi - lo, n) slab.
+
+    Entry [i, j] is weights[k] for the CSR entry k that links lo + i to j
+    (1 without weights) and 0 where there is no edge. out, when given, is
+    an all-zero (hi - lo, n) array to fill and return.
+    """
+    n = len(indptr) - 1
+    a, b = indptr[lo], indptr[hi]
+    out = np.zeros((hi - lo, n)) if out is None else out
+    owner = np.repeat(np.arange(hi - lo), np.diff(indptr[lo:hi + 1]))
+    out[owner, indices[a:b]] = 1.0 if weights is None else weights[a:b]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
 
 _SPARSE_METHOD_CUTOFF = 0.01  # below this, skip-sample pair indices instead of scanning all
+_DRAW_BLOCK = 1 << 21  # Bernoulli draws per rng.random call
 
 
 def _pair_cum(u, n):
@@ -361,22 +383,29 @@ def gen_er(n: int, schedule: Schedule, seed: SeedLike) -> FeaturedGraph:
         lin = np.concatenate(picked) if picked else np.array([], dtype=np.int64)
         u, v = _linear_to_pair(lin, n) if len(lin) else (lin, lin)
         return from_edges(n, u, v)
-    return from_edges(n, *_bernoulli_rows(
-        rng, ((u, u + 1, n - 1 - u, p) for u in range(n - 1))))
+    u = np.arange(n - 1)
+    return from_edges(n, *_bernoulli_rows(rng, [(u, u + 1, n - 1 - u, p)]))
 
 
-def _bernoulli_rows(rng: np.random.Generator, rows) -> tuple:
+def _bernoulli_rows(rng: np.random.Generator, runs) -> tuple:
     """Edge arrays (us, vs) from independent Bernoulli rows, drawn in order.
 
-    Each row (u, first, length, p) draws rng.random(length) and links u to
-    first + i wherever entry i is below p.
+    A run (u, first, length, p) holds equal-length integer arrays of rows
+    that share p: row i draws rng.random(length[i]) and links u[i] to
+    first[i] + j wherever draw j is below p. Consecutive rows of a run
+    share one rng.random call of about _DRAW_BLOCK draws. The generator's
+    doubles concatenate across calls, so the edges are the ones a call
+    per row would give.
     """
     us, vs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for u, first, length, p in rows:
-        hit = np.nonzero(rng.random(length) < p)[0]
-        if hit.size:
-            us.append(np.full(hit.size, u, dtype=np.int64))
-            vs.append(hit.astype(np.int64) + first)
+    for u, first, length, p in runs:
+        ends = np.cumsum(length)
+        for lo, hi in cost_blocks(length, _DRAW_BLOCK):
+            base = ends[lo] - length[lo]
+            hit = np.flatnonzero(rng.random(ends[hi - 1] - base) < p) + base
+            row = np.searchsorted(ends, hit, side="right")
+            us.append(u[row])
+            vs.append(first[row] + hit - (ends[row] - length[row]))
     return np.concatenate(us), np.concatenate(vs)
 
 
@@ -400,21 +429,21 @@ def gen_sbm(n: int, fractions: Sequence[float], p, seed: SeedLike) -> FeaturedGr
     rng = _as_rng(seed, "sbm", n)
     m = len(sizes)
 
-    def rows():
-        for a in range(m):
-            for b in range(a, m):
-                pab = model.p[a][b]
-                if pab == 0.0 or sizes[a] == 0 or sizes[b] == 0:
-                    continue
-                if a == b:
-                    yield from ((starts[a] + i, starts[a] + i + 1,
-                                 sizes[a] - 1 - i, pab)
-                                for i in range(sizes[a] - 1))
-                else:
-                    yield from ((starts[a] + i, starts[b], sizes[b], pab)
-                                for i in range(sizes[a]))
+    runs = []
+    for a in range(m):
+        for b in range(a, m):
+            pab = model.p[a][b]
+            if pab == 0.0 or sizes[a] == 0 or sizes[b] == 0:
+                continue
+            i = np.arange(sizes[a] - (a == b))
+            if a == b:
+                runs.append((starts[a] + i, starts[a] + i + 1,
+                             sizes[a] - 1 - i, pab))
+            else:
+                runs.append((starts[a] + i, np.full(i.size, starts[b]),
+                             np.full(i.size, sizes[b]), pab))
 
-    return from_edges(n, *_bernoulli_rows(rng, rows()), community=labels)
+    return from_edges(n, *_bernoulli_rows(rng, runs), community=labels)
 
 
 def gen_ba(n: int, m: int, seed: SeedLike) -> FeaturedGraph:

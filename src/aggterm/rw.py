@@ -8,15 +8,17 @@ P^k[v, v] = S^k[v, v] = <S^a[v, :], S^b[v, :]> for a + b = k, so it steps
 the rows of a block of sources only ceil(kmax/2) times, either as sorted
 (source, node) triples expanded along the CSR and merged with a stable sort
 (work follows the walks: sparse graphs) or as a dense (B, n) slab times a
-dense S (work B n^2 per step: dense graphs). The choice compares the two
-work estimates, both from the degrees, so time grows smoothly with n.
+dense S (work B n^2 per step: dense graphs). S is built by
+graphs.dense_rows, the slab helper the evaluator's adjacency products use
+too. The choice compares the two work estimates, both from the degrees,
+so time grows smoothly with n.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graphs import FeaturedGraph, flat_ranges
+from .graphs import FeaturedGraph, cost_blocks, dense_rows, flat_ranges
 
 # unused here; bench/workloads.py sizes its single-node rw tolerance by it
 DEFAULT_WALKS = 100_000
@@ -66,13 +68,6 @@ def _slab_rows(dense, sources, half):
         yield rows
 
 
-def _blocks(cost: np.ndarray, cap: float):
-    """Consecutive [lo, hi) source ranges whose summed cost is about cap."""
-    group = (np.cumsum(cost) - cost) // cap
-    bounds = np.append(np.flatnonzero(np.diff(group, prepend=-1)), len(cost))
-    return zip(bounds[:-1], bounds[1:])
-
-
 def walk_returns(indptr: np.ndarray, indices: np.ndarray, sources,
                  kmax: int) -> np.ndarray:
     """(len(sources), kmax) matrix: entry [i, k-1] is P^k[v, v], v = sources[i].
@@ -96,14 +91,13 @@ def walk_returns(indptr: np.ndarray, indices: np.ndarray, sources,
         rows = lambda src: _triple_rows(indptr, indices, scale, src, half)
         dot, cost = _triple_dot, expand + 1.0
     else:
-        dense = np.zeros((n, n))
         owner = np.repeat(np.arange(n), np.diff(indptr))
-        dense[owner, indices] = scale[owner] * scale[indices]
+        dense = dense_rows(indptr, indices, 0, n, scale[owner] * scale[indices])
         rows = lambda src: _slab_rows(dense, src, half)
         dot = lambda x, y, *_: np.einsum("ij,ij->i", x, y)
         cost = np.full(len(sources), float(n))
     out = np.zeros((len(sources), kmax))  # k = 1 stays 0: no self-loops
-    for lo, hi in _blocks(cost, _BLOCK_ENTRIES):
+    for lo, hi in cost_blocks(cost, _BLOCK_ENTRIES):
         prev = None
         for t, cur in enumerate(rows(sources[lo:hi]), 1):
             if prev is not None:

@@ -44,11 +44,12 @@ from .census import (DEFAULT_SIZE_CAP, CensusTable, is_sparse_class,
                      neighborhood_census)
 from .errors import ConfigError
 from .evaluate import local_aggregate, wmean_reduce
-from .graphs import FeatureDist, draw_features, feature_dim, flat_ranges
+from .graphs import (FeatureDist, cost_blocks, draw_features, feature_dim,
+                     flat_ranges)
 from .mc import ControllerValue, McEngine
 from .registry import FunctionRegistry, default_registry, fit_width
 from .rng import stream
-from .rw import _blocks, walk_returns
+from .rw import walk_returns
 from .terms import (GcnAgg, GlobalWMean, LocalWMean, Rw, Term, contains_gcn,
                     free_vars, read_children, validate_term)
 
@@ -243,7 +244,7 @@ class _SparseEngine(McEngine):
         pools = [self._pool(depth, (code.hex(),), size)
                  for code, size in zip(codes, sizes)]
         vals, etas = [], []
-        for a, b in _blocks(sizes * (m * self.d), _BLOCK):
+        for a, b in cost_blocks(sizes * (m * self.d), _BLOCK):
             g = _pick(u, np.arange(a, b))[0]._replace(
                 feats=np.concatenate(pools[a:b]))
             args = (((g, {term.bound: g.starts[:-1]}), depth + 1, ()),
@@ -268,7 +269,7 @@ class _SparseEngine(McEngine):
             slots = (hi - lo) * inner
             cost = slots * self.d  # elements per node or row
             per_row = np.full(shape[0], len(codes) * cost)
-            for r0, r1 in _blocks(per_row, _BLOCK):
+            for r0, r1 in cost_blocks(per_row, _BLOCK):
                 n = r1 - r0
                 nodes = np.concatenate([arr[r0:r1] for arr in frame.values()])
                 part, keep = _pick(g, np.unique(
@@ -277,7 +278,7 @@ class _SparseEngine(McEngine):
                 bound = {v: np.searchsorted(keep, arr[r0:r1])
                          for v, arr in frame.items()}
                 vals, etas = [], []
-                for a, b in _blocks((sizes + n) * cost, _BLOCK):
+                for a, b in cost_blocks((sizes + n) * cost, _BLOCK):
                     comp, _ = _pick(u, np.arange(a, b))
                     fresh = [self._inner_draws(scope, lo, slots,
                                                (codes[c].hex(),), sizes[c])

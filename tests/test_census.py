@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 
 from aggterm.census import CensusTable, is_sparse_class, neighborhood_census
+from aggterm.dense_limit import dense_controller, dense_limit_p
 from aggterm.errors import ConfigError
 from aggterm.graphs import (BaModel, DenseSchedule, ErModel, LogSchedule,
-                            RootSchedule, SparseSchedule)
+                            RootSchedule, SparseSchedule, Uniform01)
+from aggterm.parser import parse_term
+from aggterm.sparse_limit import CensusConfig, sparse_limit
+
+ISO = "mean[u](sub(1, mean[v in N(u)](1)))"
 
 
 def test_sparse_class_membership():
@@ -84,3 +89,40 @@ def test_census_table_validation():
     with pytest.raises(ConfigError):
         CensusTable(radius=1, k=1, proportions={b"x": 0.7, b"y": 0.6},
                     sample_size=10, truncated_mass=0.0)
+
+
+def test_root_schedule_at_beta_one_is_sparse_class():
+    # p = k n^-1 is the sparse schedule K/n with K = k
+    model = ErModel(RootSchedule(1.0, 1.0))
+    assert is_sparse_class(model)
+    with pytest.raises(ConfigError, match="use the sparse construction"):
+        dense_limit_p(model)
+
+
+def test_isolated_fraction_under_root_schedule_beta_one():
+    v = sparse_limit(parse_term(ISO, 1), ErModel(RootSchedule(1.0, 1.0)),
+                     Uniform01(1), CensusConfig(n=3000, node_samples=3000),
+                     4000, 21)
+    assert abs(float(v.estimate[0]) - math.exp(-1)) < 0.03
+
+
+@pytest.mark.parametrize("sched", [RootSchedule(1.0, 1.5),
+                                   RootSchedule(3.0, 2.0),
+                                   RootSchedule(0.0, 1.5)])
+def test_vanishing_expected_degree_is_one_error(sched):
+    # k n^(1 - beta) -> 0: neither limit predictor applies, and neither
+    # error sends the caller to the other one
+    model, term = ErModel(sched), parse_term(ISO, 1)
+    calls = [lambda: is_sparse_class(model),
+             lambda: neighborhood_census(model, 500, 1, 1, 100, seed=1),
+             lambda: sparse_limit(term, model, Uniform01(1),
+                                  CensusConfig(n=500, node_samples=100),
+                                  100, 1),
+             lambda: dense_controller(term, model, Uniform01(1), 100, 1)]
+    messages = set()
+    for call in calls:
+        with pytest.raises(ConfigError, match="vanishes") as err:
+            call()
+        messages.add(str(err.value))
+    assert len(messages) == 1
+    assert "use " not in messages.pop()
