@@ -9,6 +9,14 @@ tallied into an explicit overflow bucket rather than poisoning the run, so
 a table's proportions can sum to less than one; the gap is reported as
 truncated mass.
 
+Each sampled graph is one batch: a NumPy BFS grows every root tuple's ball
+at once, and the balls that are forests (nearly all of them on sparse ER)
+get their codes from canonical.forest_codes without a per-ball Python
+loop. Balls with a cycle, most of them on preferential attachment, go one
+at a time to canonical_code. The tallies equal those of the per-root path,
+rooted_neighborhood plus canonical_code for each tuple, which stays public
+as the reference.
+
 Models with growing degrees are rejected outright: their balls swallow the
 whole graph and no finite table approximates anything.
 """
@@ -19,16 +27,20 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .canonical import canonical_code, decode_code
-from .errors import ConfigError, NeighborhoodTooLargeError, as_int
+import numpy as np
+
+from .canonical import (DEFAULT_SIZE_CAP, canonical_code, check_code_limits,
+                        decode_code, forest_codes)
+from .errors import ConfigError, as_int
 from .graphs import (BaModel, ErModel, RootedGraph, RootSchedule,
-                     SparseSchedule, rooted_neighborhood, sample_graph)
+                     SparseSchedule, flat_ranges, rooted_neighborhood,
+                     sample_graph)
 from .rng import stream
 
 __all__ = ["CensusTable", "neighborhood_census", "is_sparse_class",
-           "reject_vanishing_degree", "DEFAULT_SIZE_CAP"]
+           "reject_vanishing_degree", "DEFAULT_SIZE_CAP",
+           "rooted_neighborhood", "canonical_code"]
 
-DEFAULT_SIZE_CAP = 64
 _GRAPH_BATCH = 500  # root samples drawn per sampled graph by default
 
 
@@ -132,6 +144,103 @@ def _sample_tuples(rng, n: int, k: int, want: int) -> List[Tuple[int, ...]]:
     return out
 
 
+def _find(keys: np.ndarray, q: np.ndarray):
+    """Positions of q in the sorted, non-empty keys, and which are there."""
+    at = np.searchsorted(keys, q)
+    return at, keys[np.minimum(at, len(keys) - 1)] == q
+
+
+def _ball_codes(g, tuples: np.ndarray, radius: int,
+                size_cap: int) -> List[Optional[bytes]]:
+    """The canonical code of each root tuple's radius ball in g, or None
+    where the ball has more than size_cap nodes.
+
+    All balls grow together, one BFS layer at a time, as sorted int64 keys
+    ball * n + node; a ball stops growing once it is over the cap. Forest
+    balls are coded in one batch (canonical.forest_codes). A ball with a
+    cycle goes to canonical_code, numbered as rooted_neighborhood numbers
+    it: roots in order, then the rest by (distance, node).
+    """
+    n, indptr, indices, deg = g.n, g.indptr, g.indices, g.degrees
+    m, k = tuples.shape
+    front = (np.arange(m)[:, None] * n + tuples).ravel()
+    layers = [front]
+    seen = np.sort(front)
+    size = np.full(m, k)
+    over = np.zeros(m, dtype=bool)
+    for _ in range(radius):
+        at = front % n
+        # a node inside the radius brings all its neighbors into the ball
+        over[(front // n)[deg[at] >= size_cap]] = True
+        live = ~over[front // n]
+        front, at = front[live], at[live]
+        near = np.unique(np.repeat(front - at, deg[at])
+                         + indices[flat_ranges(indptr[at], deg[at])])
+        front = near[~_find(seen, near)[1]]
+        if not len(front):
+            break
+        seen = np.sort(np.concatenate([seen, front]))
+        size += np.bincount(front // n, minlength=m)
+        over |= size > size_cap
+        layers.append(front)
+    fits = ~over
+    codes: List[Optional[bytes]] = [None] * m
+    if not fits.any():
+        return codes
+    keys = np.concatenate(layers)
+    dist = np.repeat(np.arange(len(layers)), [len(x) for x in layers])
+    keep = fits[keys // n]
+    by = np.argsort(keys[keep])
+    keys, dist = keys[keep][by], dist[keep][by]
+    # induced arcs, sorted by source. Each edge is looked up once, from its
+    # endpoint that comes first by (degree, node), so a ball never scans
+    # the whole row of a hub it holds.
+    tail = np.repeat(np.arange(n), deg)
+    later = (deg[indices] > deg[tail]) | (
+        (deg[indices] == deg[tail]) & (indices > tail))
+    up = np.bincount(tail[later], minlength=n)
+    node = keys % n
+    at, hit = _find(keys, np.repeat(keys - node, up[node])
+                    + indices[later][flat_ranges((np.cumsum(up) - up)[node],
+                                                 up[node])])
+    u = np.repeat(np.arange(len(keys)), up[node])[hit]
+    src, dst = np.r_[u, at[hit]], np.r_[at[hit], u]
+    by = np.argsort(src, kind="stable")
+    src, dst = src[by], dst[by]
+    balls = np.flatnonzero(fits)
+    sizes = size[balls]
+    roots = np.searchsorted(keys, balls[:, None] * n + tuples[balls])
+    done = forest_codes(sizes, roots, src, dst)
+    cyclic = np.array([code is None for code in done], dtype=bool)
+    if cyclic.any():
+        ball = np.repeat(np.arange(len(balls)), sizes)
+        mark = np.full(len(keys), k)
+        mark[roots.ravel()] = np.tile(np.arange(k), len(balls))
+        # the cyclic balls' nodes in rooted_neighborhood's order
+        inner = np.flatnonzero(cyclic[ball])
+        inner = inner[np.lexsort((node[inner], dist[inner], mark[inner],
+                                  ball[inner]))]
+        count = sizes[cyclic]
+        local = np.empty(len(keys), dtype=np.int64)
+        local[inner] = np.arange(len(inner)) - np.repeat(np.cumsum(count)
+                                                         - count, count)
+        arcs = np.flatnonzero(cyclic[ball[src]])
+        u, w = src[arcs], dst[arcs]
+        w = local[w[np.lexsort((local[w], local[u], ball[u]))]].tolist()
+        rows = np.r_[0, np.cumsum(np.bincount(src, minlength=len(keys))[inner])
+                     ].tolist()
+        row0 = 0
+        for b, nodes in zip(np.flatnonzero(cyclic).tolist(), count.tolist()):
+            adj = tuple(tuple(w[rows[row0 + v]:rows[row0 + v + 1]])
+                        for v in range(nodes))
+            row0 += nodes
+            rg = RootedGraph(adj=adj, roots=tuple(range(k)), radius=radius)
+            done[b] = canonical_code(rg, size_cap=size_cap).code
+    for b, code in zip(balls.tolist(), done):
+        codes[b] = code
+    return codes
+
+
 def neighborhood_census(model, n: int, radius: int, k: int,
                         node_samples: int, seed: int,
                         graphs: Optional[int] = None,
@@ -141,7 +250,10 @@ def neighborhood_census(model, n: int, radius: int, k: int,
     Samples are spread over several independently drawn graphs (by default
     one graph per 500 root tuples) so a single unusual graph cannot skew
     the table. Each (graph, tuple) item is keyed off the master seed
-    independently, making the tally order-insensitive.
+    independently, making the tally order-insensitive. The tally equals
+    one rooted_neighborhood plus canonical_code per tuple, with
+    NeighborhoodTooLargeError counted as overflow, but every graph's balls
+    are expanded and (where they are forests) coded in one batch.
     """
     if not is_sparse_class(model):
         raise ConfigError(
@@ -153,6 +265,7 @@ def neighborhood_census(model, n: int, radius: int, k: int,
     node_samples = as_int(node_samples, "root sample count", 1)
     n = as_int(n, "graph size", k + 1)
     size_cap = as_int(size_cap, "size cap", k)
+    check_code_limits(k, size_cap)
     if graphs is None:
         graphs = max(1, math.ceil(node_samples / _GRAPH_BATCH))
     graphs = min(as_int(graphs, "graph count", 1), node_samples)
@@ -165,14 +278,12 @@ def neighborhood_census(model, n: int, radius: int, k: int,
             continue
         g = sample_graph(model, n, stream(seed, "census", "graph", i))
         tuples = _sample_tuples(stream(seed, "census", "roots", i), n, k, want)
-        for tup in tuples:
-            try:
-                rg = rooted_neighborhood(g, tup, radius, size_cap=size_cap)
-                code = canonical_code(rg, size_cap=size_cap).code
-            except NeighborhoodTooLargeError:
+        for code in _ball_codes(g, np.array(tuples, dtype=np.int64),
+                                radius, size_cap):
+            if code is None:
                 overflow += 1
-                continue
-            tallies[code] = tallies.get(code, 0) + 1
+            else:
+                tallies[code] = tallies.get(code, 0) + 1
     props = {c: cnt / node_samples for c, cnt in tallies.items()}
     return CensusTable(radius=radius, k=k, proportions=props,
                        sample_size=node_samples,

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import config as cfg
 from .architectures import compile_architecture, init_weights
-from .census import neighborhood_census
+from .census import DEFAULT_SIZE_CAP, neighborhood_census
 from .dense_limit import dense_controller
 from .errors import AggtermError, ConfigError, as_int
 from .evaluate import eval_closed
@@ -269,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lim.add_argument("--inner-mc", type=int, default=64)
     lim.add_argument("--census-n", type=int, default=3000)
     lim.add_argument("--census-samples", type=int, default=3000)
-    lim.add_argument("--census-cap", type=int, default=64)
+    lim.add_argument("--census-cap", type=int, default=DEFAULT_SIZE_CAP)
     lim.add_argument("--out", help="CSV path (default stdout)")
     lim.set_defaults(func=_cmd_limit)
 
@@ -280,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cen.add_argument("--roots", type=int, default=1)
     cen.add_argument("--samples", type=int, required=True)
     cen.add_argument("--seed", type=int, default=0)
-    cen.add_argument("--cap", type=int, default=64)
+    cen.add_argument("--cap", type=int, default=DEFAULT_SIZE_CAP)
     cen.add_argument("--out", help="CSV path (default stdout)")
     cen.set_defaults(func=_cmd_census)
 

@@ -93,3 +93,64 @@ def star_graph(feats):
     feats = np.asarray(feats, dtype=np.float64)
     n = feats.shape[0]
     return from_edges(n, np.zeros(n - 1, dtype=int), np.arange(1, n), feats)
+
+
+def tree_code(rg):
+    """Reference code of a rooted forest, one ball at a time in Python.
+
+    Roots take positions 0..k-1; the other nodes follow in pre-order over
+    the components, taken in order of their first root, each node's
+    children in order of their nested (root position or -1, sorted child
+    encodings) tuples. None when some component has a cycle or no root.
+    """
+    from itertools import combinations
+
+    n, k = rg.n, rg.k
+    root_pos = {v: i for i, v in enumerate(rg.roots)}
+    comp = [-1] * n
+    tops = []
+    for v in range(n):
+        if comp[v] >= 0:
+            continue
+        members, stack = [v], [v]
+        comp[v] = v
+        while stack:
+            for w in rg.adj[stack.pop()]:
+                if comp[w] < 0:
+                    comp[w] = v
+                    members.append(w)
+                    stack.append(w)
+        marks = sorted(root_pos[w] for w in members if w in root_pos)
+        edges = sum(len(rg.adj[w]) for w in members) // 2
+        if not marks or edges != len(members) - 1:
+            return None
+        tops.append(marks[0])
+    enc = {}
+
+    def encode(v, parent):
+        enc[v] = (root_pos.get(v, -1),
+                  tuple(sorted(encode(w, v) for w in rg.adj[v] if w != parent)))
+        return enc[v]
+
+    order = []
+
+    def emit(v, parent):
+        if v not in root_pos:
+            order.append(v)
+        for w in sorted((w for w in rg.adj[v] if w != parent),
+                        key=lambda w: enc[w]):
+            emit(w, v)
+
+    for mark in sorted(tops):
+        encode(rg.roots[mark], -1)
+        emit(rg.roots[mark], -1)
+    where = {v: p for p, v in enumerate(list(rg.roots) + order)}
+    bits = bytearray((n * (n - 1) // 2 + 7) // 8)
+    pair = {ij: t for t, ij in enumerate(combinations(range(n), 2))}
+    for v, row in enumerate(rg.adj):
+        for w in row:
+            i, j = where[v], where[w]
+            if i < j:
+                t = pair[(i, j)]
+                bits[t >> 3] |= 1 << (t & 7)
+    return b"RN1" + bytes([k]) + n.to_bytes(2, "big") + bytes(bits)

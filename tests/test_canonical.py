@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from aggterm.canonical import canonical_code, canonical_labeling, decode_code
-from aggterm.errors import NeighborhoodTooLargeError
+from aggterm.canonical import (canonical_code, canonical_labeling, decode_code,
+                               forest_codes)
+from aggterm.errors import ConfigError, NeighborhoodTooLargeError
 from aggterm.graphs import RootedGraph, rooted_neighborhood
-from conftest import rand_graph
+from conftest import rand_graph, tree_code
 
 
 def rooted(adj, k=1, radius=3):
@@ -130,3 +131,55 @@ def test_size_cap():
     big = rooted([[j for j in range(40) if j != i] for i in range(40)])
     with pytest.raises(NeighborhoodTooLargeError):
         canonical_code(big, size_cap=20)
+
+
+def test_code_header_limits():
+    # one byte of root count and two of node count in the code header
+    many = RootedGraph(adj=((),) * 256, roots=tuple(range(256)), radius=0)
+    with pytest.raises(ConfigError, match="root count"):
+        canonical_code(many, size_cap=300)
+    with pytest.raises(ConfigError, match="size cap"):
+        canonical_code(rooted([[1], [0]]), size_cap=65536)
+    assert canonical_code(rooted([[1], [0]]), size_cap=65535).code
+
+
+def random_forest(rng, n, k):
+    adj = [[] for _ in range(n)]
+    for v in range(1, n):
+        if rng.random() < 0.85:
+            u = int(rng.integers(v))
+            adj[u].append(v)
+            adj[v].append(u)
+    roots = tuple(int(r) for r in rng.choice(n, size=k, replace=False))
+    return RootedGraph(adj=tuple(tuple(sorted(r)) for r in adj), roots=roots,
+                       radius=3)
+
+
+def test_forest_codes_match_reference():
+    # one ball at a time through canonical_code, and all balls in one batch
+    rng = np.random.default_rng(80)
+    graphs = []
+    for _ in range(300):
+        n = int(rng.integers(1, 20))
+        graphs.append(random_forest(rng, n, int(rng.integers(1, min(n, 3) + 1))))
+    refs = [tree_code(rg) for rg in graphs]
+    assert sum(ref is not None for ref in refs) > 100
+    for rg, ref in zip(graphs, refs):
+        if ref is not None:
+            assert canonical_code(rg).code == ref
+            lab = canonical_labeling(rg)
+            assert lab[:rg.k] == list(rg.roots)
+            assert sorted(lab) == list(range(rg.n))
+    for k in (1, 2, 3):
+        batch = [rg for rg in graphs if rg.k == k]
+        first = np.cumsum([0] + [rg.n for rg in batch])
+        src = np.concatenate([np.repeat(np.arange(rg.n) + base,
+                                        [len(r) for r in rg.adj])
+                              for rg, base in zip(batch, first)])
+        dst = np.concatenate([np.array([w for r in rg.adj for w in r],
+                                       dtype=np.int64) + base
+                              for rg, base in zip(batch, first)])
+        roots = np.array([[r + base for r in rg.roots]
+                          for rg, base in zip(batch, first)])
+        codes = forest_codes([rg.n for rg in batch], roots, src, dst)
+        assert codes == [tree_code(rg) for rg in batch]

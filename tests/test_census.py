@@ -4,14 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aggterm.census import CensusTable, is_sparse_class, neighborhood_census
+from aggterm.canonical import canonical_code
+from aggterm.census import (CensusTable, _ball_codes, is_sparse_class,
+                            neighborhood_census)
 from aggterm.dense_limit import dense_controller, dense_limit_p
-from aggterm.errors import ConfigError
+from aggterm.errors import ConfigError, NeighborhoodTooLargeError
 from aggterm.graphs import (BaModel, DenseSchedule, ErModel, LogSchedule,
-                            RootSchedule, SparseSchedule, Uniform01)
+                            RootSchedule, SparseSchedule, Uniform01,
+                            from_edges, rooted_neighborhood, sample_graph)
 from aggterm.parser import parse_term
 from aggterm.sparse_limit import CensusConfig, sparse_limit
+from conftest import tree_code
 
 ISO = "mean[u](sub(1, mean[v in N(u)](1)))"
 
@@ -126,3 +132,135 @@ def test_vanishing_expected_degree_is_one_error(sched):
         messages.add(str(err.value))
     assert len(messages) == 1
     assert "use " not in messages.pop()
+
+
+def test_code_header_limits():
+    # the code stores the root count in one byte and the node count in two
+    model = ErModel(SparseSchedule(1.0))
+    with pytest.raises(ConfigError, match="root count"):
+        neighborhood_census(model, 1000, 1, 256, 10, seed=1, size_cap=300)
+    with pytest.raises(ConfigError, match="size cap"):
+        neighborhood_census(model, 1000, 1, 1, 10, seed=1, size_cap=65536)
+    table = neighborhood_census(model, 1000, 0, 255, 2, seed=1,
+                                size_cap=65535)
+    assert table.total_mass() == 1.0
+
+
+# ---------------------------------------------------------------------------
+# the batched census against the per-root oracle
+
+
+def per_root(g, tuples, radius, cap):
+    """One rooted_neighborhood and one canonical_code per tuple; None
+    where the ball overflows the cap."""
+    out = []
+    for tup in tuples:
+        try:
+            rg = rooted_neighborhood(g, tup, radius, size_cap=cap)
+            out.append(canonical_code(rg, size_cap=cap).code)
+        except NeighborhoodTooLargeError:
+            out.append(None)
+    return out
+
+
+def check_batch(g, tuples, radius, cap=64):
+    """The batched codes equal the oracle's, and a forest ball's code
+    equals the nested-tuple reference."""
+    batched = _ball_codes(g, np.array(tuples, dtype=np.int64), radius, cap)
+    assert batched == per_root(g, tuples, radius, cap)
+    for tup, code in zip(tuples, batched):
+        if code is not None:
+            ref = tree_code(rooted_neighborhood(g, tup, radius))
+            assert ref is None or code == ref
+    return batched
+
+
+@st.composite
+def rooted_forests(draw):
+    """A random forest (a tree per -1 parent), at most two extra edges
+    that close cycles, 1-5 root tuples with k = 1..3, a radius and a cap."""
+    n = draw(st.integers(3, 30))
+    edges = {(p, v) for v in range(1, n)
+             for p in [draw(st.integers(-1, v - 1))] if p >= 0}
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)), max_size=2)):
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    relabel = draw(st.permutations(range(n)))
+    u = np.array([relabel[a] for a, b in edges], dtype=np.int64)
+    v = np.array([relabel[b] for a, b in edges], dtype=np.int64)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    k = draw(st.integers(1, 3))
+    tuples = draw(st.lists(st.permutations(range(n)).map(
+        lambda p: tuple(p[:k])), min_size=1, max_size=5))
+    radius = draw(st.integers(0, 4))
+    cap = draw(st.sampled_from([64, k + 2, k + 6]))
+    return from_edges(n, lo, hi), tuples, radius, cap
+
+
+@settings(max_examples=150, deadline=None)
+@given(rooted_forests())
+def test_batched_codes_match_per_root(case):
+    g, tuples, radius, cap = case
+    check_batch(g, tuples, radius, cap)
+
+
+def _union(shapes):
+    """One graph holding every (node count, edges, root tuples) shape as
+    its own component, and all their root tuples."""
+    us, vs, tuples, base = [], [], [], 0
+    for n, edges, roots in shapes:
+        us += [base + a for a, _ in edges]
+        vs += [base + b for _, b in edges]
+        tuples += [tuple(base + r for r in tup) for tup in roots]
+        base += n
+    return from_edges(base, np.array(us), np.array(vs)), tuples
+
+
+def _binary_tree(depth):
+    n = 2 ** (depth + 1) - 1
+    return n, [((v - 1) // 2, v) for v in range(1, n)]
+
+
+SYMMETRIC = [
+    # star: at the center, at a leaf, and centered pair of roots
+    (8, [(0, v) for v in range(1, 8)], [(0,), (3,), (0, 5), (5, 0), (2, 6)]),
+    # perfect binary tree: at the top, at a leaf, a second root inside the
+    # first root's tree, and two roots in sibling subtrees
+    (*_binary_tree(3), [(0,), (9,), (0, 3), (3, 0), (1, 2), (7, 8, 0)]),
+    # a path with a root at each end, in both orders
+    (6, [(v, v + 1) for v in range(5)], [(0, 5), (5, 0), (0,), (2, 3)]),
+    # two stars: a two-component k = 2 ball at radius 1 and 2
+    (9, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7), (4, 8)],
+     [(0, 4), (4, 0), (1, 5)]),
+]
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2, 3, 4])
+def test_symmetric_forests_match_per_root(radius):
+    for k in (1, 2, 3):
+        shapes = [(n, edges, [t for t in roots if len(t) == k])
+                  for n, edges, roots in SYMMETRIC]
+        g, tuples = _union(shapes)
+        codes = check_batch(g, tuples, radius)
+        assert all(code is not None for code in codes)
+
+
+@pytest.mark.parametrize("model,radius", [
+    (ErModel(SparseSchedule(2.0)), 2), (ErModel(SparseSchedule(2.0)), 3),
+    (BaModel(3), 1), (BaModel(3), 2)])
+def test_overflow_boundary(model, radius):
+    # a cap equal to the ball's size keeps it; one smaller overflows it
+    g = sample_graph(model, 2000, 5)
+    hub = int(np.argmax(g.degrees))
+    picks = [hub] if radius == 1 else []
+    sizes = {v: rooted_neighborhood(g, [v], radius).n
+             for v in range(g.n - 300, g.n)}
+    picks += sorted((v for v in sizes if sizes[v] <= 80),
+                    key=lambda v: -sizes[v])[:4]
+    assert picks
+    for v in picks:
+        size = rooted_neighborhood(g, [v], radius).n
+        assert size > 2
+        assert check_batch(g, [(v,)], radius, size)[0] is not None
+        assert check_batch(g, [(v,)], radius, size - 1)[0] is None

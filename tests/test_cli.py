@@ -116,6 +116,14 @@ def test_census_proportions(files, capsys):
     assert props[0] - props[1] < 0.05
 
 
+def test_census_root_count_over_code_limit(files, capsys):
+    # the code header holds the root count in one byte
+    assert main(["census", "--model", files["sparse"], "--size", "2000",
+                 "--radius", "1", "--samples", "10", "--roots", "256",
+                 "--cap", "300"]) == 2
+    assert "root count" in capsys.readouterr().err
+
+
 def test_sweep_writes_all_outputs(files, capsys):
     out = str(files["dir"] / "rows.csv")
     summary = str(files["dir"] / "sum.csv")
