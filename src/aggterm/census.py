@@ -41,7 +41,7 @@ __all__ = ["CensusTable", "neighborhood_census", "is_sparse_class",
            "reject_vanishing_degree", "DEFAULT_SIZE_CAP",
            "rooted_neighborhood", "canonical_code"]
 
-_GRAPH_BATCH = 500  # root samples drawn per sampled graph by default
+_GRAPH_BATCH = 500  # root samples drawn per sampled graph
 
 
 def reject_vanishing_degree(model) -> None:
@@ -125,7 +125,7 @@ def _sample_tuples(rng, n: int, k: int, want: int) -> List[Tuple[int, ...]]:
     if k == 1:
         if want > n:
             raise ConfigError(
-                "more root samples than nodes in one graph; raise graphs or n")
+                "more root samples than nodes in one graph; raise n")
         return [(int(v),) for v in rng.choice(n, size=want, replace=False)]
     out: List[Tuple[int, ...]] = []
     seen = set()
@@ -137,7 +137,7 @@ def _sample_tuples(rng, n: int, k: int, want: int) -> List[Tuple[int, ...]]:
         if tup in seen:
             if attempts > limit:
                 raise ConfigError(
-                    "cannot draw enough distinct root tuples; raise n or graphs")
+                    "cannot draw enough distinct root tuples; raise n")
             continue
         seen.add(tup)
         out.append(tup)
@@ -243,12 +243,11 @@ def _ball_codes(g, tuples: np.ndarray, radius: int,
 
 def neighborhood_census(model, n: int, radius: int, k: int,
                         node_samples: int, seed: int,
-                        graphs: Optional[int] = None,
                         size_cap: int = DEFAULT_SIZE_CAP) -> CensusTable:
     """Tabulate rooted-neighborhood proportions by sampling.
 
-    Samples are spread over several independently drawn graphs (by default
-    one graph per 500 root tuples) so a single unusual graph cannot skew
+    Samples are spread over several independently drawn graphs (one graph
+    per 500 root tuples) so a single unusual graph cannot skew
     the table. Each (graph, tuple) item is keyed off the master seed
     independently, making the tally order-insensitive. The tally equals
     one rooted_neighborhood plus canonical_code per tuple, with
@@ -266,16 +265,12 @@ def neighborhood_census(model, n: int, radius: int, k: int,
     n = as_int(n, "graph size", k + 1)
     size_cap = as_int(size_cap, "size cap", k)
     check_code_limits(k, size_cap)
-    if graphs is None:
-        graphs = max(1, math.ceil(node_samples / _GRAPH_BATCH))
-    graphs = min(as_int(graphs, "graph count", 1), node_samples)
+    graphs = math.ceil(node_samples / _GRAPH_BATCH)
     base, extra = divmod(node_samples, graphs)
     tallies: Dict[bytes, int] = {}
     overflow = 0
     for i in range(graphs):
         want = base + (1 if i < extra else 0)
-        if want == 0:
-            continue
         g = sample_graph(model, n, stream(seed, "census", "graph", i))
         tuples = _sample_tuples(stream(seed, "census", "roots", i), n, k, want)
         for code in _ball_codes(g, np.array(tuples, dtype=np.int64),

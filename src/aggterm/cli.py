@@ -261,12 +261,17 @@ def _build_parser() -> argparse.ArgumentParser:
     lim.add_argument("--term", required=True)
     lim.add_argument("--model", required=True)
     lim.add_argument("--mode", choices=("dense", "sparse"), required=True)
-    lim.add_argument("--mc", type=int, default=100000)
+    lim.add_argument("--mc", type=int, default=100000,
+                     help="feature draws per Monte-Carlo pool; the error "
+                          "bars rerun the estimate on 10 blocks of them")
     lim.add_argument("--eps", type=float, default=0.05,
                      help="sparse mode: census mass allowed to be dropped")
     lim.add_argument("--seed", type=int, default=0)
     lim.add_argument("--features", help="feature distribution JSON file")
-    lim.add_argument("--inner-mc", type=int, default=64)
+    lim.add_argument("--inner-mc", type=int, default=64,
+                     help="least fresh draws per outer sample of an "
+                          "aggregate whose body reads an outer variable; "
+                          "its ratio bias is O(1/inner-mc)")
     lim.add_argument("--census-n", type=int, default=3000)
     lim.add_argument("--census-samples", type=int, default=3000)
     lim.add_argument("--census-cap", type=int, default=DEFAULT_SIZE_CAP)

@@ -14,20 +14,16 @@ ratio: the language can only read a variable's features, never an edge
 indicator, so the integrand never depends on which extension pattern the
 new variable realizes (the binomial weights sum to one). The same argument
 applies with community labels when features are identically distributed
-across blocks. The recursion below therefore evaluates nested expectations
+across blocks. The engine therefore evaluates nested expectations
 directly; the pattern weights themselves live in graphtypes, and acceptance
 test 7 checks their normalization identities.
 
-Expectations are Monte-Carlo means. An aggregate whose body reads only its
-own bound variable is "collapsed": one shared pool of mc_samples draws per
-nesting depth, evaluated once and cached. An aggregate whose body also
-reads outer variables is evaluated per outer sample with inner_mc fresh
-draws each, which introduces O(1/inner_mc) ratio bias; raise inner_mc
-when such terms need tight answers. Error bars come from rerunning the
-recursion on disjoint blocks of the draws. The pools, the collapsed and
-nested split and the reruns live in mc.McEngine, shared with the sparse
-construction; node meanings come from the evaluator's interpreter
-(evaluate.Interpreter), and each ratio goes through evaluate.wmean_reduce.
+The limit is mc.McEngine at census radius 0: every global aggregate
+mixes over the lone root alone, a neighborhood aggregate takes the global
+path, and an open term's free variables sit on one-node components
+holding the caller's feature vectors. Nested aggregates average inner_mc
+fresh draws per outer sample, an O(1/inner_mc) ratio bias; raise inner_mc
+when such terms need tight answers.
 
 Degree-normalized aggregation has no construction here and is rejected.
 """
@@ -40,7 +36,6 @@ import numpy as np
 
 from .census import reject_vanishing_degree
 from .errors import ConfigError, UnsupportedTermError
-from .evaluate import wmean_reduce
 from .graphs import (DenseSchedule, FeatureDist, LogSchedule, RootSchedule,
                      SbmModel, draw_features, feature_dim)
 from .mc import ControllerValue, McEngine
@@ -85,50 +80,18 @@ def dense_limit_p(model) -> float:
 
 
 class _DenseEngine(McEngine):
-    """The term over i.i.d. feature draws: a scope's bindings map each
-    variable to its (rows, d) draws."""
+    """McEngine at census radius 0, where structure is gone."""
 
     kind = "dense"
 
-    def _top(self, env0: Dict[str, np.ndarray]) -> np.ndarray:
-        return self._eval(self.term, (env0, 0, ()), (1, self.d), ())
+    def _radius(self, term) -> int:
+        return 0
 
-    def _feature(self, term, scope: tuple) -> np.ndarray:
-        return scope[0][term.var]
+    # the lone root is the only class, so draws need not name it
+    _key = staticmethod(lambda code: ())
 
-    def _rw(self, term, scope: tuple, shape: tuple) -> np.ndarray:
-        return np.zeros(shape)
-
-    # structure is gone in the limit: a neighbor is a fresh draw, as a
-    # globally bound node is
+    # a neighbor is a fresh draw, as a globally bound node is
     _local = McEngine._global
-
-    def _collapsed(self, term, depth: int, path: tuple) -> np.ndarray:
-        pool = self._pool(depth)[0]
-        args = (({term.bound: pool}, depth + 1, ()), pool.shape, path)
-        return wmean_reduce(self._eval(term.value, *args),
-                            self._weight_arg(term, *args),
-                            term.weight_map, self.registry, None, path=path)
-
-    def _nested(self, term, scope: tuple, shape: tuple,
-                path: tuple) -> np.ndarray:
-        env, depth, chunks = scope
-        m, inner = shape[0], self.inner_mc
-        out = np.empty(shape)
-        for lo, hi in self._chunks(m):
-            rows = hi - lo
-            total = rows * inner
-            sub = {v: np.repeat(arr[lo:hi], inner, axis=0)
-                   for v, arr in env.items()}
-            sub[term.bound] = self._inner_draws(scope, lo, total)[0]
-            args = ((sub, depth + 1, chunks + (lo,)), (total, self.d), path)
-            vals = self._eval(term.value, *args)
-            eta = self._weight_arg(term, *args)
-            out[lo:hi] = wmean_reduce(self._inner_first(vals, rows),
-                                      self._inner_first(eta, rows),
-                                      term.weight_map, self.registry, None,
-                                      path=path)
-        return out
 
 
 class DenseController:
@@ -164,14 +127,12 @@ class DenseController:
                 raise ConfigError(
                     f"features must be ({len(self.variables)}, {d})")
             rows = list(arr)
-        env = {}
         for v, row in zip(self.variables, rows):
             if row.shape != (d,):
                 raise ConfigError(f"feature vector for {v!r} must have length {d}")
             if not np.all(np.isfinite(row)):
                 raise ConfigError(f"feature vector for {v!r} has non-finite entries")
-            env[v] = row[None, :]
-        return env
+        return dict(zip(self.variables, rows))
 
 
 def dense_controller(term: Term, model, feature_dist: FeatureDist,
@@ -195,5 +156,5 @@ def dense_controller(term: Term, model, feature_dist: FeatureDist,
                           mc_samples, seed, inner_mc)
     fvs = free_vars(term)
     if not fvs:
-        return engine.estimate({})
+        return engine.estimate()
     return DenseController(engine, fvs)

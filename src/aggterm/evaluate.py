@@ -1,8 +1,8 @@
 """Evaluation of aggregation terms over featured graphs.
 
 Interpreter holds the one definition of what each term node means. It
-has three users: Evaluator here, on a sampled graph, and the dense and
-sparse limit engines (mc.McEngine), on feature draws. The base owns
+has two users: Evaluator here, on a sampled graph, and mc.McEngine, the
+engine of both limit predictors, on feature draws. The base owns
 constants and function application, including the finiteness check and
 the error path; each user supplies only features, walk returns and the
 two aggregate kinds, so a term's value on a graph and its predicted
@@ -31,10 +31,10 @@ Design notes:
 * Every other neighborhood aggregate, and linear ones on sparse graphs,
   expands (anchor, neighbor) pairs into flat arrays and reduces with
   segment sums, chunked so the expansion never exceeds a few million rows
-  at a time. That kernel, local_aggregate, is shared with the sparse
-  limit engine, which runs it on a disjoint union of decoded neighborhood
+  at a time. That kernel, local_aggregate, is shared with the limit
+  engine, which runs it on a disjoint union of decoded neighborhood
   classes with feature draws as trailing axes.
-* Every weighted mean, here and in both limit engines, goes through
+* Every weighted mean, here and in the limit engine, goes through
   wmean_reduce, which owns the exp shift, the denominator check and the
   empty-neighborhood rule.
 * Global attention skips the expansion. A global aggregate whose body
@@ -119,18 +119,24 @@ def wmean_reduce(vals: np.ndarray, eta: np.ndarray | None, weight_map: str,
     # shape that broadcasts a per-row (or per-segment) scalar along rows
     col = (-1,) + (1,) * (vals.ndim - 1)
     # the repeated segment maxima are a vals-sized temporary: leave them
-    # unnamed so they are freed before exp allocates its result
+    # unnamed so they are freed once subtracted
     if weight_map == "one":
         w = None
     elif weight_map != "exp":
         flat = eta.reshape(-1, eta.shape[-1])
         w = registry.call(weight_map, [flat]).reshape(eta.shape)
     elif seg is None:
-        w = np.exp(eta - eta.max(axis=0, keepdims=True))
+        w = eta - eta.max(axis=0, keepdims=True)
     else:
-        w = np.exp(eta - np.repeat(_segment_reduce(np.maximum, eta, seg),
-                                   counts, axis=0))
-    if mass is not None:
+        w = eta - np.repeat(_segment_reduce(np.maximum, eta, seg), counts,
+                            axis=0)
+    if weight_map == "exp":
+        # the shifted eta is this function's own array: exponentiate it, and
+        # scale it by the mass, in place instead of allocating copies
+        np.exp(w, out=w)
+        if mass is not None:
+            w *= mass.reshape(col)
+    elif mass is not None:
         mass = mass.reshape(col)
         w = mass if w is None else w * mass
     if seg is None:

@@ -308,6 +308,8 @@ def flat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 def cost_blocks(cost: np.ndarray, cap: float):
     """Consecutive [lo, hi) ranges of items whose summed cost is about cap."""
+    if len(cost) == 1:  # a lone item is one block, without the array passes
+        return [(0, 1)]
     group = (np.cumsum(cost) - cost) // cap
     bounds = np.append(np.flatnonzero(np.diff(group, prepend=-1)), len(cost))
     return zip(bounds[:-1], bounds[1:])

@@ -1,33 +1,54 @@
-"""Monte-Carlo estimate containers and batch-mean error bars.
+"""The Monte-Carlo engine both limit predictors run on, and its error bars.
 
-Both limit constructions report a point estimate together with a standard
-error. The estimators are nonlinear (ratios of sample means, fed through
-further function applications), so instead of propagating derivatives we
-rerun the whole recursion on disjoint blocks of the random draws and take
-the spread of the block estimates. For a plain sample mean this reduces to
-the usual stderr; for ratios it agrees with the first-order delta method up
-to O(1/m) while also covering arbitrary downstream compositions. McEngine
-is the scaffold both constructions run on.
+Both limits mix over classes of rooted neighborhoods: the sparse limit
+over the classes a census finds, the dense limit over one class, a lone
+root, as there a neighbor is a fresh i.i.d. draw like any globally bound
+node. McEngine is that mixture. The kept classes form one disjoint-union
+CSR graph, variables bind to node ids on it, every subterm is a (rows,
+samples, d) block, and the term runs through the evaluator's interpreter
+(evaluate.Interpreter) and wmean_reduce.
+
+A global aggregate mixes over the classes at its census radius, each a
+fresh component, as one mean over all draws of mass q / draws each. One
+whose body reads only its binder (reads_outer) is collapsed: computed
+once per run on pools of mc_samples draws per depth and class. Otherwise
+it is nested: per chunk of outer samples, every class's component with
+fresh draws per outer sample joins the outer rows' components. An outer
+sample gets max(inner_mc, P // outer samples) draws, P those of the run,
+so an open term's top aggregate averages P draws; nested ratios keep an
+O(1/inner_mc) bias.
+
+Error bars come from rerunning the recursion on disjoint blocks of the
+draws: for ratios of means this agrees with the delta method up to
+O(1/m). Streams are keyed (seed, kind, "pool", depth, class) and (seed,
+kind, "inner", depth, run tag, class, *chunks, chunk offset), so reruns
+reproduce exactly and every outer sample gets independent inner draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from .canonical import canonical_code
 from .errors import ConfigError, as_int
-from .evaluate import Interpreter, reads_outer
-from .graphs import FeatureDist, feature_dim
-from .registry import FunctionRegistry
+from .evaluate import Interpreter, local_aggregate, reads_outer, wmean_reduce
+from .graphs import (FeatureDist, RootedGraph, cost_blocks, feature_dim,
+                     flat_ranges)
+from .registry import FunctionRegistry, fit_width
 from .rng import stream
-from .terms import Term
+from .rw import walk_returns
+from .terms import GcnAgg, LocalWMean, Rw, Term, contains_gcn, read_children
 
 DEFAULT_BLOCKS = 10
 
-# outer-sample rows processed at once by a nested aggregate
-_CHUNK_ROWS = 1 << 18
+# elements per evaluated block: nodes or rows, times samples, times d
+_BLOCK = 1 << 18
+
+# the one radius-0 class: a lone root
+_LONE = canonical_code(RootedGraph(adj=((),), roots=(0,), radius=0)).code
 
 
 @dataclass(frozen=True)
@@ -80,26 +101,98 @@ def batch_stderr(block_values: np.ndarray) -> np.ndarray:
     return np.std(vals, axis=0, ddof=1) / np.sqrt(vals.shape[0])
 
 
-class McEngine(Interpreter):
-    """Monte-Carlo scaffold shared by the dense and sparse limit engines.
+class _Union(NamedTuple):
+    """Disjoint components as one CSR graph; component c is nodes
+    starts[c]:starts[c + 1]. feats is (nodes, samples, d) or None."""
 
-    Holds one term's feature-draw pools and runs the term through the
-    shared interpreter (evaluate.Interpreter) once on all draws and once
-    per error block. A scope is (bindings, depth, chunks): what the
-    engine binds its variables to, the nesting depth of aggregates around
-    the node, and the outer-row offsets of the nested-aggregate chunks
-    enclosing it. Subclasses supply _top, _feature, _rw, _local,
-    _collapsed and _nested; _global picks between the last two. An
-    aggregate whose body reads only its own binder (evaluate.reads_outer)
-    is collapsed: computed once per run from one shared pool of
-    mc_samples draws per nesting depth (and key) and broadcast. One whose
-    body also reads outer variables is nested: each outer row gets
-    inner_mc fresh draws. Streams are keyed (seed, kind, "pool", depth,
-    *key) for pools and (seed, kind, "inner", depth, run tag, *key,
-    *chunks, chunk offset) for inner draws, so reruns reproduce exactly
-    while every outer sample, in every enclosing chunk, still gets
-    independent inner draws, and the inner noise averages out across the
-    run instead of being floored at 1/sqrt(inner_mc).
+    indptr: np.ndarray
+    indices: np.ndarray
+    starts: np.ndarray
+    feats: Optional[np.ndarray] = None
+
+
+def aggregation_depth(term: Term) -> int:
+    """Nesting depth of structure-reading operators below a binder.
+
+    This is the radius a decoded neighborhood class must have so the term
+    evaluates on it exactly. It differs from reach in one place: a global
+    binder does not reset the count, because its body may still read
+    structure around outer variables, and the components decoded for those
+    variables must extend far enough to serve it. Like reach, it counts
+    only the children a node reads (terms.read_children).
+    """
+    if isinstance(term, Rw):
+        return term.kmax
+    inner = max(map(aggregation_depth, read_children(term)), default=0)
+    return inner + 1 if isinstance(term, (LocalWMean, GcnAgg)) else inner
+
+
+def _offsets(counts) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+
+
+def _layout(adjs) -> _Union:
+    """The union of components given as adjacency rows."""
+    starts = _offsets([len(adj) for adj in adjs])
+    indices = [base + v for base, adj in zip(starts.tolist(), adjs)
+               for row in adj for v in row]
+    return _Union(_offsets([len(row) for adj in adjs for row in adj]),
+                  np.array(indices, dtype=np.int64), starts)
+
+
+def _pick(u: _Union, comps: np.ndarray) -> Tuple[_Union, np.ndarray]:
+    """Components comps (ascending) of u alone, and their nodes' old ids."""
+    if len(comps) == len(u.starts) - 1:
+        return u, np.arange(len(u.indptr) - 1)
+    size = u.starts[comps + 1] - u.starts[comps]
+    keep = flat_ranges(u.starts[comps], size)
+    deg = u.indptr[keep + 1] - u.indptr[keep]
+    new = np.zeros(len(u.indptr) - 1, dtype=np.int64)
+    new[keep] = np.arange(len(keep))
+    edges = u.indices[flat_ranges(u.indptr[keep], deg)]
+    return _Union(_offsets(deg), new[edges], _offsets(size)), keep
+
+
+def _join(a: _Union, b: _Union, feats: np.ndarray) -> _Union:
+    """b's components appended after a's, with the given features."""
+    n = len(a.indptr) - 1
+    return _Union(np.concatenate([a.indptr, b.indptr[1:] + a.indptr[-1]]),
+                  np.concatenate([a.indices, b.indices + n]),
+                  np.concatenate([a.starts, b.starts[1:] + n]), feats)
+
+
+def _stack(blocks: list) -> np.ndarray:
+    """blocks joined on the leading axis, copying only to be C-contiguous."""
+    if len(blocks) == 1:
+        return np.ascontiguousarray(blocks[0])
+    return np.concatenate(blocks)
+
+
+def _spread(weights: np.ndarray, draws: int) -> np.ndarray:
+    """Each class weight split evenly over its draws, class by class."""
+    return np.broadcast_to((weights / draws)[:, None],
+                           (len(weights), draws)).reshape(-1)
+
+
+def _mixture(blocks, rows: int, draws: int) -> Optional[np.ndarray]:
+    """Class-major (classes * rows, samples * draws, d) blocks as one
+    (classes * draws, rows, samples, d) array, or None for unread weights."""
+    if blocks[0] is None:
+        return None
+    x = _stack(blocks)
+    c, s, d = x.shape[0] // rows, x.shape[1] // draws, x.shape[2]
+    return (x.reshape(c, rows, s, draws, d).transpose(0, 3, 1, 2, 4)
+            .reshape(c * draws, rows, s, d))
+
+
+class McEngine(Interpreter):
+    """One term's value on a mixture of rooted classes, with error bars.
+
+    A scope is (bindings, depth, chunks): the union the variables live in
+    with each one's node ids per block row, the nesting depth of
+    aggregates around the node, and the outer-sample offsets of the nested
+    chunks enclosing it. Radius 0 has one class, the lone root; a subclass
+    supplies _census(radius), the kept classes at radius >= 1.
     """
 
     kind = ""  # first stream key after the seed: "dense" or "sparse"
@@ -107,62 +200,80 @@ class McEngine(Interpreter):
     def __init__(self, term: Term, registry: FunctionRegistry,
                  dist: FeatureDist, draw: Callable, mc_samples: int,
                  seed: int, inner_mc: int):
-        mc_samples = as_int(mc_samples, "mc_samples", 2)
-        inner_mc = as_int(inner_mc, "inner_mc", 2)
         self.term = term
         self.registry = registry
         self.dist = dist
         self._draw = draw
         self.d = feature_dim(dist)
-        self.mc = mc_samples
+        self.mc = as_int(mc_samples, "mc_samples", 2)
         self.seed = seed
-        self.inner_mc = inner_mc
+        self.inner_mc = as_int(inner_mc, "inner_mc", 2)
         self._pools: Dict[tuple, np.ndarray] = {}
-        # per-run state
+        # radius -> (union, codes, weights, dropped mass) of the kept classes
+        self._kept: Dict[int, tuple] = {}
+        # per-run state: the selected draws, their count and the run's tag
         self._sel: slice = slice(None)
+        self._m = self.mc
         self._tag = "full"
         self._cache: Dict[tuple, np.ndarray] = {}
 
-    def _pool(self, depth: int, key: tuple = (), count: int = 1) -> np.ndarray:
-        """Shared (count, selected draws, d) pool for collapsed aggregates."""
-        pool = self._pools.get((depth,) + key)
-        if pool is None:
-            rng = stream(self.seed, self.kind, "pool", depth, *key)
-            pool = self._draw(self.dist, count * self.mc, rng).reshape(
-                count, self.mc, self.d)
-            pool.flags.writeable = False
-            self._pools[(depth,) + key] = pool
-        return pool[:, self._sel]
+    def _radius(self, term) -> int:
+        """The census radius a global aggregate reads. Degree-normalized
+        sums read the bound node's degree, one ring past the body."""
+        return aggregation_depth(term) + (1 if contains_gcn(term) else 0)
 
-    def _inner_draws(self, scope: tuple, lo: int, slots: int, key: tuple = (),
-                     count: int = 1) -> np.ndarray:
-        """Fresh (count, slots, d) draws for the nested chunk at outer row lo."""
-        _, depth, chunks = scope
-        rng = stream(self.seed, self.kind, "inner", depth, self._tag, *key,
-                     *chunks, lo)
+    def _key(self, code: bytes) -> tuple:
+        """A class's part of the stream keys of its draws."""
+        return (code.hex(),)
+
+    def _types(self, radius: int) -> tuple:
+        """Kept classes as (union, codes, weights) plus the dropped mass."""
+        if radius not in self._kept:
+            self._kept[radius] = ((_layout([((),)]), (_LONE,), np.ones(1), 0.0)
+                                  if radius == 0 else self._census(radius))
+        return self._kept[radius]
+
+    def _draws(self, count: int, slots: int, *key) -> np.ndarray:
+        """(count, slots, d) draws from the stream (seed, kind, *key)."""
+        rng = stream(self.seed, self.kind, *key)
         return self._draw(self.dist, count * slots, rng).reshape(
             count, slots, self.d)
 
-    def _chunks(self, m: int) -> list:
-        """(lo, hi) outer-row ranges of a nested aggregate."""
-        step = max(1, _CHUNK_ROWS // self.inner_mc)
-        return [(lo, min(m, lo + step)) for lo in range(0, m, step)]
+    def _pool(self, depth: int, code: bytes, count: int) -> np.ndarray:
+        """A class's shared (count, selected draws, d) pool at a depth."""
+        key = ("pool", depth, *self._key(code))
+        pool = self._pools.get(key)
+        if pool is None:
+            pool = self._pools[key] = self._draws(count, self.mc, *key)
+            pool.flags.writeable = False
+        return pool[:, self._sel]
 
     def _weight_arg(self, term, *args) -> Optional[np.ndarray]:
-        """The aggregate's weight argument, or None under the map "one",
-        which never reads it (so its inner draws are never made)."""
+        """The weight argument, or None under the map "one", which never
+        reads it (so its inner draws are never made)."""
         if term.weight_map == "one":
             return None
         return self._eval(term.weight_arg, *args)
 
-    def _inner_first(self, block: Optional[np.ndarray],
-                     rows: int) -> Optional[np.ndarray]:
-        """(rows * inner_mc, d) block of a nested chunk as an (inner_mc,
-        rows, d) view: inner draws lead, so each outer row gets its own
-        mean. None (an unread weight argument) stays None."""
-        if block is None:
-            return None
-        return block.reshape(rows, self.inner_mc, self.d).swapaxes(0, 1)
+    def _feature(self, term, scope: tuple) -> np.ndarray:
+        g, frame = scope[0]
+        ids = frame[term.var]
+        # one node (the lone root of every dense row) reads a view, not a copy
+        return g.feats[ids[0]:ids[0] + 1] if len(ids) == 1 else g.feats[ids]
+
+    def _rw(self, term, scope: tuple, shape: tuple) -> np.ndarray:
+        g, frame = scope[0]
+        vec = walk_returns(g.indptr, g.indices, frame[term.var], term.kmax)
+        return np.broadcast_to(fit_width(vec, self.d)[:, None], shape)
+
+    def _local(self, term, scope: tuple, shape: tuple,
+               path: tuple) -> np.ndarray:
+        (g, frame), depth, chunks = scope
+        return local_aggregate(
+            term, frame, np.empty(shape), g.indptr, g.indices,
+            lambda t, child, sh, p: self._eval(
+                t, ((g, child), depth + 1, chunks), sh, p),
+            self.registry, path, max(1, _BLOCK // (shape[1] * self.d)))
 
     def _global(self, term, scope: tuple, shape: tuple,
                 path: tuple) -> np.ndarray:
@@ -175,16 +286,98 @@ class McEngine(Interpreter):
             cached = self._cache[key] = self._collapsed(term, depth, path)
         return np.broadcast_to(cached, shape)
 
-    def run(self, sel: slice, tag, root) -> np.ndarray:
+    def _collapsed(self, term, depth: int, path: tuple) -> np.ndarray:
+        """One row per class, a chunk of classes at a time, on pools."""
+        m = self._m
+        u, codes, weights, _ = self._types(self._radius(term))
+        sizes = np.diff(u.starts)
+        # every pool is drawn before the first block: cached pools drawn in
+        # between transient blocks fragment the heap and raise peak RSS
+        pools = [self._pool(depth, code, size)
+                 for code, size in zip(codes, sizes)]
+        vals, etas = [], []
+        for a, b in cost_blocks(sizes * (m * self.d), _BLOCK):
+            g = _pick(u, np.arange(a, b))[0]._replace(feats=_stack(pools[a:b]))
+            args = (((g, {term.bound: g.starts[:-1]}), depth + 1, ()),
+                    (b - a, m, self.d), path)
+            vals.append(self._eval(term.value, *args))
+            etas.append(self._weight_arg(term, *args))
+        # rebinding frees the per-chunk blocks before the reduction
+        vals, etas = _mixture(vals, 1, m), _mixture(etas, 1, m)
+        return wmean_reduce(vals, etas, term.weight_map, self.registry, None,
+                            _spread(weights, m), path=path)[0, 0]
+
+    def _nested(self, term, scope: tuple, shape: tuple,
+                path: tuple) -> np.ndarray:
+        """Per chunk of outer samples and rows, every class's fresh
+        component joins the rows' components, bindings repeated per class."""
+        (g, frame), depth, chunks = scope
+        d = self.d
+        u, codes, weights, _ = self._types(self._radius(term))
+        sizes = np.diff(u.starts)
+        # outside nested chunks an aggregate has 1 or P outer samples; inside
+        # one, P * inner_mc or more
+        inner = self.inner_mc if chunks else max(self.inner_mc,
+                                                 self._m // shape[1])
+        mass = _spread(weights, inner)
+        out, step = np.empty(shape), max(1, _BLOCK // inner)
+        for lo in range(0, shape[1], step):
+            hi = min(shape[1], lo + step)
+            slots = (hi - lo) * inner
+            cost = slots * d  # elements per node or row
+            per_row = np.full(shape[0], len(codes) * cost)
+            for r0, r1 in cost_blocks(per_row, _BLOCK):
+                n = r1 - r0
+                nodes = np.concatenate([arr[r0:r1] for arr in frame.values()])
+                part, keep = _pick(g, np.unique(
+                    np.searchsorted(g.starts, nodes, side="right") - 1))
+                k = len(keep)
+                outer = g.feats[keep, lo:hi, None]
+                bound = {v: np.searchsorted(keep, arr[r0:r1])
+                         for v, arr in frame.items()}
+                vals, etas = [], []
+                for a, b in cost_blocks((sizes + n) * cost, _BLOCK):
+                    comp = _pick(u, np.arange(a, b))[0]
+                    roots = k + comp.starts[:-1]
+                    feats = np.empty((roots[-1] + sizes[b - 1], slots, d))
+                    # an outer sample's features repeat over its inner draws
+                    feats[:k].reshape(k, hi - lo, inner, d)[...] = outer
+                    for c, at in zip(range(a, b), roots):
+                        feats[at:at + sizes[c]] = self._draws(
+                            sizes[c], slots, "inner", depth, self._tag,
+                            *self._key(codes[c]), *chunks, lo)
+                    sub = {v: np.tile(arr, b - a) for v, arr in bound.items()}
+                    sub[term.bound] = np.repeat(roots, n)
+                    args = (((_join(part, comp, feats), sub), depth + 1,
+                             chunks + (lo,)), ((b - a) * n, slots, d), path)
+                    vals.append(self._eval(term.value, *args))
+                    etas.append(self._weight_arg(term, *args))
+                vals, etas = _mixture(vals, n, inner), _mixture(etas, n, inner)
+                out[r0:r1, lo:hi] = wmean_reduce(
+                    vals, etas, term.weight_map, self.registry, None, mass,
+                    path=path)
+        return out
+
+    def run(self, sel: slice, tag, top: tuple) -> np.ndarray:
         """One pass of the recursion on the draws sel, tagged for reruns."""
         self._sel = sel
+        self._m = len(range(self.mc)[sel])
         self._tag = tag
         self._cache = {}
-        return self._top(root)[0].copy()
+        return self._eval(self.term, (top, 0, ()), (1, 1, self.d),
+                          ())[0, 0].copy()
 
-    def estimate(self, root=None) -> ControllerValue:
-        full = self.run(slice(None), "full", root)
-        blocks = [self.run(sl, i, root)
+    def estimate(self, env: Optional[Dict[str, np.ndarray]] = None
+                 ) -> ControllerValue:
+        """The estimate with error bars. env gives each free variable's
+        (d,) feature vector, held by a one-node component of its own."""
+        env = env or {}
+        feats = np.array(list(env.values()), dtype=np.float64)
+        top = (_layout([((),)] * len(env))._replace(
+            feats=feats.reshape(len(env), 1, self.d)),
+            {v: np.array([i]) for i, v in enumerate(env)})
+        full = self.run(slice(None), "full", top)
+        blocks = [self.run(sl, i, top)
                   for i, sl in enumerate(block_slices(self.mc))]
         return ControllerValue(estimate=full,
                                stderr=batch_stderr(np.stack(blocks)),

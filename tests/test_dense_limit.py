@@ -209,3 +209,27 @@ def test_sbm_with_an_empty_block_rejected():
 def test_tiny_mc_rejected():
     with pytest.raises(ConfigError):
         dense_controller(t("mean[v](H(v))"), ER01, Uniform01(1), 1, 15)
+
+
+def test_open_term_top_aggregate_averages_every_draw():
+    # the top-level aggregate reads the free variable, so its one outer
+    # sample gets all 30000 draws of the run, not inner_mc of them:
+    # stderr sqrt(1/12 / 30000) for a mean of uniform draws
+    ctrl = dense_controller(t("mean[y](add(H(x), H(y)))"), ER01,
+                            Uniform01(1), 30000, 11)
+    v = ctrl({"x": np.array([0.2])})
+    err = float(v.stderr[0])
+    assert abs(err / math.sqrt(1.0 / 12.0 / 30000) - 1.0) < 0.3
+    assert abs(float(v.estimate[0]) - 0.7) <= 4 * err
+
+
+def test_neighbourhood_aggregate_takes_the_global_path():
+    # in the dense limit a neighbor is a fresh draw, as a globally bound
+    # node is, so the two terms share every draw and every number
+    local = dense_controller(t("mean[x](wmean[y in N(x)](H(y), exp, H(x)))"),
+                             ER01, Uniform01(1), 2000, 18)
+    glob = dense_controller(t("mean[x](wmean[y](H(y), exp, H(x)))"), ER01,
+                            Uniform01(1), 2000, 18)
+    assert np.array_equal(local.estimate, glob.estimate)
+    assert np.array_equal(local.stderr, glob.stderr)
+    assert local.truncated_mass is None and glob.truncated_mass is None

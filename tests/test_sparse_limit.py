@@ -1,5 +1,6 @@
 """Sparse-model limits against Poisson facts and large-graph evaluation."""
 
+import importlib
 import math
 
 import numpy as np
@@ -211,10 +212,19 @@ COUNT_CALLS = {
     "census size_cap": lambda: sparse_limit(
         t(ISO), K1, Uniform01(1),
         CensusConfig(n=500, node_samples=200, size_cap=3.5), 100, 1),
+    # a term that reads no structure draws no census; its CensusConfig
+    # still refuses counts that are not integers
+    "census n, radius 0": lambda: sparse_limit(
+        t("mean[v](H(v))"), K1, Uniform01(1),
+        CensusConfig(n=500.5, node_samples=200), 100, 1),
+    "census node_samples, radius 0": lambda: sparse_limit(
+        t("mean[v](H(v))"), K1, Uniform01(1),
+        CensusConfig(n=500, node_samples=200.5), 100, 1),
+    "census size_cap, radius 0": lambda: sparse_limit(
+        t("mean[v](H(v))"), K1, Uniform01(1),
+        CensusConfig(n=500, node_samples=200, size_cap=3.5), 100, 1),
     "census radius": lambda: neighborhood_census(K1, 500, 1.5, 1, 200, 1),
     "census k": lambda: neighborhood_census(K1, 500, 1, 1.5, 200, 1),
-    "census graphs": lambda: neighborhood_census(K1, 500, 1, 1, 200, 1,
-                                                 graphs=2.5),
 }
 
 
@@ -222,3 +232,26 @@ COUNT_CALLS = {
 def test_count_arguments_are_config_errors(name):
     with pytest.raises(ConfigError, match="integer"):
         COUNT_CALLS[name]()
+
+
+def test_radius_zero_is_exact_without_a_census(monkeypatch):
+    # a radius-0 ball is the lone root on every sparse model, as a sampled
+    # census confirms, so a term that reads no structure draws no census
+    # the package re-exports the function sparse_limit under the module's name
+    sl = importlib.import_module("aggterm.sparse_limit")
+    lone = bytes.fromhex("524e31010001")
+    for model in (K1, BaModel(3)):
+        table = neighborhood_census(model, 1000, 0, 1, 600, 5)
+        assert table.proportions == {lone: 1.0}
+        assert table.truncated_mass == 0.0
+
+    def no_census(*args, **kwargs):
+        raise AssertionError("a radius-0 term sampled a census")
+
+    monkeypatch.setattr(sl, "neighborhood_census", no_census)
+    engine = _SparseEngine(t("mean[u](wmean[v](H(v), exp, H(u)))"), REG,
+                           Uniform01(1), K1, CENSUS, 200, 3, 0.05, 8)
+    value = engine.estimate()
+    [(_, codes, weights, dropped)] = engine._kept.values()
+    assert codes == (lone,) and weights.tolist() == [1.0] and dropped == 0.0
+    assert value.truncated_mass == 0.0
