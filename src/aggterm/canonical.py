@@ -5,14 +5,22 @@ isomorphism between them that maps the i-th root to the i-th root. Codes are
 self-describing (root count, node count, full adjacency bitset under the
 canonical labeling), so they can be decoded back into a graph.
 
-Rooted forests (every component a tree holding a root) take the AHU
-subtree encoding, computed for a whole batch of balls at once with NumPy
-sorts (forest_codes); canonical_code runs it on a batch of one. Everything
-else runs individualization plus color refinement with pruning by
-discovered automorphisms, which keeps highly symmetric inputs (stars,
-cliques) from blowing up the search. The header stores the root count in
-one byte and the node count in two, so codes hold at most MAX_ROOTS roots
-and MAX_SIZE_CAP nodes.
+Every code comes from one batch path, ball_codes; canonical_code and
+canonical_labeling run it on a batch of one, and the census on all balls
+of a sampled graph. Rooted forests (every component a tree holding a
+root) take the AHU subtree encoding, computed level by level with NumPy
+sorts. Balls with a cycle go through one NumPy twin reduction and one
+NumPy color refinement for the whole batch, which assigns ids in
+_refine's signature order. A ball whose quotient coloring is then
+discrete is labeled by it, and one that a single batched
+individualization settles takes the child with the smallest code, as the
+search would. Only the rest run individualization plus color refinement
+(_Search) on their reduced quotient, with pruning by discovered
+automorphisms, which keeps highly symmetric inputs from blowing up the
+search. Codes are canonical, so they do not depend on how a batch
+numbers a ball's nodes. The header stores the root count in one byte
+and the node count in two, so codes hold at most MAX_ROOTS roots and
+MAX_SIZE_CAP nodes.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NeighborhoodTooLargeError
-from .graphs import RootedGraph, flat_ranges
+from .graphs import RootedGraph, flat_ranges, run_starts
 
 DEFAULT_SIZE_CAP = 64
 MAX_ROOTS = 255  # the code header holds the root count in one byte
@@ -176,66 +184,6 @@ class _Search:
 
 
 # ---------------------------------------------------------------------------
-# twin reduction
-# ---------------------------------------------------------------------------
-
-
-def _twin_reduce(adj_mask, colors):
-    """Collapse classes of same-colored vertices with identical neighborhoods.
-
-    Vertices sharing an open neighborhood (false twins, necessarily
-    non-adjacent) or a closed neighborhood (true twins, pairwise adjacent)
-    are interchangeable by automorphisms, so the search only needs one
-    representative; class size and twin kind fold into the quotient color.
-    Rounds alternate the two kinds until nothing merges. Returns
-    (classes, masks, colors) for the quotient, where classes[i] lists the
-    original vertices behind quotient vertex i.
-    """
-    classes = [[v] for v in range(len(adj_mask))]
-    cur_mask = list(adj_mask)
-    cur_colors = list(colors)
-    changed = True
-    while changed and len(classes) > 1:
-        changed = False
-        for closed in (False, True):
-            m = len(classes)
-            groups = {}
-            for i in range(m):
-                key = (cur_colors[i], cur_mask[i] | ((1 << i) if closed else 0))
-                groups.setdefault(key, []).append(i)
-            if all(len(g) == 1 for g in groups.values()):
-                continue
-            changed = True
-            drop = set()
-            for g in groups.values():
-                rep = g[0]
-                for other in g[1:]:
-                    drop.add(other)
-                    # concatenate, never sort: merged classes are blocks of
-                    # equal size whose members are only interchangeable while
-                    # each block stays contiguous in the final ordering
-                    classes[rep] = classes[rep] + classes[other]
-            keep = [i for i in range(m) if i not in drop]
-            remap = {old: new for new, old in enumerate(keep)}
-            new_mask = []
-            for i in keep:
-                mask = 0
-                row = cur_mask[i]
-                for j in keep:
-                    if j != i and (row >> j) & 1:
-                        mask |= 1 << remap[j]
-                new_mask.append(mask)
-            new_classes = [classes[i] for i in keep]
-            keys = [(cur_colors[i], len(new_classes[pos]), closed)
-                    for pos, i in enumerate(keep)]
-            order = {key: pos for pos, key in enumerate(sorted(set(keys)))}
-            cur_colors = [order[key] for key in keys]
-            cur_mask = new_mask
-            classes = new_classes
-    return classes, cur_mask, cur_colors
-
-
-# ---------------------------------------------------------------------------
 # rooted forests, many balls at once
 # ---------------------------------------------------------------------------
 
@@ -244,15 +192,13 @@ def _offsets(groups: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Exclusive running sums of x, restarted wherever the sorted groups
     array changes value."""
     run = np.cumsum(x) - x
-    if not len(x):
-        return run
-    first = np.flatnonzero(np.r_[True, groups[1:] != groups[:-1]])
+    first = np.flatnonzero(run_starts(groups))
     return run - np.repeat(run[first], np.diff(np.r_[first, len(x)]))
 
 
 def _forest_positions(sizes, roots, src, dst):
     """Canonical positions in a batch of rooted balls laid out as for
-    forest_codes, and which of the balls are forests.
+    ball_codes, and which of the balls are forests.
 
     Returns (forest, pos): forest[b] says whether ball b is a forest with
     a root in every component, and for those balls pos[v] is node v's
@@ -286,10 +232,13 @@ def _forest_positions(sizes, roots, src, dst):
             near = dst[flat_ranges(arc0[front], deg[front])]
             via = np.repeat(front, deg[front])
             fresh = depth[near] < 0
+            by = np.argsort(near[fresh])
+            near, via = near[fresh][by], via[fresh][by]
             # a node reached twice in one level closes a cycle; keep one
-            front, pick = np.unique(near[fresh], return_index=True)
+            first = run_starts(near)
+            front = near[first]
             depth[front] = level
-            parent[front] = via[fresh][pick]
+            parent[front] = via[first]
     comps = np.bincount(ball[depth == 0], minlength=nballs)
     reached = np.bincount(ball[depth >= 0], minlength=nballs)
     edges = np.bincount(ball[src], minlength=nballs) // 2
@@ -336,38 +285,299 @@ def _forest_positions(sizes, roots, src, dst):
     return forest, np.where(mark >= 0, mark, start)
 
 
-def forest_codes(sizes, roots, src, dst) -> list:
-    """Canonical codes of a batch of rooted balls: bytes for each ball that
-    is a forest with a root in every component, None for the others.
+# ---------------------------------------------------------------------------
+# balls with cycles, many at once
+# ---------------------------------------------------------------------------
 
-    Ball b owns the next sizes[b] nodes of one global numbering, roots[b]
-    lists its roots (global ids) in order, and (src, dst) holds every arc
-    in both directions, sorted by src. A forest ball's code equals
-    canonical_code's for the same rooted graph.
+
+def _list_ranks(head, owner, vals):
+    """Dense ranks of the items' (head[i], list i) pairs in the order
+    Python sorts (head, tuple) pairs, and the items in that order.
+
+    List i holds vals[owner == i]; owner is sorted, and vals are >= 0 and
+    ascend within each item. Lists are read `per` entries at a time as one
+    int64 word, entry + 1 in each bit field and 0 past the end, so a
+    prefix sorts first. One sort groups equal (head, first word) pairs;
+    only runs that still tie and still hold entries read the next word,
+    so a long list costs nothing unless it ties.
     """
+    n = len(head)
+    deg = np.bincount(owner, minlength=n)
+    first = np.cumsum(deg) - deg
+    place = np.arange(len(vals)) - first[owner]
+    bits = int(vals.max(initial=0) + 1).bit_length()
+    per = 63 // bits
+    filled = deg > 0
+
+    def word(s):
+        field = place - s * per
+        inside = (field >= 0) & (field < per)
+        part = np.where(inside, (vals + 1) << (bits * (per - 1 - field)
+                                               * inside), 0)
+        out = np.zeros(n, dtype=np.int64)
+        if len(vals):
+            out[filled] = np.bitwise_or.reduceat(part, first[filled])
+        return out
+
+    w = word(0)
+    order = np.argsort(w)
+    order = order[np.argsort(head[order], kind="stable")]
+    cut = np.r_[True, (np.diff(head[order]) != 0) | (np.diff(w[order]) != 0)]
+    for s in range(1, int(deg.max(initial=0) + per - 1) // per):
+        run = np.cumsum(cut) - 1
+        deep = np.zeros(run[-1] + 1, dtype=bool)
+        deep[run[deg[order] > s * per]] = True
+        at = np.flatnonzero(deep[run] & (np.bincount(run)[run] > 1))
+        if not len(at):
+            break
+        items = order[at]
+        w = word(s)[items]
+        by = np.lexsort((w, run[at]))
+        order[at] = items[by]
+        cut[at[1:]] |= np.diff(w[by]) != 0
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.cumsum(cut) - 1
+    return rank, order
+
+
+def _per_ball(rank, ball):
+    """Global dense ranks whose order puts ball first (ball sorted) as
+    dense ranks within each ball."""
+    starts = np.flatnonzero(run_starts(ball))
+    return rank - np.repeat(np.minimum.reduceat(rank, starts),
+                            np.diff(np.r_[starts, len(ball)]))
+
+
+def _sorted_lists(owner, vals, width):
+    """(owner, vals) arcs as lists: sorted by owner, vals ascending."""
+    key = np.sort(owner * width + vals)
+    return key // width, key % width
+
+
+def _twin_quotient(ball, color, src, dst, width):
+    """Collapse same-colored vertices with identical neighborhoods, in all
+    balls at once.
+
+    Vertices sharing an open neighborhood (false twins, non-adjacent) or
+    a closed one (true twins, pairwise adjacent) are interchangeable by
+    automorphisms, so the search only needs one representative of each
+    class. Rounds alternate open and closed until two in a row merge
+    nothing; after a round that merges, every ball's quotient is
+    recolored by rank of (color, class size), which changes nothing in a
+    ball that did not merge, so equal colors mean equally built classes.
+    Returns the quotient (ball, color, size, arcs) and, per original
+    vertex, its class and its offset in the class: a merged group's
+    classes take consecutive blocks, so a class's internal edges depend
+    only on its color.
+    """
+    cls = np.arange(len(ball))
+    off = np.zeros(len(ball), dtype=np.int64)
+    size = np.ones(len(ball), dtype=np.int64)
+    quiet, closed = 0, False
+    while quiet < 2:
+        nq = len(ball)
+        local = np.arange(nq) - np.searchsorted(ball, ball)
+        owner, near = src, local[dst]
+        if closed:
+            owner, near = np.r_[owner, np.arange(nq)], np.r_[near, local]
+        grp, order = _list_ranks(ball * width + color,
+                                 *_sorted_lists(owner, near, width))
+        closed = not closed
+        ngrp = int(grp.max(initial=-1)) + 1
+        if ngrp == nq:
+            quiet += 1
+            continue
+        quiet = 0
+        member = np.empty(nq, dtype=np.int64)
+        member[order] = _offsets(grp[order], np.ones(nq, dtype=np.int64))
+        off += member[cls] * size[cls]
+        cls = grp[cls]
+        lead = order[run_starts(grp[order])]
+        size = np.bincount(grp, weights=size, minlength=ngrp).astype(np.int64)
+        ball, color = ball[lead], color[lead]
+        key = (ball * width + color) * width + size
+        by = np.argsort(key)
+        rank = np.empty(ngrp, dtype=np.int64)
+        rank[by] = np.cumsum(run_starts(key[by])) - 1
+        color = _per_ball(rank, ball)
+        arcs = grp[src] * ngrp + grp[dst]
+        arcs = np.sort(arcs[grp[src] != grp[dst]])
+        arcs = arcs[run_starts(arcs)]
+        src, dst = arcs // ngrp, arcs % ngrp
+    return ball, color, size, src, dst, cls, off
+
+
+def _refine_batch(ball, color, src, dst, width):
+    """Equitable refinement of every ball, ids within each ball assigned
+    in _refine's order: by (color, sorted neighbor colors) as Python
+    tuples. A ball whose partition stops splitting keeps its ids from
+    then on, so each round refines only the balls the last one split."""
+    color = color.copy()
+    live = np.ones(int(ball[-1]) + 1, dtype=bool)
+    index = np.empty(len(ball), dtype=np.int64)
+    while True:
+        nodes = np.flatnonzero(live[ball])
+        if not len(nodes):
+            return color
+        index[nodes] = np.arange(len(nodes))
+        arcs = live[ball[src]]
+        part = ball[nodes]
+        new = _per_ball(_list_ranks(
+            part * width + color[nodes],
+            *_sorted_lists(index[src[arcs]], color[dst[arcs]], width))[0],
+            part)
+        live[:] = False
+        live[part[new != color[nodes]]] = True
+        color[nodes] = new
+
+
+def _first_branch(ball, color, src, dst, width, first, tied):
+    """Labels of the tied balls that one individualization settles.
+
+    In every tied ball, each vertex of the first cell holding two or more
+    vertices is individualized in turn, as _Search's root does, and all
+    these children are refined in one batch. Where every child of a ball
+    comes out discrete, _Search would return the child with the smallest
+    quotient code: the children it prunes repeat the codes of children it
+    keeps. Returns those balls and, for each of their quotient vertices,
+    its position.
+    """
+    nq = np.diff(first)
+    is_tied = np.zeros(len(nq), dtype=bool)
+    is_tied[tied] = True
+    key = ball * width + color
+    held = np.sort(key[is_tied[ball]])
+    twice = held[1:][held[1:] == held[:-1]]
+    cells = twice[run_starts(twice // width)]
+    pick = np.flatnonzero(np.isin(key, cells))
+    parent = ball[pick]
+    # each child is a copy of its ball's quotient, pick[c] individualized
+    size = nq[parent]
+    base = np.cumsum(size) - size
+    vert = flat_ranges(first[parent], size)
+    child = np.repeat(np.arange(len(pick)), size)
+    shade = color[vert]
+    shade = shade + ((shade >= color[pick][child]) & (vert != pick[child]))
+    rows = np.searchsorted(src, first)
+    arcs = rows[parent + 1] - rows[parent]
+    arc = flat_ranges(rows[parent], arcs)
+    shift = np.repeat(base - first[parent], arcs)
+    csrc, cdst = src[arc] + shift, dst[arc] + shift
+    shade = _refine_batch(child, shade, csrc, cdst, width)
+    discrete = np.maximum.reduceat(shade, base) + 1 == size
+    settled = np.flatnonzero(is_tied & (np.bincount(
+        parent, weights=~discrete, minlength=len(nq)) == 0))
+    i, j = shade[csrc], shade[cdst]
+    bodies = _edge_bits(size, child[csrc][i < j], i[i < j], j[i < j])
+    lo = np.searchsorted(parent, settled)
+    hi = np.searchsorted(parent, settled, side="right")
+    best = np.array([min(range(a, b), key=bodies.__getitem__)
+                     for a, b in zip(lo.tolist(), hi.tolist())], dtype=np.int64)
+    at = flat_ranges(base[best], size[best])
+    return settled, vert[at], shade[at]
+
+
+def _cyclic_positions(sizes, roots, src, dst):
+    """Canonical position of every node in a batch of rooted balls of any
+    shape, laid out as for ball_codes.
+
+    One twin reduction and one color refinement run over all balls. A
+    ball whose quotient coloring is then discrete is labeled by it; so is
+    one that a single batched individualization settles (_first_branch).
+    The others go one at a time to the refinement search on their
+    quotient. Quotient vertices then take consecutive blocks of positions,
+    in label order.
+    """
+    nballs, k = roots.shape
+    ball = np.repeat(np.arange(nballs), sizes)
+    color = np.full(len(ball), k, dtype=np.int64)
+    color[roots.ravel()] = np.tile(np.arange(k), nballs)
+    width = int(sizes.max()) + 1
+    qball, qcolor, qsize, qsrc, qdst, cls, off = _twin_quotient(
+        ball, color, src, dst, width)
+    qcolor = _refine_batch(qball, qcolor, qsrc, qdst, width)
+    first = np.searchsorted(qball, np.arange(nballs + 1))
+    tied = np.flatnonzero(
+        np.maximum.reduceat(qcolor, first[:-1]) + 1 < np.diff(first))
+    if len(tied):
+        settled, vert, label = _first_branch(qball, qcolor, qsrc, qdst,
+                                             width, first, tied)
+        qcolor[vert] = label
+        tied = tied[~np.isin(tied, settled)]
+    if len(tied):
+        rows = np.searchsorted(qsrc, np.arange(len(qball) + 1)).tolist()
+        near = (qdst - first[qball[qdst]]).tolist()
+        old_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(old_limit, 4 * width + 100))
+        try:
+            for b in tied.tolist():
+                lo, hi = int(first[b]), int(first[b + 1])
+                adj = [near[rows[q]:rows[q + 1]] for q in range(lo, hi)]
+                label = _Search(adj).run(qcolor[lo:hi].tolist())
+                qcolor[lo + np.array(label)] = np.arange(hi - lo)
+        finally:
+            sys.setrecursionlimit(old_limit)
+    order = np.lexsort((qcolor, qball))
+    start = np.empty(len(qball), dtype=np.int64)
+    start[order] = _offsets(qball[order], qsize[order])
+    return start[cls] + off
+
+
+def _positions(sizes, roots, src, dst):
+    """Canonical position of every node within its ball, for a batch laid
+    out as for ball_codes: forests by their AHU codes, the other balls by
+    twin reduction, refinement and, where that leaves ties, search."""
     sizes = np.asarray(sizes, dtype=np.int64)
     roots = np.asarray(roots, dtype=np.int64).reshape(len(sizes), -1)
     forest, pos = _forest_positions(sizes, roots, src, dst)
-    ball = np.repeat(np.arange(len(sizes)), sizes)[src]
-    i, j = pos[src], pos[dst]
-    keep = (i < j) & forest[ball]
-    i, j, ball = i[keep], j[keep], ball[keep]
+    if forest.all():
+        return pos
+    cyclic = ~forest
+    ball = np.repeat(np.arange(len(sizes)), sizes)
+    nodes = np.flatnonzero(cyclic[ball])
+    local = np.full(len(ball), -1, dtype=np.int64)
+    local[nodes] = np.arange(len(nodes))
+    arcs = cyclic[ball[src]]
+    pos[nodes] = _cyclic_positions(sizes[cyclic], local[roots[cyclic]],
+                                   local[src[arcs]], local[dst[arcs]])
+    return pos
+
+
+def _edge_bits(sizes, ball, i, j) -> list:
+    """Code bodies of a batch of graphs: for graph b, the upper-triangle
+    adjacency bits, pair (i, j), i < j, at bit i*n - i*(i+1)/2 + j - i - 1
+    of a row-major, little-endian bit string (as _edge_bytes writes them),
+    given every edge (ball[e], i[e], j[e]) with i < j."""
     n = sizes[ball]
     nbytes = (sizes * (sizes - 1) // 2 + 7) // 8
     byte0 = np.cumsum(nbytes) - nbytes
-    # bit of pair (i, j), i < j, in the row-major upper triangle
     bits = np.zeros(8 * int(nbytes.sum()), dtype=bool)
     bits[8 * byte0[ball] + i * n - i * (i + 1) // 2 + j - i - 1] = True
     body = np.packbits(bits, bitorder="little").tobytes()
-    sizes = sizes.tolist()
-    head = {size: _header(roots.shape[1], size) for size in set(sizes)}
-    return [head[size] + body[lo:lo + nb] if ok else None
-            for ok, size, lo, nb in zip(forest.tolist(), sizes,
-                                        byte0.tolist(), nbytes.tolist())]
+    return [body[lo:lo + nb] for lo, nb in zip(byte0.tolist(), nbytes.tolist())]
+
+
+def ball_codes(sizes, roots, src, dst) -> list:
+    """Canonical codes (bytes) of a batch of rooted balls.
+
+    Ball b owns the next sizes[b] nodes of one global numbering, roots[b]
+    lists its roots (global ids) in order, and (src, dst) holds every arc
+    in both directions, sorted by src. Each code equals canonical_code's
+    for the same rooted graph; the node numbering inside a ball does not
+    change it.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    roots = np.asarray(roots, dtype=np.int64).reshape(len(sizes), -1)
+    pos = _positions(sizes, roots, src, dst)
+    ball = np.repeat(np.arange(len(sizes)), sizes)[src]
+    i, j = pos[src], pos[dst]
+    bodies = _edge_bits(sizes, ball[i < j], i[i < j], j[i < j])
+    head = {size: _header(roots.shape[1], size) for size in set(sizes.tolist())}
+    return [head[size] + body for size, body in zip(sizes.tolist(), bodies)]
 
 
 def _as_batch(rg: RootedGraph):
-    """rg as a batch of one ball for forest_codes / _forest_positions."""
+    """rg as a batch of one ball for ball_codes / _positions."""
     deg = [len(row) for row in rg.adj]
     src = np.repeat(np.arange(rg.n), deg)
     dst = np.fromiter((w for row in rg.adj for w in row), dtype=np.int64,
@@ -396,39 +606,6 @@ def _check(rg: RootedGraph, size_cap: int) -> None:
         raise ConfigError("roots must be distinct")
 
 
-def _may_be_forest(rg: RootedGraph) -> bool:
-    # a forest on n >= 1 nodes has at most n - 1 edges; the empty graph
-    # is a forest too
-    return rg.num_edges() < max(rg.n, 1)
-
-
-def _search_labeling(rg: RootedGraph) -> list[int]:
-    k = rg.k
-    colors = [k] * rg.n
-    for i, r in enumerate(rg.roots):
-        colors[r] = i
-    adj_mask = [0] * rg.n
-    for v, row in enumerate(rg.adj):
-        for w in row:
-            adj_mask[v] |= 1 << w
-    classes, q_mask, q_colors = _twin_reduce(adj_mask, colors)
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * rg.n + 100))
-    try:
-        if len(classes) < rg.n:
-            q_adj = [[j for j in range(len(classes)) if (q_mask[i] >> j) & 1]
-                     for i in range(len(classes))]
-            q_lab = _Search(q_adj).run(q_colors)
-            labeling = []
-            for pos in range(len(classes)):
-                labeling.extend(classes[q_lab[pos]])
-            return labeling
-        adj = [list(row) for row in rg.adj]
-        return _Search(adj).run(colors)
-    finally:
-        sys.setrecursionlimit(old_limit)
-
-
 def _header(k: int, n: int) -> bytes:
     return _MAGIC + bytes([k]) + n.to_bytes(2, "big")
 
@@ -436,22 +613,15 @@ def _header(k: int, n: int) -> bytes:
 def canonical_labeling(rg: RootedGraph, size_cap: int = DEFAULT_SIZE_CAP) -> list[int]:
     """Position -> vertex map; the i-th root always lands at position i."""
     _check(rg, size_cap)
-    if _may_be_forest(rg):
-        forest, pos = _forest_positions(*_as_batch(rg))
-        if forest[0]:
-            return np.argsort(pos).tolist()
-    return _search_labeling(rg)
+    return np.argsort(_positions(*_as_batch(rg))).tolist()
 
 
 def canonical_code(rg: RootedGraph, size_cap: int = DEFAULT_SIZE_CAP) -> RootedNeighborhoodCode:
     """Canonical byte string for the rooted-isomorphism class of rg."""
     check_code_limits(rg.k, size_cap)
     _check(rg, size_cap)
-    code = forest_codes(*_as_batch(rg))[0] if _may_be_forest(rg) else None
-    if code is None:
-        body = _edge_bytes(rg.adj, _search_labeling(rg))
-        code = _header(rg.k, rg.n) + body
-    return RootedNeighborhoodCode(code=code, k=rg.k, radius=rg.radius)
+    return RootedNeighborhoodCode(code=ball_codes(*_as_batch(rg))[0], k=rg.k,
+                                  radius=rg.radius)
 
 
 def decode_code(code: bytes) -> RootedGraph:

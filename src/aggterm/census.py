@@ -10,12 +10,13 @@ a table's proportions can sum to less than one; the gap is reported as
 truncated mass.
 
 Each sampled graph is one batch: a NumPy BFS grows every root tuple's ball
-at once, and the balls that are forests (nearly all of them on sparse ER)
-get their codes from canonical.forest_codes without a per-ball Python
-loop. Balls with a cycle, most of them on preferential attachment, go one
-at a time to canonical_code. The tallies equal those of the per-root path,
-rooted_neighborhood plus canonical_code for each tuple, which stays public
-as the reference.
+at once, and canonical.ball_codes codes all balls that fit without a
+per-ball Python loop. Forests (nearly all balls on sparse ER) take AHU
+codes; balls with a cycle, most of them on preferential attachment, take
+one batched twin reduction and color refinement, and only balls left
+with ties after one batched individualization reach the Python search.
+The tallies equal those of the per-root path, rooted_neighborhood plus
+canonical_code for each tuple, which stays public as the reference.
 
 Models with growing degrees are rejected outright: their balls swallow the
 whole graph and no finite table approximates anything.
@@ -29,12 +30,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .canonical import (DEFAULT_SIZE_CAP, canonical_code, check_code_limits,
-                        decode_code, forest_codes)
+from .canonical import (DEFAULT_SIZE_CAP, ball_codes, canonical_code,
+                        check_code_limits, decode_code)
 from .errors import ConfigError, as_int
 from .graphs import (BaModel, ErModel, RootedGraph, RootSchedule,
                      SparseSchedule, flat_ranges, rooted_neighborhood,
-                     sample_graph)
+                     run_starts, sample_graph)
 from .rng import stream
 
 __all__ = ["CensusTable", "neighborhood_census", "is_sparse_class",
@@ -156,15 +157,17 @@ def _ball_codes(g, tuples: np.ndarray, radius: int,
     where the ball has more than size_cap nodes.
 
     All balls grow together, one BFS layer at a time, as sorted int64 keys
-    ball * n + node; a ball stops growing once it is over the cap. Forest
-    balls are coded in one batch (canonical.forest_codes). A ball with a
-    cycle goes to canonical_code, numbered as rooted_neighborhood numbers
-    it: roots in order, then the rest by (distance, node).
+    ball * n + node; a ball stops growing once it is over the cap. The
+    balls that fit are coded in one batch (canonical.ball_codes): forests
+    by AHU codes, the others by one batched twin reduction and color
+    refinement, with the refinement search left for the balls that stay
+    tied. Codes are canonical, so each ball keeps the graph's node order
+    and the codes equal canonical_code's on rooted_neighborhood, whose
+    numbering differs, byte for byte.
     """
     n, indptr, indices, deg = g.n, g.indptr, g.indices, g.degrees
     m, k = tuples.shape
     front = (np.arange(m)[:, None] * n + tuples).ravel()
-    layers = [front]
     seen = np.sort(front)
     size = np.full(m, k)
     over = np.zeros(m, dtype=bool)
@@ -174,24 +177,20 @@ def _ball_codes(g, tuples: np.ndarray, radius: int,
         over[(front // n)[deg[at] >= size_cap]] = True
         live = ~over[front // n]
         front, at = front[live], at[live]
-        near = np.unique(np.repeat(front - at, deg[at])
-                         + indices[flat_ranges(indptr[at], deg[at])])
+        near = np.sort(np.repeat(front - at, deg[at])
+                       + indices[flat_ranges(indptr[at], deg[at])])
+        near = near[run_starts(near)]
         front = near[~_find(seen, near)[1]]
         if not len(front):
             break
         seen = np.sort(np.concatenate([seen, front]))
         size += np.bincount(front // n, minlength=m)
         over |= size > size_cap
-        layers.append(front)
     fits = ~over
     codes: List[Optional[bytes]] = [None] * m
     if not fits.any():
         return codes
-    keys = np.concatenate(layers)
-    dist = np.repeat(np.arange(len(layers)), [len(x) for x in layers])
-    keep = fits[keys // n]
-    by = np.argsort(keys[keep])
-    keys, dist = keys[keep][by], dist[keep][by]
+    keys = seen[fits[seen // n]]
     # induced arcs, sorted by source. Each edge is looked up once, from its
     # endpoint that comes first by (degree, node), so a ball never scans
     # the whole row of a hub it holds.
@@ -205,38 +204,11 @@ def _ball_codes(g, tuples: np.ndarray, radius: int,
                                                  up[node])])
     u = np.repeat(np.arange(len(keys)), up[node])[hit]
     src, dst = np.r_[u, at[hit]], np.r_[at[hit], u]
-    by = np.argsort(src, kind="stable")
-    src, dst = src[by], dst[by]
+    by = np.argsort(src)
     balls = np.flatnonzero(fits)
-    sizes = size[balls]
     roots = np.searchsorted(keys, balls[:, None] * n + tuples[balls])
-    done = forest_codes(sizes, roots, src, dst)
-    cyclic = np.array([code is None for code in done], dtype=bool)
-    if cyclic.any():
-        ball = np.repeat(np.arange(len(balls)), sizes)
-        mark = np.full(len(keys), k)
-        mark[roots.ravel()] = np.tile(np.arange(k), len(balls))
-        # the cyclic balls' nodes in rooted_neighborhood's order
-        inner = np.flatnonzero(cyclic[ball])
-        inner = inner[np.lexsort((node[inner], dist[inner], mark[inner],
-                                  ball[inner]))]
-        count = sizes[cyclic]
-        local = np.empty(len(keys), dtype=np.int64)
-        local[inner] = np.arange(len(inner)) - np.repeat(np.cumsum(count)
-                                                         - count, count)
-        arcs = np.flatnonzero(cyclic[ball[src]])
-        u, w = src[arcs], dst[arcs]
-        w = local[w[np.lexsort((local[w], local[u], ball[u]))]].tolist()
-        rows = np.r_[0, np.cumsum(np.bincount(src, minlength=len(keys))[inner])
-                     ].tolist()
-        row0 = 0
-        for b, nodes in zip(np.flatnonzero(cyclic).tolist(), count.tolist()):
-            adj = tuple(tuple(w[rows[row0 + v]:rows[row0 + v + 1]])
-                        for v in range(nodes))
-            row0 += nodes
-            rg = RootedGraph(adj=adj, roots=tuple(range(k)), radius=radius)
-            done[b] = canonical_code(rg, size_cap=size_cap).code
-    for b, code in zip(balls.tolist(), done):
+    for b, code in zip(balls.tolist(),
+                       ball_codes(size[balls], roots, src[by], dst[by])):
         codes[b] = code
     return codes
 

@@ -306,6 +306,16 @@ def flat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(seg[-1]) + np.repeat(starts - seg[:-1], counts)
 
 
+def run_starts(x: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted 1-D array that differ from the one
+    before: the first of each run of equal values. x[run_starts(x)] is
+    np.unique(x) without NumPy 2's hashing pass, which costs about ten
+    times a sort on arrays of this package's sizes."""
+    first = np.ones(len(x), dtype=bool)
+    first[1:] = x[1:] != x[:-1]
+    return first
+
+
 def cost_blocks(cost: np.ndarray, cap: float):
     """Consecutive [lo, hi) ranges of items whose summed cost is about cap."""
     if len(cost) == 1:  # a lone item is one block, without the array passes
@@ -448,43 +458,86 @@ def gen_sbm(n: int, fractions: Sequence[float], p, seed: SeedLike) -> FeaturedGr
     return from_edges(n, *_bernoulli_rows(rng, runs), community=labels)
 
 
+def bounded_draws(rng: np.random.Generator, block: int):
+    """below(span) -> the int rng.integers(span) would return, call for
+    call, for 0 < span < 2**32, read from a raw 32-bit stream drawn in
+    blocks of `block` words.
+
+    NumPy turns one 32-bit word x into a pick below span by Lemire's rule
+    (arXiv:1805.10941): it keeps (x * span) >> 32 unless the low 32 bits
+    of x * span fall below 2**32 mod span, and then rejects x and reads
+    the next word. span = 1 reads no word and gives 0. Blocks of
+    rng.integers(0, 2**32, dtype=np.uint32) read the same words in the
+    same order, so the picks are identical; only the generator's state
+    after the last pick differs, because the rest of the last block is
+    spent. Spans of 2**32 and more take 64-bit words in NumPy, so callers
+    keep below them.
+    """
+
+    def picks():
+        words, at, pick, last = [], 0, None, None
+        while True:
+            span = yield pick
+            if span == 1:
+                pick = 0
+                continue
+            if span != last:
+                last, skip = span, (2**32 - span) % span
+            while True:
+                if at == len(words):
+                    words = rng.integers(0, 2**32, size=block,
+                                         dtype=np.uint32).tolist()
+                    at = 0
+                x = words[at] * span
+                at += 1
+                if x & 0xFFFFFFFF >= skip:
+                    break
+            pick = x >> 32
+
+    below = picks().send
+    below(None)
+    return below
+
+
 def gen_ba(n: int, m: int, seed: SeedLike) -> FeaturedGraph:
     """Preferential attachment starting from a complete graph on m nodes.
 
     Each arriving node connects to m distinct existing nodes, picked with
     probability proportional to degree; duplicate picks are rejected and
     redrawn. Total edge count is always C(m,2) + (n-m)*m.
+
+    Each pick is rng.integers(len(endpoints)), or rng.integers(t) at the
+    m = 1 start, whose lone node has degree 0. bounded_draws makes those
+    picks from a block-drawn word stream with NumPy's own rule, so the
+    graph is bit for bit the one a per-pick rng.integers loop draws. The
+    endpoint list stays below 2mn entries, hence the 2mn < 2**32 bound.
     """
     if m < 1:
         raise ConfigError("m must be >= 1")
     if n < m:
         raise ConfigError(f"n must be >= m, got n={n} m={m}")
+    if 2 * m * n >= 2**32:
+        raise ConfigError(f"BA graphs need 2mn < 2**32, got n={n} m={m}")
     rng = _as_rng(seed, "ba", n, m)
-    us, vs = [], []
-    # endpoint multiset; uniform draws from it are degree-proportional
-    endpoints: list[int] = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            us.append(a)
-            vs.append(b)
-            endpoints.append(a)
-            endpoints.append(b)
+    # one block nearly always suffices: redrawn duplicates and rejected
+    # words add under 1% to the (n - m) * m picks once n is in the thousands
+    below = bounded_draws(rng, (n - m) * m * 33 // 32 + 64)
+    # both ends of every edge in turn (u0, v0, u1, v1, ...); uniform draws
+    # from this multiset are degree-proportional
+    endpoints = [x for a in range(m) for b in range(a + 1, m) for x in (a, b)]
     for t in range(m, n):
+        span = len(endpoints)
         chosen: set[int] = set()
         while len(chosen) < m:
-            if endpoints:
-                v = endpoints[int(rng.integers(len(endpoints)))]
+            if span:
+                chosen.add(endpoints[below(span)])
             else:
                 # degenerate start (m=1): all degrees zero, attach uniformly
-                v = int(rng.integers(t))
-            if v not in chosen:
-                chosen.add(v)
+                chosen.add(below(t))
         for v in sorted(chosen):
-            us.append(v)
-            vs.append(t)
-            endpoints.append(v)
-            endpoints.append(t)
-    return from_edges(n, np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64))
+            endpoints += (v, t)
+    edges = np.array(endpoints, dtype=np.int64).reshape(-1, 2)
+    return from_edges(n, edges[:, 0], edges[:, 1])
 
 
 def sample_graph(model: GraphModel, n: int, seed: SeedLike) -> FeaturedGraph:

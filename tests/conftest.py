@@ -154,3 +154,138 @@ def tree_code(rg):
                 t = pair[(i, j)]
                 bits[t >> 3] |= 1 << (t & 7)
     return b"RN1" + bytes([k]) + n.to_bytes(2, "big") + bytes(bits)
+
+
+def twin_reduce(adj_mask, colors):
+    """Reference twin reduction of one graph given as neighbor bitmasks.
+
+    Vertices of one color sharing an open neighborhood (false twins) or a
+    closed one (true twins) merge into one quotient vertex; rounds
+    alternate the two kinds until nothing merges, and a round that merges
+    recolors the quotient by rank of (color, class size). Returns
+    (classes, masks, colors) for the quotient; classes[i] lists the
+    original vertices behind quotient vertex i, merged blocks kept
+    contiguous.
+    """
+    classes = [[v] for v in range(len(adj_mask))]
+    cur_mask = list(adj_mask)
+    cur_colors = list(colors)
+    changed = True
+    while changed and len(classes) > 1:
+        changed = False
+        for closed in (False, True):
+            m = len(classes)
+            groups = {}
+            for i in range(m):
+                key = (cur_colors[i], cur_mask[i] | ((1 << i) if closed else 0))
+                groups.setdefault(key, []).append(i)
+            if all(len(g) == 1 for g in groups.values()):
+                continue
+            changed = True
+            drop = set()
+            for g in groups.values():
+                rep = g[0]
+                for other in g[1:]:
+                    drop.add(other)
+                    classes[rep] = classes[rep] + classes[other]
+            keep = [i for i in range(m) if i not in drop]
+            remap = {old: new for new, old in enumerate(keep)}
+            new_mask = []
+            for i in keep:
+                mask = 0
+                row = cur_mask[i]
+                for j in keep:
+                    if j != i and (row >> j) & 1:
+                        mask |= 1 << remap[j]
+                new_mask.append(mask)
+            new_classes = [classes[i] for i in keep]
+            keys = [(cur_colors[i], len(new_classes[pos]), closed)
+                    for pos, i in enumerate(keep)]
+            order = {key: pos for pos, key in enumerate(sorted(set(keys)))}
+            cur_colors = [order[key] for key in keys]
+            cur_mask = new_mask
+            classes = new_classes
+    return classes, cur_mask, cur_colors
+
+
+def search_code(rg):
+    """Reference code of any rooted graph, one ball at a time in Python:
+    twin_reduce, then the refinement search on the quotient, then the
+    original graph's edge bits under the expanded labeling."""
+    import sys
+
+    from aggterm.canonical import _edge_bytes, _Search
+
+    k = rg.k
+    colors = [k] * rg.n
+    for i, r in enumerate(rg.roots):
+        colors[r] = i
+    adj_mask = [0] * rg.n
+    for v, row in enumerate(rg.adj):
+        for w in row:
+            adj_mask[v] |= 1 << w
+    classes, q_mask, q_colors = twin_reduce(adj_mask, colors)
+    q_adj = [[j for j in range(len(classes)) if (q_mask[i] >> j) & 1]
+             for i in range(len(classes))]
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, 4 * rg.n + 100))
+    try:
+        q_lab = _Search(q_adj).run(q_colors)
+    finally:
+        sys.setrecursionlimit(old_limit)
+    labeling = [v for pos in q_lab for v in classes[pos]]
+    body = _edge_bytes([list(row) for row in rg.adj], labeling)
+    return b"RN1" + bytes([k]) + rg.n.to_bytes(2, "big") + body
+
+
+def oracle_code(rg):
+    """The code canonical_code gave before codes were batched: tree_code
+    for rooted forests, search_code for everything else."""
+    code = tree_code(rg)
+    return search_code(rg) if code is None else code
+
+
+def as_batch(graphs):
+    """(sizes, roots, src, dst) laying rooted graphs out as one batch for
+    canonical.ball_codes; every graph needs the same root count."""
+    first = np.cumsum([0] + [rg.n for rg in graphs])
+    src = np.concatenate([np.repeat(np.arange(rg.n) + base,
+                                    [len(r) for r in rg.adj])
+                          for rg, base in zip(graphs, first)])
+    dst = np.concatenate([np.array([w for r in rg.adj for w in r],
+                                   dtype=np.int64) + base
+                          for rg, base in zip(graphs, first)])
+    roots = np.array([[r + base for r in rg.roots]
+                      for rg, base in zip(graphs, first)])
+    return [rg.n for rg in graphs], roots, src, dst
+
+
+def gen_ba_per_pick(n, m, seed):
+    """Reference preferential attachment: one rng.integers call per pick,
+    the sampler graphs.gen_ba must reproduce bit for bit."""
+    from aggterm.graphs import _as_rng
+
+    rng = _as_rng(seed, "ba", n, m)
+    us, vs = [], []
+    endpoints = []
+    for a in range(m):
+        for b in range(a + 1, m):
+            us.append(a)
+            vs.append(b)
+            endpoints.append(a)
+            endpoints.append(b)
+    for t in range(m, n):
+        chosen = set()
+        while len(chosen) < m:
+            if endpoints:
+                v = endpoints[int(rng.integers(len(endpoints)))]
+            else:
+                v = int(rng.integers(t))
+            chosen.add(v)
+        for v in sorted(chosen):
+            us.append(v)
+            vs.append(t)
+            endpoints.append(v)
+            endpoints.append(t)
+    return from_edges(n, np.array(us, dtype=np.int64),
+                      np.array(vs, dtype=np.int64))

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from aggterm.canonical import (canonical_code, canonical_labeling, decode_code,
-                               forest_codes)
+from aggterm.canonical import (ball_codes, canonical_code, canonical_labeling,
+                               decode_code)
 from aggterm.errors import ConfigError, NeighborhoodTooLargeError
 from aggterm.graphs import RootedGraph, rooted_neighborhood
-from conftest import rand_graph, tree_code
+from conftest import as_batch, oracle_code, rand_graph, tree_code
 
 
 def rooted(adj, k=1, radius=3):
@@ -125,6 +125,7 @@ def test_labeling_is_permutation():
     lab = canonical_labeling(rg)
     assert sorted(lab) == list(range(rg.n))
     assert lab[0] == 0 and lab[1] == 1  # roots keep their slots
+    check_labeling(rg, canonical_code(rg).code)
 
 
 def test_size_cap():
@@ -172,14 +173,91 @@ def test_forest_codes_match_reference():
             assert sorted(lab) == list(range(rg.n))
     for k in (1, 2, 3):
         batch = [rg for rg in graphs if rg.k == k]
-        first = np.cumsum([0] + [rg.n for rg in batch])
-        src = np.concatenate([np.repeat(np.arange(rg.n) + base,
-                                        [len(r) for r in rg.adj])
-                              for rg, base in zip(batch, first)])
-        dst = np.concatenate([np.array([w for r in rg.adj for w in r],
-                                       dtype=np.int64) + base
-                              for rg, base in zip(batch, first)])
-        roots = np.array([[r + base for r in rg.roots]
-                          for rg, base in zip(batch, first)])
-        codes = forest_codes([rg.n for rg in batch], roots, src, dst)
-        assert codes == [tree_code(rg) for rg in batch]
+        # a forest with a rootless component codes as any other graph
+        assert ball_codes(*as_batch(batch)) == [oracle_code(rg) for rg in batch]
+
+
+# ---------------------------------------------------------------------------
+# balls with cycles: the batch against the one-ball reference
+
+
+def complete_bipartite(a, b):
+    return a + b, [(i, a + j) for i in range(a) for j in range(b)]
+
+
+def clique(n):
+    return n, [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def wheel(n):
+    # hub 0 on a rim cycle 1..n
+    return n + 1, [(0, i) for i in range(1, n + 1)] + [
+        (i, i % n + 1) for i in range(1, n + 1)]
+
+
+def star_with_leaf_edges(n, pairs):
+    return n, [(0, i) for i in range(1, n)] + pairs
+
+
+def cycle_with_twin_pendants(n):
+    # two leaves on node 0 and two on node 2: two pairs of false twins
+    return n + 4, [(i, (i + 1) % n) for i in range(n)] + [
+        (0, n), (0, n + 1), (2, n + 2), (2, n + 3)]
+
+
+TWIN_HEAVY = [
+    complete_bipartite(2, 2), complete_bipartite(2, 3),
+    complete_bipartite(2, 5),
+    clique(3), clique(4), clique(6), wheel(5), wheel(6),
+    star_with_leaf_edges(7, [(1, 2), (3, 4)]),
+    star_with_leaf_edges(6, [(1, 2), (2, 3), (1, 3)]),
+    cycle_with_twin_pendants(5), cycle_with_twin_pendants(6),
+    # a 3-regular pair on six nodes: K_{3,3} and the prism
+    complete_bipartite(3, 3),
+    (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4),
+         (2, 5)]),
+]
+# the Frucht graph, 3-regular with no automorphism: beside its roots,
+# refinement cannot split it, and each node individualized gives its own
+# code, so the batch must keep the smallest as the search does
+FRUCHT = [(i, (i + 1) % 12) for i in range(12)] + [
+    (0, 7), (1, 11), (2, 10), (3, 5), (4, 9), (6, 8)]
+
+
+def shape(n, edges, roots):
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return RootedGraph(adj=tuple(tuple(sorted(r)) for r in adj),
+                       roots=tuple(int(r) for r in roots), radius=3)
+
+
+def check_labeling(rg, code):
+    """canonical_labeling keeps the roots first, is a permutation, and
+    relabeling rg by it gives the graph the code decodes to."""
+    lab = canonical_labeling(rg)
+    assert lab[:rg.k] == list(rg.roots)
+    assert sorted(lab) == list(range(rg.n))
+    where = [0] * rg.n
+    for p, v in enumerate(lab):
+        where[v] = p
+    assert tuple(tuple(sorted(where[w] for w in rg.adj[lab[p]]))
+                 for p in range(rg.n)) == decode_code(code).adj
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_cyclic_batch_matches_one_ball_reference(k):
+    rng = np.random.default_rng(90 + k)
+    batch = [shape(n, edges, rng.choice(n, size=k, replace=False))
+             for n, edges in TWIN_HEAVY + [(12, FRUCHT)] for _ in range(4)]
+    batch.append(shape(12 + k, FRUCHT, range(12, 12 + k)))
+    batch += [random_forest(rng, int(rng.integers(k, 15)), k)
+              for _ in range(20)]
+    batch = [batch[i] for i in rng.permutation(len(batch))]
+    refs = [oracle_code(rg) for rg in batch]
+    assert ball_codes(*as_batch(batch)) == refs
+    for rg, ref in zip(batch, refs):
+        assert canonical_code(rg).code == ref
+        check_labeling(rg, ref)
+

@@ -1,5 +1,6 @@
 """Neighborhood censuses on sparse models."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from aggterm.graphs import (BaModel, DenseSchedule, ErModel, LogSchedule,
                             from_edges, rooted_neighborhood, sample_graph)
 from aggterm.parser import parse_term
 from aggterm.sparse_limit import CensusConfig, sparse_limit
-from conftest import tree_code
+from conftest import oracle_code
 
 ISO = "mean[u](sub(1, mean[v in N(u)](1)))"
 
@@ -164,26 +165,26 @@ def per_root(g, tuples, radius, cap):
 
 
 def check_batch(g, tuples, radius, cap=64):
-    """The batched codes equal the oracle's, and a forest ball's code
-    equals the nested-tuple reference."""
+    """The batched codes equal the per-root path's, and each ball's code
+    equals the one-ball reference (oracle_code)."""
     batched = _ball_codes(g, np.array(tuples, dtype=np.int64), radius, cap)
     assert batched == per_root(g, tuples, radius, cap)
     for tup, code in zip(tuples, batched):
         if code is not None:
-            ref = tree_code(rooted_neighborhood(g, tup, radius))
-            assert ref is None or code == ref
+            assert code == oracle_code(rooted_neighborhood(g, tup, radius))
     return batched
 
 
 @st.composite
-def rooted_forests(draw):
-    """A random forest (a tree per -1 parent), at most two extra edges
+def rooted_forests(draw, extra=2):
+    """A random forest (a tree per -1 parent), at most `extra` extra edges
     that close cycles, 1-5 root tuples with k = 1..3, a radius and a cap."""
     n = draw(st.integers(3, 30))
     edges = {(p, v) for v in range(1, n)
              for p in [draw(st.integers(-1, v - 1))] if p >= 0}
     for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1),
-                                        st.integers(0, n - 1)), max_size=2)):
+                                        st.integers(0, n - 1)),
+                                 max_size=extra)):
         if a != b:
             edges.add((min(a, b), max(a, b)))
     relabel = draw(st.permutations(range(n)))
@@ -201,6 +202,14 @@ def rooted_forests(draw):
 @settings(max_examples=150, deadline=None)
 @given(rooted_forests())
 def test_batched_codes_match_per_root(case):
+    g, tuples, radius, cap = case
+    check_batch(g, tuples, radius, cap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rooted_forests(extra=6))
+def test_batched_cyclic_codes_match_per_root(case):
+    # up to six extra edges: balls with several cycles, twins and ties
     g, tuples, radius, cap = case
     check_batch(g, tuples, radius, cap)
 
@@ -264,3 +273,36 @@ def test_overflow_boundary(model, radius):
         assert size > 2
         assert check_batch(g, [(v,)], radius, size)[0] is not None
         assert check_batch(g, [(v,)], radius, size - 1)[0] is None
+
+
+# ---------------------------------------------------------------------------
+# census bytes pinned: sha256 of the (code, count) list in dict order plus
+# truncated_mass, recorded before cyclic balls and BA draws were batched
+
+
+def table_digest(table):
+    h = hashlib.sha256()
+    for code, prop in table.proportions.items():
+        count = round(prop * table.sample_size)
+        h.update(len(code).to_bytes(2, "big") + code + count.to_bytes(4, "big"))
+    h.update(repr(table.truncated_mass).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("model,n,radius,k,roots,seed,cap,digest", [
+    (BaModel(3), 1000, 2, 1, 1000, 21, 64,
+     "417d75b74971fd2bf5f566e1e07c70029f389d89c96e031b40211255a3b58bb0"),
+    (BaModel(3), 1000, 2, 1, 1000, 21, 256,
+     "a431a27db18557df955ac18fbdfa31a193648b4961973b569855a969c0ca902a"),
+    (BaModel(5), 1000, 1, 1, 1000, 22, 64,
+     "bd3d69af2966ecd209c634b722e62682c5ccf595fbaf9929216e29948fadb7a3"),
+    (ErModel(SparseSchedule(2.0)), 2000, 3, 1, 2000, 23, 64,
+     "2e7b69c809e9e15d373831488bfdff0206b2b8fad180d900d4f6bc547a035977"),
+    (ErModel(SparseSchedule(1.0)), 2000, 1, 2, 1000, 24, 64,
+     "740832f110b4a48718a4d0e3f2da342d19080eeded4c9bea563ba6b7d6400ba3"),
+], ids=["ba3_r2_cap64", "ba3_r2_cap256", "ba5_r1", "er2_r3", "er1_k2"])
+def test_census_bytes_are_pinned(model, n, radius, k, roots, seed, cap,
+                                 digest):
+    table = neighborhood_census(model, n, radius, k, roots, seed,
+                                size_cap=cap)
+    assert table_digest(table) == digest

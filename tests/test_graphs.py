@@ -10,11 +10,13 @@ from aggterm.graphs import (AlternatingSchedule, BaModel, BernoulliFeatures,
                             ConstantFeatures, DenseSchedule, ErModel,
                             LogSchedule, PaddedFeatures, RootSchedule,
                             SbmModel, SparseSchedule, Uniform01, UniformRange,
-                            attach_features, draw_features, eval_schedule,
-                            feature_dim, from_edges, gen_er, gen_sbm,
+                            attach_features, bounded_draws, draw_features,
+                            eval_schedule, feature_dim, from_edges, gen_ba,
+                            gen_er, gen_sbm,
                             read_graph, rooted_neighborhood, sample_graph,
                             sbm_sizes, write_graph)
 from aggterm.rng import stream
+from conftest import gen_ba_per_pick
 
 
 def test_schedule_values():
@@ -169,3 +171,56 @@ def test_model_validation():
         SbmModel((0.5, 0.5), ((0.1, 0.2), (0.3, 0.1)))
     with pytest.raises(ConfigError):
         BaModel(0)
+
+
+# spans whose Lemire rejection is likeliest: 2**32 mod span is about half,
+# a quarter, and one of the 2**32 words
+HARD_SPANS = [2**31 + 1, 3 * 2**30 + 1, 2**32 - 1]
+
+
+@pytest.mark.parametrize("block", [1, 3, 1000])
+def test_bounded_draws_equal_integers_call_by_call(block):
+    pick = np.random.default_rng(3)
+    for seed in range(5):
+        spans = [int(x) for x in pick.choice(
+            [1, 2, 3, 7, 1000, 12345, 2**20 + 3, *HARD_SPANS], size=400)]
+        below = bounded_draws(stream(seed, "draws"), block)
+        ref = stream(seed, "draws")
+        assert [below(s) for s in spans] == [int(ref.integers(s))
+                                              for s in spans]
+
+
+def test_bounded_draws_reject_like_numpy():
+    # about half the words are rejected at span 2**31 + 1; a long run
+    # keeps the two streams aligned only if every rejection matches
+    for span in HARD_SPANS:
+        below = bounded_draws(stream(7, span), 64)
+        ref = stream(7, span)
+        assert [below(span) for _ in range(2000)] == \
+            [int(x) for x in ref.integers(span, size=2000)]
+
+
+def test_bounded_draw_of_one_reads_no_word():
+    rng = stream(11)
+    below = bounded_draws(rng, 8)
+    assert [below(1) for _ in range(5)] == [0] * 5
+    assert rng.random() == stream(11).random()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_gen_ba_matches_per_pick_sampler(m):
+    for n in sorted({1, m, m + 1, 50, 5000}):
+        if n < m:
+            continue
+        for seed in range(10):
+            g, ref = gen_ba(n, m, seed), gen_ba_per_pick(n, m, seed)
+            assert np.array_equal(g.indptr, ref.indptr), (n, m, seed)
+            assert np.array_equal(g.indices, ref.indices), (n, m, seed)
+
+
+def test_gen_ba_endpoint_bound():
+    # the endpoint list must stay below 2**32 entries for the 32-bit draws
+    with pytest.raises(ConfigError, match="2mn < 2\\*\\*32"):
+        gen_ba(2**31, 1, 0)
+    with pytest.raises(ConfigError, match="2mn < 2\\*\\*32"):
+        gen_ba(2**29, 4, 0)
