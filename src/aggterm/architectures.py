@@ -235,7 +235,8 @@ def compile_architecture(config: ArchConfig, weights: WeightSet) -> CompiledMode
     d = program_dim(config)
     reg = default_registry()
     if config.kind == "gat":
-        reg.register("leaky02", 1, make_leaky_relu(_GAT_SLOPE))
+        reg.register("leaky02", 1, make_leaky_relu(_GAT_SLOPE),
+                     elementwise=True)
     if config.kind == "gps_rw":
         reg.register("pack_rw", 2,
                      make_concat_pad((config.in_dim, config.rw_len)))
@@ -266,12 +267,17 @@ def compile_architecture(config: ArchConfig, weights: WeightSet) -> CompiledMode
             w, b = _embed_linear(lw["w"], None, d, 1)
             reg.register(f"w{l}", 1, make_linear(w, b))
             # one score row a.[Wh(v) || Wh(u)], repeated across all d
-            # coordinates so the scalar broadcasts through exp weights
+            # coordinates so the scalar broadcasts through exp weights; it is
+            # alpha(h(v)) + beta(h(u)), the additive form the evaluator
+            # scores each edge with
             h = config.hidden
             row = np.concatenate([lw["a"][:h] @ lw["w"], lw["a"][h:] @ lw["w"]])
             score_true = np.tile(row, (d, 1))
             sw, sb = _embed_linear(score_true, None, d, 2)
-            reg.register(f"att{l}", 2, make_linear(sw, sb))
+            left, right = sw[0, :d].copy(), sw[0, d:].copy()
+            reg.register(f"att{l}", 2, make_linear(sw, sb),
+                         additive=(lambda f, u=left: f @ u,
+                                   lambda g, u=right: g @ u), width=d)
             score = Apply("leaky02", (Apply(f"att{l}", (prev, prev_y)),))
             update = LocalWMean(yl, "x", Apply(f"w{l}", (prev_y,)), "exp", score)
         else:  # gps, gps_rw

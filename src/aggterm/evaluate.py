@@ -19,37 +19,48 @@ Design notes:
   all n nodes at once and cached as an (n, d) matrix; evaluation at
   specific nodes is then a row gather. Only subterms whose weights depend
   on two or more variables fall back to explicit expansion.
-* Neighborhood aggregation that is linear in the body's nodewise rows
-  (linear_form: a gcn, or a mean under weight map one, whose body reads
-  only the bound variable, as in mean, gcn and GPS-MPNN layers) can be
-  one adjacency product for all nodes, (A @ H) / deg or
-  D^-1/2 A D^-1/2 H, taken as dense slabs of adjacency rows
+* One plan (plan) sorts every aggregate into the kernel that takes it:
+  - linear: a gcn, or a mean under weight map one, whose body reads only
+    the bound variable (mean, gcn and GPS-MPNN layers). Its value is
+    linear in the body's nodewise rows.
+  - scored: a mean under exp whose weight argument is f(a, b), or u(f(a,
+    b)) with u a registered elementwise map, where f carries a score form
+    (registry), a does not read the bound variable and b and the value
+    read only it: GAT's exp(leaky02(att(h(x), h(y)))) and GPS's
+    exp(dot_scaled(q(x), k(z))). The weight of a pair is then one scalar,
+    exp(u(score)), computed from a's rows and b's rows once, not a d-wide
+    block per expanded row.
+  - expansion: everything else.
+* A local aggregate that is linear or scored and reads no variable but
+  its anchor is one matrix product for all nodes: (A @ H) / deg,
+  D^-1/2 A D^-1/2 H, or (W @ H) / (W @ 1) with W the adjacency carrying
+  each CSR entry's shifted exp score. It is taken as dense slabs of rows
   (graphs.dense_rows, which also builds rw's dense S) times H
   (adjacency_product). Like rw's plan, the choice compares two work
-  estimates from the node and edge counts: n^2 slab entries plus the
-  edges scattered into them, against the expanded rows below.
-* Every other neighborhood aggregate, and linear ones on sparse graphs,
-  expands (anchor, neighbor) pairs into flat arrays and reduces with
-  segment sums, chunked so the expansion never exceeds a few million rows
-  at a time. That kernel, local_aggregate, is shared with the limit
+  estimates from the node and edge counts (slab_pays): n^2 slab entries
+  plus the edges scattered into them, against the expanded rows below.
+* Every other local aggregate, and the above on sparse graphs, expands
+  (anchor, neighbor) pairs into flat arrays and reduces with segment sums,
+  chunked so the expansion never exceeds a few million rows at a time. A
+  scored one evaluates a once per anchor row and reduces one score per
+  expanded row. That kernel, local_aggregate, is shared with the limit
   engine, which runs it on a disjoint union of decoded neighborhood
   classes with feature draws as trailing axes.
 * Every weighted mean, here and in the limit engine, goes through
   wmean_reduce, which owns the exp shift, the denominator check and the
-  empty-neighborhood rule.
-* Global attention skips the expansion. A global aggregate whose body
-  reads outer variables normally expands all (outer row, node) pairs, n
-  rows per outer row. When its weight map is exp, its value reads only
-  the bound variable, and its weight argument is f(a, b) with f carrying
-  a registered pairwise form, a free of the bound variable and b reading
-  only it (GPS's exp(q(x) . k(z) / sqrt(d)) attention; attention_form),
-  each chunk of outer rows instead gets its score matrix from the
-  pairwise form, one matrix product for dot_scaled, and
-  attention_reduce takes the means with two more. Chunks depend only on
-  n either way, and every other shape keeps the expansion.
+  empty-neighborhood rule; the slab products and attention_reduce keep
+  its shift, checks and errors.
+* A global aggregate whose body reads outer variables expands all (outer
+  row, node) pairs, n rows per outer row, unless it is scored. Then each
+  chunk of outer rows gets its score matrix from the score form (one
+  matrix product for dot_scaled, a broadcast sum for an additive form)
+  and the elementwise map, and attention_reduce takes the means with two
+  more products. Chunks depend only on n either way.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -97,13 +108,14 @@ def wmean_reduce(vals: np.ndarray, eta: np.ndarray | None, weight_map: str,
                  mass: np.ndarray | None = None, path: tuple = ()) -> np.ndarray:
     """Weighted means of the rows of vals, over segments or the leading axis.
 
-    vals and eta are (rows, ..., d). With seg, segment k covers rows
-    seg[k]:seg[k+1] and the result is (len(seg) - 1, ..., d). With
-    seg=None one mean runs over the leading axis with a plain axis sum, and
-    the result drops that axis. Either way every trailing index gets its
-    own mean. Row weights are weight_map(eta), times mass[row] when a mass
-    is given, so a mixture can weight each row by its share. The weight map
-    "one" never reads eta, which may then be None.
+    vals and eta are (rows, ..., d); eta may instead end in an axis of 1,
+    one weight per row shared by all d components. With seg, segment k
+    covers rows seg[k]:seg[k+1] and the result is (len(seg) - 1, ..., d).
+    With seg=None one mean runs over the leading axis with a plain axis
+    sum, and the result drops that axis. Either way every trailing index
+    gets its own mean. Row weights are weight_map(eta), times mass[row]
+    when a mass is given, so a mixture can weight each row by its share.
+    The weight map "one" never reads eta, which may then be None.
 
     exp weights are stabilized by subtracting the per-mean maximum of eta
     before exponentiating. Weighted means are invariant under this shift,
@@ -118,27 +130,21 @@ def wmean_reduce(vals: np.ndarray, eta: np.ndarray | None, weight_map: str,
     counts = None if seg is None else np.diff(seg)
     # shape that broadcasts a per-row (or per-segment) scalar along rows
     col = (-1,) + (1,) * (vals.ndim - 1)
-    # the repeated segment maxima are a vals-sized temporary: leave them
-    # unnamed so they are freed once subtracted
     if weight_map == "one":
         w = None
-    elif weight_map != "exp":
+    elif weight_map == "exp":
+        w = _exp_weights(eta, seg)
+    else:
         flat = eta.reshape(-1, eta.shape[-1])
         w = registry.call(weight_map, [flat]).reshape(eta.shape)
-    elif seg is None:
-        w = eta - eta.max(axis=0, keepdims=True)
-    else:
-        w = eta - np.repeat(_segment_reduce(np.maximum, eta, seg), counts,
-                            axis=0)
-    if weight_map == "exp":
-        # the shifted eta is this function's own array: exponentiate it, and
-        # scale it by the mass, in place instead of allocating copies
-        np.exp(w, out=w)
-        if mass is not None:
-            w *= mass.reshape(col)
-    elif mass is not None:
+    if mass is not None:
         mass = mass.reshape(col)
-        w = mass if w is None else w * mass
+        if weight_map == "exp":
+            # exp weights are this function's own array: scale them in place
+            # instead of allocating a copy
+            w *= mass
+        else:
+            w = mass if w is None else w * mass
     if seg is None:
         num = vals.sum(axis=0) if w is None else (vals * w).sum(axis=0)
         den = vals.shape[0] if w is None else w.sum(axis=0)
@@ -156,6 +162,20 @@ def wmean_reduce(vals: np.ndarray, eta: np.ndarray | None, weight_map: str,
     out = np.zeros((counts.shape[0],) + vals.shape[1:])
     out[nonempty] = res
     return out
+
+
+def _exp_weights(eta: np.ndarray, seg: Optional[np.ndarray]) -> np.ndarray:
+    """exp(eta) shifted by the maximum of each segment, or of the leading
+    axis with seg=None. Weighted means are invariant under the shift, and
+    it keeps denominators in a sane floating range."""
+    # the repeated segment maxima are an eta-sized temporary: leave them
+    # unnamed so they are freed once subtracted
+    if seg is None:
+        w = eta - eta.max(axis=0, keepdims=True)
+    else:
+        w = eta - np.repeat(_segment_reduce(np.maximum, eta, seg),
+                            np.diff(seg), axis=0)
+    return np.exp(w, out=w)
 
 
 def attention_reduce(scores: np.ndarray, vals: np.ndarray,
@@ -188,40 +208,90 @@ def _checked_ratio(num, den, weight_map: str, path: tuple) -> np.ndarray:
     return res
 
 
-def attention_form(term, registry: FunctionRegistry):
-    """The (function name, a, b) of a global aggregate that attention_reduce
-    can take, or None.
+class Plan(NamedTuple):
+    """The kernel an aggregate takes (plan), with a scored one's parts."""
 
-    That is wmean[z](value, exp, f(a, b)) where value reads only z, a does
-    not read z, b reads only z, and f carries a pairwise form in the
-    registry. The weight of node z for an outer assignment is then
-    exp(pairwise(A, B)[row, z]), with A the values of a on the outer rows
-    and B those of b on all nodes.
+    kind: str  # "linear", "scored" or "expansion"
+    fn: Optional[str] = None  # the function carrying a score form
+    unary: Optional[str] = None  # the elementwise map around it, if any
+    a: Optional[T.Term] = None  # fn's first argument, free of the binder
+    b: Optional[T.Term] = None  # fn's second, reading only the binder
+
+    def score_path(self, path: tuple) -> tuple:
+        """The path of fn's node below the aggregate at path."""
+        return path + ((self.unary,) if self.unary else ()) + (self.fn,)
+
+
+_EXPANSION = Plan("expansion")
+
+
+def plan(term, registry: FunctionRegistry) -> Plan:
+    """Sort an aggregate into linear, scored or expansion.
+
+    linear: a gcn, or a mean under weight map one, whose body reads only
+    its bound variable z; adjacency_product takes it. scored:
+    wmean[z](value, exp, f(a, b)) or wmean[z](value, exp, u(f(a, b))),
+    where f carries a score form and u is elementwise in the registry, a
+    does not read z, and b and value read only z. The weight of node z for
+    an outer assignment is then exp(u(score(A[row], B[z]))), one scalar,
+    with A the values of a on the outer rows and B those of b on the
+    nodes. Everything else is expanded.
     """
-    w = term.weight_arg
-    if (term.weight_map != "exp" or not isinstance(w, T.Apply)
-            or len(w.args) != 2 or registry.entry(w.fn).pairwise is None):
-        return None
+    if isinstance(term, T.GcnAgg) or term.weight_map == "one":
+        return _EXPANSION if reads_outer(term) else Plan("linear")
+    w, unary = term.weight_arg, None
+    if term.weight_map != "exp" or not isinstance(w, T.Apply):
+        return _EXPANSION
+    if (len(w.args) == 1 and isinstance(w.args[0], T.Apply)
+            and registry.entry(w.fn).elementwise):
+        unary, w = w.fn, w.args[0]
+    if len(w.args) != 2 or not registry.entry(w.fn).scored:
+        return _EXPANSION
     a, b = w.args
     only_bound = {term.bound}
     if (set(free_vars(term.value)) - only_bound or term.bound in free_vars(a)
             or set(free_vars(b)) - only_bound):
-        return None
-    return w.fn, a, b
+        return _EXPANSION
+    return Plan("scored", w.fn, unary, a, b)
+
+
+def _checked_scores(pl: Plan, scores: np.ndarray, path: tuple,
+                    registry: FunctionRegistry) -> np.ndarray:
+    """A scored aggregate's scores under its elementwise map, refused
+    where either is not finite with the error the expansion raises."""
+    if not np.all(np.isfinite(scores)):
+        raise EvaluationError(
+            f"non-finite value in {_join(pl.score_path(path))}")
+    if pl.unary is None:
+        return scores
+    scores = registry.call(pl.unary, [scores])
+    if not np.all(np.isfinite(scores)):
+        raise EvaluationError(
+            f"non-finite value in {_join(path + (pl.unary,))}")
+    return scores
 
 
 def local_aggregate(term, frame: dict, out: np.ndarray, indptr: np.ndarray,
                     indices: np.ndarray, value_at, registry: FunctionRegistry,
-                    path: tuple, chunk_rows: int = _CHUNK_ROWS) -> np.ndarray:
+                    path: tuple, chunk_rows: int = _CHUNK_ROWS,
+                    scores: Optional[np.ndarray] = None) -> np.ndarray:
     """Fill out with term, a LocalWMean or GcnAgg on the CSR graph (indptr,
     indices), at the node ids frame gives per row of out. Anchor chunks
     expand to about chunk_rows (anchor, neighbor) rows, on which
     value_at(subterm, child_frame, shape, path) returns a block of that
     shape, (rows,) + out.shape[1:]. path ends with the node itself.
 
-    This is the general kernel and the oracle for adjacency_product, which
-    the evaluator takes instead for a linear_form aggregate on a graph
-    dense enough that slabs from graphs.dense_rows cost less."""
+    A scored aggregate (plan) reduces one score per expanded row (and
+    trailing index) through wmean_reduce: scores[k] for the row of CSR
+    entry k when the caller gives one score per entry, else its score's
+    first argument on the chunk's anchor rows and its second on the
+    expanded rows.
+
+    This is the general kernel. With a registry whose functions carry no
+    score form it is the oracle for adjacency_product, which the evaluator
+    takes instead for a linear or scored aggregate on a graph dense enough
+    that slabs from graphs.dense_rows cost less."""
+    pl = plan(term, registry)
     anchors, deg = frame[term.anchor], np.diff(indptr)
     counts = deg[anchors]
     cum = np.concatenate([[0], np.cumsum(counts)])
@@ -233,10 +303,18 @@ def local_aggregate(term, frame: dict, out: np.ndarray, indptr: np.ndarray,
         seg = cum[start:end + 1] - cum[start]
         shape = (int(seg[-1]),) + out.shape[1:]
         rep = np.repeat(np.arange(end - start), cnt)
-        nbrs = indices[flat_ranges(indptr[anchors[start:end]], cnt)]
-        child = {v: arr[start:end][rep] for v, arr in frame.items()}
+        entries = flat_ranges(indptr[anchors[start:end]], cnt)
+        nbrs = indices[entries]
+        rows = {v: arr[start:end] for v, arr in frame.items()}
+        child = {v: arr[rep] for v, arr in rows.items()}
         child[term.bound] = nbrs
-        if isinstance(term, T.GcnAgg):
+        if pl.kind == "scored":
+            vals = value_at(term.value, child, shape, path)
+            eta = (scores[entries] if scores is not None else _segment_scores(
+                pl, rows, cnt, child, shape, path, value_at, registry))
+            out[start:end] = wmean_reduce(vals, eta[..., None], "exp",
+                                          registry, seg, path=path)
+        elif isinstance(term, T.GcnAgg):
             vals = value_at(term.value, child, shape, path)
             scale = 1.0 / np.sqrt(deg[anchors[start:end]][rep] * deg[nbrs])
             out[start:end] = _segment_reduce(
@@ -251,6 +329,26 @@ def local_aggregate(term, frame: dict, out: np.ndarray, indptr: np.ndarray,
     return out
 
 
+def _segment_scores(pl: Plan, rows: dict, cnt: np.ndarray, child: dict,
+                    shape: tuple, path: tuple, value_at,
+                    registry: FunctionRegistry) -> np.ndarray:
+    """The scores of a chunk's expanded rows, shape[:-1]: pl.a on the
+    chunk's anchor rows that have neighbors (the rows the expansion reads),
+    pl.b on the expanded rows, each trailing index paired with its own."""
+    sub = pl.score_path(path)
+    keep = np.flatnonzero(cnt)
+    tail, d = shape[1:], shape[-1]
+    left = value_at(pl.a, {v: arr[keep] for v, arr in rows.items()},
+                    (len(keep),) + tail, sub)
+    right = value_at(pl.b, child, shape, sub)
+    per = int(np.prod(tail[:-1], dtype=np.int64))
+    owner = np.repeat(np.arange(len(keep)) * per, cnt[keep])
+    scores = registry.call_pairs(
+        pl.fn, left.reshape(-1, d), right.reshape(-1, d),
+        (owner[:, None] + np.arange(per)).reshape(-1))
+    return _checked_scores(pl, scores.reshape(shape[:-1]), path, registry)
+
+
 def _wmean(term, child: dict, shape: tuple, seg, path: tuple, value_at,
            registry: FunctionRegistry) -> np.ndarray:
     """Evaluate an aggregate's body on expanded rows and reduce them."""
@@ -258,14 +356,6 @@ def _wmean(term, child: dict, shape: tuple, seg, path: tuple, value_at,
     eta = (None if term.weight_map == "one"
            else value_at(term.weight_arg, child, shape, path))
     return wmean_reduce(vals, eta, term.weight_map, registry, seg, path=path)
-
-
-def linear_form(term) -> bool:
-    """Whether a local aggregate is linear in its body's nodewise rows: a
-    gcn, or a mean under weight map one, whose body reads only its bound
-    variable. adjacency_product takes exactly these."""
-    return ((isinstance(term, T.GcnAgg) or term.weight_map == "one")
-            and not reads_outer(term))
 
 
 def slab_pays(n: int, nnz: int, d: int) -> bool:
@@ -277,20 +367,24 @@ def slab_pays(n: int, nnz: int, d: int) -> bool:
 
 def adjacency_product(term, vals: np.ndarray, indptr: np.ndarray,
                       indices: np.ndarray, path: tuple,
-                      block: int = _CHUNK_ROWS) -> np.ndarray:
-    """All n rows of term, a local aggregate in linear_form, as products of
-    the adjacency A with vals, the (n, d) rows of its body.
+                      block: int = _CHUNK_ROWS,
+                      scores: Optional[np.ndarray] = None) -> np.ndarray:
+    """All n rows of term, a linear or scored local aggregate (plan), as
+    products of the adjacency A with vals, the (n, d) rows of its body.
 
     A mean is (A @ vals) / deg and a gcn is s * (A @ (s * vals)) with
-    s = 1/sqrt(deg); an empty neighborhood gives 0 either way. A is
-    multiplied one dense slab of rows at a time (graphs.dense_rows), each
-    of about block entries, so each slab is one matrix product. Errors
-    are local_aggregate's.
+    s = 1/sqrt(deg). A scored mean takes scores, one per CSR entry, and is
+    (W @ vals) / (W @ 1), where W carries exp(score) shifted by its row's
+    maximum score, as wmean_reduce shifts. An empty neighborhood gives 0
+    every way. A is multiplied one dense slab of rows at a time
+    (graphs.dense_rows), each of about block entries, so each slab is one
+    matrix product. Errors are local_aggregate's.
     """
     n = vals.shape[0]
     deg = np.diff(indptr)
     nonempty = deg > 0
     gcn = isinstance(term, T.GcnAgg)
+    weights = None if scores is None else _exp_weights(scores, indptr)
     if gcn:
         scale = np.divide(1.0, np.sqrt(deg), out=np.zeros(n),
                           where=nonempty)[:, None]
@@ -301,7 +395,8 @@ def adjacency_product(term, vals: np.ndarray, indptr: np.ndarray,
     slab = np.zeros((step, n))  # one buffer, cleared after each product
     for lo in range(0, n, step):
         hi = min(n, lo + step)
-        rows = dense_rows(indptr, indices, lo, hi, out=slab[:hi - lo])
+        rows = dense_rows(indptr, indices, lo, hi, weights,
+                          out=slab[:hi - lo])
         out[lo:hi] = rows @ vals
         rows.fill(0.0)
     if gcn:
@@ -309,8 +404,10 @@ def adjacency_product(term, vals: np.ndarray, indptr: np.ndarray,
         if not np.all(np.isfinite(out)):
             raise EvaluationError(f"non-finite value in {_join(path)}")
     else:
-        out[nonempty] = _checked_ratio(out[nonempty], deg[nonempty, None],
-                                       "one", path)
+        den = deg if weights is None else _segment_reduce(np.add, weights,
+                                                          indptr)
+        out[nonempty] = _checked_ratio(out[nonempty], den[nonempty, None],
+                                       term.weight_map, path)
     return out
 
 
@@ -468,6 +565,15 @@ class Evaluator(Interpreter):
             return self._nodewise_rows(term, fv[0], path)[frame[fv[0]]]
         return self._eval(term, frame, shape, path)
 
+    def _rows(self, term: T.Term, path: tuple) -> np.ndarray:
+        """The (n, d) rows of a term with at most one free variable, bound
+        to every node in turn: the cached array itself, not a gather."""
+        fv = free_vars(term)
+        if not fv:
+            return np.broadcast_to(self._closed(term, path),
+                                   (self.graph.n, self.d))
+        return self._nodewise_rows(term, fv[0], path)
+
     # ------------------------------------------------------------------
     # node kinds
 
@@ -485,13 +591,38 @@ class Evaluator(Interpreter):
 
     def _local(self, term, frame: dict, shape: tuple, path: tuple) -> np.ndarray:
         g = self.graph
-        if linear_form(term) and slab_pays(g.n, len(g.indices), self.d):
-            vals = self._value(term.value, {term.bound: np.arange(g.n)},
-                               (g.n, self.d), path)
-            return adjacency_product(term, vals, g.indptr, g.indices,
-                                     path)[frame[term.anchor]]
+        pl = plan(term, self.registry)
+        scores = None
+        # an aggregate that reads only its anchor is one row per node, taken
+        # for all n at once: as slabs where they pay, else with the scores
+        # of all CSR entries formed once from nodewise rows; its body comes
+        # first, as the expansion evaluates it before the weights
+        if pl.kind != "expansion" and free_vars(term) == (term.anchor,):
+            vals = self._rows(term.value, path)
+            if pl.kind == "scored":
+                scores = self._edge_scores(term, pl, path)
+            if slab_pays(g.n, len(g.indices), self.d):
+                out = adjacency_product(term, vals, g.indptr, g.indices, path,
+                                        scores=scores)
+                return out[frame[term.anchor]]
         return local_aggregate(term, frame, np.empty(shape), g.indptr,
-                               g.indices, self._value, self.registry, path)
+                               g.indices, self._value, self.registry, path,
+                               scores=scores)
+
+    def _edge_scores(self, term, pl: Plan, path: tuple) -> np.ndarray:
+        """A scored aggregate's score per CSR entry: the entry from node v
+        to node u scores pl.a at v against pl.b at u. Entries go to the
+        score form in blocks, as a bilinear form gathers d-wide rows."""
+        g, n = self.graph, self.graph.n
+        sub = pl.score_path(path)
+        left, right = self._rows(pl.a, sub), self._rows(pl.b, sub)
+        owner = np.repeat(np.arange(n), g.degrees)
+        step = max(1, _CHUNK_ROWS // self.d)
+        scores = np.concatenate([
+            self.registry.call_pairs(pl.fn, left, right, owner[k:k + step],
+                                     g.indices[k:k + step])
+            for k in range(0, len(owner), step) or [0]])  # [0]: no edges
+        return _checked_scores(pl, scores, path, self.registry)
 
     def _global(self, term, frame: dict, shape: tuple, path: tuple) -> np.ndarray:
         n = self.graph.n
@@ -505,22 +636,20 @@ class Evaluator(Interpreter):
         m = shape[0]
         rows_per = max(1, _CHUNK_ROWS // n)
         out = np.empty(shape)
-        att = attention_form(term, self.registry)
-        if att is not None:
-            fn, a, b = att
-            sub = path + (fn,)
-            every = {term.bound: allv}
-            vals = self._value(term.value, every, (n, self.d), path)
-            keys = self._value(b, every, (n, self.d), sub)
+        pl = plan(term, self.registry)
+        scored = pl.kind == "scored"
+        if scored:
+            sub = pl.score_path(path)
+            vals, keys = self._rows(term.value, path), self._rows(pl.b, sub)
         for s in range(0, m, rows_per):
             e = min(m, s + rows_per)
             nrows = e - s
             rows = {v: arr[s:e] for v, arr in frame.items()}
-            if att is not None:
-                queries = self._value(a, rows, (nrows, self.d), sub)
-                scores = self.registry.call_pairwise(fn, queries, keys)
-                if not np.all(np.isfinite(scores)):
-                    raise EvaluationError(f"non-finite value in {_join(sub)}")
+            if scored:
+                queries = self._value(pl.a, rows, (nrows, self.d), sub)
+                scores = _checked_scores(
+                    pl, self.registry.call_pairwise(pl.fn, queries, keys),
+                    path, self.registry)
                 out[s:e] = attention_reduce(scores, vals, path)
             else:
                 rep = np.repeat(np.arange(nrows), n)

@@ -6,21 +6,37 @@ is spot-checked on random inputs at registration time, which catches the
 common mistake of registering relu or a linear map as a weight.
 
 A two-argument function whose value on a pair of rows is one scalar score,
-repeated across all d components, may also carry a `pairwise` form:
-pairwise(F, G) takes (m, d) and (k, d) arrays and returns the (m, k)
-matrix of scores of every row of F against every row of G, so that
-fn(F[i], G[j]) == pairwise(F, G)[i, j] in each component. `dot_scaled`
-carries F @ G.T / sqrt(d). The evaluator uses it to score all (outer row,
-node) pairs of a global attention aggregate with one matrix product
-instead of expanding the pairs (evaluate.attention_reduce). The form is
-spot-checked against fn on random inputs at registration time.
+repeated across all d components, may also carry a score form, which
+computes that score for many pairs without the d-wide call. There are two
+kinds:
+
+* bilinear, `pairwise=`: pairwise(F, G) takes (m, d) and (k, d) arrays and
+  returns the (m, k) matrix of scores of every row of F against every row
+  of G, so that fn(F[i], G[j]) == pairwise(F, G)[i, j] in each component.
+  `dot_scaled` carries F @ G.T / sqrt(d).
+* additive, `additive=(alpha, beta)`: alpha(F) is (m,) and beta(G) is
+  (k,), and the score of a pair is alpha(F)[i] + beta(G)[j], so the score
+  matrix is alpha(F)[:, None] + beta(G)[None, :]. GAT's score
+  a . [W h(v) || W h(u)] has this form.
+
+A one-argument function may be declared `elementwise`: each output entry
+depends only on the same input entry, so it may be applied to a score
+matrix or a vector of scores as well as to (m, d) blocks. relu, sigmoid,
+exp, softplus and GAT's leaky02 are.
+
+The evaluator takes an exp-weighted mean whose weight argument is an
+optional elementwise function of a function with a score form as one
+scalar per pair, instead of expanding the pairs (evaluate.plan). Both
+declarations are spot-checked against fn on random inputs at registration
+time.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from functools import lru_cache, partial
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,6 +53,13 @@ class RegistryEntry:
     fn: Callable
     positive: bool
     pairwise: Optional[Callable] = None
+    additive: Optional[Tuple[Callable, Callable]] = None
+    elementwise: bool = False
+
+    @property
+    def scored(self) -> bool:
+        """Whether the function carries a score form of either kind."""
+        return self.pairwise is not None or self.additive is not None
 
 
 class FunctionRegistry:
@@ -45,7 +68,11 @@ class FunctionRegistry:
 
     def register(self, name: str, arity: Optional[int], fn: Callable,
                  positive: bool = False,
-                 pairwise: Optional[Callable] = None) -> None:
+                 pairwise: Optional[Callable] = None,
+                 additive: Optional[Tuple[Callable, Callable]] = None,
+                 elementwise: bool = False, width: int = 5) -> None:
+        """Add fn under name. width is the row width the score form's spot
+        check samples, for a function that accepts only one."""
         if not _IDENT.match(name) or name in RESERVED:
             raise ConfigError(f"bad function name {name!r}")
         if name in self._entries:
@@ -56,11 +83,21 @@ class FunctionRegistry:
             if arity not in (1, None):
                 raise ConfigError("weight maps must take one argument")
             _check_positive(name, fn)
-        if pairwise is not None:
+        if pairwise is not None or additive is not None:
             if arity != 2:
-                raise ConfigError("a pairwise form needs a two-argument function")
-            _check_pairwise(name, fn, pairwise)
-        self._entries[name] = RegistryEntry(name, arity, fn, positive, pairwise)
+                raise ConfigError("a score form needs a two-argument function")
+            if pairwise is not None and additive is not None:
+                raise ConfigError("a function carries one score form, not two")
+            if additive is not None:
+                additive = tuple(additive)
+            _check_pairwise(name, fn, pairwise if additive is None
+                            else partial(_additive_matrix, *additive), width)
+        if elementwise:
+            if arity != 1:
+                raise ConfigError("an elementwise function takes one argument")
+            _check_elementwise(name, fn)
+        self._entries[name] = RegistryEntry(name, arity, fn, positive,
+                                            pairwise, additive, elementwise)
 
     def entry(self, name: str) -> RegistryEntry:
         try:
@@ -89,13 +126,29 @@ class FunctionRegistry:
 
     def call_pairwise(self, name: str, x: np.ndarray,
                       y: np.ndarray) -> np.ndarray:
-        """The (len(x), len(y)) score matrix of name's pairwise form."""
-        out = np.asarray(self.entry(name).pairwise(x, y), dtype=np.float64)
+        """The (len(x), len(y)) matrix of name's scores of every row pair."""
+        entry = self.entry(name)
+        if entry.additive is not None:
+            return _additive_matrix(*entry.additive, x, y, name)
+        out = np.asarray(entry.pairwise(x, y), dtype=np.float64)
         if out.shape != (x.shape[0], y.shape[0]):
             raise EvaluationError(
                 f"pairwise {name} returned shape {out.shape}, expected "
                 f"{(x.shape[0], y.shape[0])}")
         return out
+
+    def call_pairs(self, name: str, x: np.ndarray, y: np.ndarray,
+                   i: np.ndarray,
+                   j: Optional[np.ndarray] = None) -> np.ndarray:
+        """name's scores of the row pairs (x[i[e]], y[j[e]]), one per e;
+        j=None pairs the rows of y in order. An additive form computes
+        alpha and beta once per row of x and y; a bilinear one calls the
+        function on the gathered rows."""
+        entry = self.entry(name)
+        if entry.additive is None:
+            return self.call(name, [x[i], y if j is None else y[j]])[:, 0]
+        alpha, beta = _sides(*entry.additive, x, y, name)
+        return alpha[i] + (beta if j is None else beta[j])
 
 
 def _check_positive(name: str, fn: Callable) -> None:
@@ -108,20 +161,59 @@ def _check_positive(name: str, fn: Callable) -> None:
                 f"function {name!r} is not strictly positive on sample inputs")
 
 
-def _check_pairwise(name: str, fn: Callable, pairwise: Callable) -> None:
+def _sides(alpha: Callable, beta: Callable, x: np.ndarray, y: np.ndarray,
+           name: str = "") -> tuple:
+    """An additive form's alpha(x) and beta(y), one score term per row."""
+    a = np.asarray(alpha(x), dtype=np.float64)
+    b = np.asarray(beta(y), dtype=np.float64)
+    if a.shape != (x.shape[0],) or b.shape != (y.shape[0],):
+        raise EvaluationError(
+            f"additive {name} returned shapes {a.shape} and {b.shape}, "
+            f"expected {(x.shape[0],)} and {(y.shape[0],)}")
+    return a, b
+
+
+def _additive_matrix(alpha: Callable, beta: Callable, x: np.ndarray,
+                     y: np.ndarray, name: str = "") -> np.ndarray:
+    a, b = _sides(alpha, beta, x, y, name)
+    return a[:, None] + b[None, :]
+
+
+def _check_pairwise(name: str, fn: Callable, pairwise: Callable,
+                    width: int) -> None:
     rng = np.random.default_rng(0)
-    x = rng.uniform(-3.0, 3.0, size=(3, 5))
-    y = rng.uniform(-3.0, 3.0, size=(4, 5))
-    s = np.asarray(pairwise(x, y), dtype=np.float64)
-    ok = s.shape == (3, 4) and np.all(np.isfinite(s))
-    if ok:
-        # every (row of x, row of y) pair, in row-major order of s
-        pairs = np.asarray(fn(np.repeat(x, 4, axis=0), np.tile(y, (3, 1))))
-        ok = pairs.shape == (12, 5) and np.allclose(
-            pairs, s.reshape(-1, 1), rtol=1e-12, atol=1e-12)
+    x = rng.uniform(-3.0, 3.0, size=(3, width))
+    y = rng.uniform(-3.0, 3.0, size=(4, width))
+    try:
+        s = np.asarray(pairwise(x, y), dtype=np.float64)
+        ok = s.shape == (3, 4) and np.all(np.isfinite(s))
+        if ok:
+            # every (row of x, row of y) pair, in row-major order of s
+            pairs = np.asarray(fn(np.repeat(x, 4, axis=0), np.tile(y, (3, 1))))
+            ok = pairs.shape == (12, width) and np.allclose(
+                pairs, s.reshape(-1, 1), rtol=1e-12, atol=1e-12)
+    except (ValueError, EvaluationError):
+        ok = False
     if not ok:
         raise ConfigError(
-            f"pairwise form of {name!r} does not match it on sample inputs")
+            f"score form of {name!r} does not match it on sample inputs")
+
+
+def _check_elementwise(name: str, fn: Callable) -> None:
+    """fn must give the same entries on a block, on its entries one per row
+    and on its transpose."""
+    x = np.random.default_rng(0).uniform(-10.0, 10.0, size=(3, 5))
+    try:
+        y = np.asarray(fn(x), dtype=np.float64)
+        ok = y.shape == x.shape and all(
+            np.allclose(y, other, rtol=1e-12, atol=1e-12, equal_nan=True)
+            for other in (np.asarray(fn(x.reshape(-1, 1))).reshape(x.shape),
+                          np.asarray(fn(np.ascontiguousarray(x.T))).T))
+    except (ValueError, EvaluationError):
+        ok = False
+    if not ok:
+        raise ConfigError(
+            f"function {name!r} is not elementwise on sample inputs")
 
 
 def _sigmoid(x):
@@ -207,16 +299,27 @@ def make_concat_pad(widths: Sequence[int]) -> Callable:
 
 
 def default_registry() -> FunctionRegistry:
+    """A fresh registry holding the built-in functions."""
+    reg = FunctionRegistry()
+    reg._entries.update(_default_entries())
+    return reg
+
+
+@lru_cache(maxsize=None)
+def _default_entries() -> tuple:
+    """The built-in functions' entries, spot-checked once per process
+    rather than at every default_registry() call; entries are immutable."""
     reg = FunctionRegistry()
     reg.register("one", 1, np.ones_like, positive=True)
-    reg.register("exp", 1, np.exp, positive=True)
-    reg.register("softplus", 1, lambda x: np.logaddexp(0.0, x), positive=True)
-    reg.register("relu", 1, lambda x: np.maximum(x, 0.0))
-    reg.register("sigmoid", 1, _sigmoid)
+    reg.register("exp", 1, np.exp, positive=True, elementwise=True)
+    reg.register("softplus", 1, lambda x: np.logaddexp(0.0, x), positive=True,
+                 elementwise=True)
+    reg.register("relu", 1, lambda x: np.maximum(x, 0.0), elementwise=True)
+    reg.register("sigmoid", 1, _sigmoid, elementwise=True)
     reg.register("softmax", 1, _softmax)
     reg.register("add", 2, np.add)
     reg.register("sub", 2, np.subtract)
     reg.register("hadamard", 2, np.multiply)
     reg.register("dot_scaled", 2, _dot_scaled, pairwise=_dot_scaled_pairwise)
     reg.register("concat_pad", None, _concat_pad)
-    return reg
+    return tuple(reg._entries.items())

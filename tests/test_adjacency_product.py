@@ -16,8 +16,7 @@ import aggterm.evaluate as evaluate
 import aggterm.graphs as graphs
 from aggterm.errors import EvaluationError
 from aggterm.evaluate import (Evaluator, adjacency_product, eval_closed,
-                              eval_nodewise, eval_term, linear_form,
-                              local_aggregate)
+                              eval_nodewise, eval_term, local_aggregate, plan)
 from aggterm.graphs import (DenseSchedule, from_edges, gen_er, gen_sbm,
                             sbm_sizes)
 from aggterm.parser import parse_term
@@ -100,7 +99,7 @@ def products(monkeypatch):
 def test_product_matches_expansion(src, d, p):
     graph = er(200, p, d, 11)
     term = t(src, d)
-    assert linear_form(term)
+    assert plan(term, REG).kind == "linear"
     vals = Expanding(graph, REG)._nodewise_rows(term.value, term.bound, ())
     want = expanded(term, graph)
     # 203 nodes: one slab, slabs of 8 rows with a short last one, or 1 row
@@ -113,7 +112,7 @@ def test_product_matches_expansion(src, d, p):
 
 @pytest.mark.parametrize("src", NONLINEAR)
 def test_other_shapes_are_not_linear(src):
-    assert not linear_form(t(src, 2))
+    assert plan(t(src, 2), REG).kind != "linear"
 
 
 @pytest.mark.parametrize("src", LINEAR[:2])
