@@ -11,18 +11,28 @@ samples, d) block, and the term runs through the evaluator's interpreter
 A global aggregate mixes over the classes at its census radius, each a
 fresh component, as one mean over all draws of mass q / draws each. One
 whose body reads only its binder (reads_outer) is collapsed: computed
-once per run on pools of mc_samples draws per depth and class. Otherwise
+once per run on pools of the run's draws per depth and class. Otherwise
 it is nested: per chunk of outer samples, every class's component with
 fresh draws per outer sample joins the outer rows' components. An outer
 sample gets max(inner_mc, P // outer samples) draws, P those of the run,
 so an open term's top aggregate averages P draws; nested ratios keep an
-O(1/inner_mc) bias.
+O(1/inner_mc) bias. A scored nested aggregate (evaluate.plan) evaluates its
+score's outer argument once per outer row and sample, the inner one and
+the value on the class components alone, and reduces one score per
+(outer sample, inner draw) pair.
 
 Error bars come from rerunning the recursion on disjoint blocks of the
 draws: for ratios of means this agrees with the delta method up to
 O(1/m). Streams are keyed (seed, kind, "pool", depth, class) and (seed,
 kind, "inner", depth, run tag, class, *chunks, chunk offset), so reruns
 reproduce exactly and every outer sample gets independent inner draws.
+A pool stream is sample-major: draw s of a class's node i is row
+s * nodes + i, so a run skips the rows of the draws before its own
+(graphs.skip_features) and draws only its own. Pools are drawn per chunk
+of classes and dropped with it; no pool outlives its chunk, so pools
+take memory by the block size, not by the census (a collapsed
+aggregate's one value row per class and draw still grows with it). An
+aggregate whose body reads no feature on its union draws none.
 """
 
 from __future__ import annotations
@@ -34,13 +44,15 @@ import numpy as np
 
 from .canonical import canonical_code
 from .errors import ConfigError, as_int
-from .evaluate import Interpreter, local_aggregate, reads_outer, wmean_reduce
+from .evaluate import (Interpreter, _checked_scores, local_aggregate, plan,
+                       reads_outer, wmean_reduce)
 from .graphs import (FeatureDist, RootedGraph, cost_blocks, feature_dim,
-                     flat_ranges)
+                     flat_ranges, skip_features)
 from .registry import FunctionRegistry, fit_width
 from .rng import stream
 from .rw import walk_returns
-from .terms import GcnAgg, LocalWMean, Rw, Term, contains_gcn, read_children
+from .terms import (Feature, GcnAgg, GlobalWMean, LocalWMean, Rw, Term,
+                    contains_gcn, read_children)
 
 DEFAULT_BLOCKS = 10
 
@@ -127,6 +139,40 @@ def aggregation_depth(term: Term) -> int:
     return inner + 1 if isinstance(term, (LocalWMean, GcnAgg)) else inner
 
 
+def _reads_features(term: Term) -> bool:
+    """Whether an aggregate's body reads features on the union its binder
+    lives on: a Feature outside every global aggregate that reads only its
+    binder, as each of those runs on pools of its own."""
+    def reads(t) -> bool:
+        if isinstance(t, Feature):
+            return True
+        if isinstance(t, GlobalWMean) and not reads_outer(t):
+            return False
+        return any(map(reads, read_children(t)))
+
+    return any(map(reads, read_children(term)))
+
+
+def _pair_scores(pl, left: np.ndarray, right: np.ndarray, inner: int,
+                 registry: FunctionRegistry, path: tuple) -> np.ndarray:
+    """A scored aggregate's (classes * rows, samples * inner, 1) scores:
+    left is its score's outer argument on (rows, samples, d), right the
+    inner one on (classes, samples * inner, d), and the pair (class c,
+    row r, sample i, draw j) scores left[r, i] against right[c, i * inner
+    + j], one scalar each."""
+    n, s, d = left.shape
+    c, slots = right.shape[:2]
+    full = (c, n, s, inner)
+    i = np.arange(n)[:, None, None] * s + np.arange(s)[:, None]
+    j = np.arange(c)[:, None, None, None] * slots + np.arange(slots).reshape(
+        s, inner)
+    scores = registry.call_pairs(
+        pl.fn, left.reshape(-1, d), right.reshape(-1, d),
+        np.broadcast_to(i, full).ravel(), np.broadcast_to(j, full).ravel())
+    return _checked_scores(pl, scores.reshape(c * n, slots, 1), path,
+                           registry)
+
+
 def _offsets(counts) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
 
@@ -208,11 +254,12 @@ class McEngine(Interpreter):
         self.mc = as_int(mc_samples, "mc_samples", 2)
         self.seed = seed
         self.inner_mc = as_int(inner_mc, "inner_mc", 2)
-        self._pools: Dict[tuple, np.ndarray] = {}
+        # pool key -> [its stream, its starting state, the row it stands at]
+        self._streams: Dict[tuple, list] = {}
         # radius -> (union, codes, weights, dropped mass) of the kept classes
         self._kept: Dict[int, tuple] = {}
-        # per-run state: the selected draws, their count and the run's tag
-        self._sel: slice = slice(None)
+        # per-run state: the first selected draw, their count and the run's tag
+        self._start = 0
         self._m = self.mc
         self._tag = "full"
         self._cache: Dict[tuple, np.ndarray] = {}
@@ -240,13 +287,23 @@ class McEngine(Interpreter):
             count, slots, self.d)
 
     def _pool(self, depth: int, code: bytes, count: int) -> np.ndarray:
-        """A class's shared (count, selected draws, d) pool at a depth."""
+        """A class's (count, selected draws, d) pool at a depth, read from
+        its sample-major stream: the rows of the draws before the run's
+        are skipped, not drawn. Only the stream, its starting state and
+        the row it stands at are kept: making a stream costs more than
+        resetting one, and consecutive blocks need neither."""
         key = ("pool", depth, *self._key(code))
-        pool = self._pools.get(key)
-        if pool is None:
-            pool = self._pools[key] = self._draws(count, self.mc, *key)
-            pool.flags.writeable = False
-        return pool[:, self._sel]
+        got = self._streams.get(key)
+        if got is None:
+            rng = stream(self.seed, self.kind, *key)
+            got = self._streams[key] = [rng, rng.bit_generator.state, 0]
+        rng, start, at = got
+        if at != self._start * count:
+            rng.bit_generator.state = start
+            skip_features(self.dist, self._start * count, rng)
+        rows = self._draw(self.dist, self._m * count, rng)
+        got[2] = (self._start + self._m) * count
+        return rows.reshape(self._m, count, self.d).transpose(1, 0, 2)
 
     def _weight_arg(self, term, *args) -> Optional[np.ndarray]:
         """The weight argument, or None under the map "one", which never
@@ -291,13 +348,16 @@ class McEngine(Interpreter):
         m = self._m
         u, codes, weights, _ = self._types(self._radius(term))
         sizes = np.diff(u.starts)
-        # every pool is drawn before the first block: cached pools drawn in
-        # between transient blocks fragment the heap and raise peak RSS
-        pools = [self._pool(depth, code, size)
-                 for code, size in zip(codes, sizes)]
+        reads = _reads_features(term)
         vals, etas = [], []
         for a, b in cost_blocks(sizes * (m * self.d), _BLOCK):
-            g = _pick(u, np.arange(a, b))[0]._replace(feats=_stack(pools[a:b]))
+            g = _pick(u, np.arange(a, b))[0]
+            # a chunk draws its classes' pools and drops them with g, so no
+            # pool outlives its chunk
+            if reads:
+                g = g._replace(feats=_stack([
+                    self._pool(depth, codes[c], sizes[c])
+                    for c in range(a, b)]))
             args = (((g, {term.bound: g.starts[:-1]}), depth + 1, ()),
                     (b - a, m, self.d), path)
             vals.append(self._eval(term.value, *args))
@@ -310,49 +370,79 @@ class McEngine(Interpreter):
     def _nested(self, term, scope: tuple, shape: tuple,
                 path: tuple) -> np.ndarray:
         """Per chunk of outer samples and rows, every class's fresh
-        component joins the rows' components, bindings repeated per class."""
+        component joins the rows' components, bindings repeated per class.
+        A scored aggregate (evaluate.plan) joins nothing: its score's outer
+        argument runs once per row and sample on the rows' components, its
+        value and inner argument on the classes' alone, and one score per
+        (outer sample, inner draw) pair weighs the value."""
         (g, frame), depth, chunks = scope
         d = self.d
         u, codes, weights, _ = self._types(self._radius(term))
         sizes = np.diff(u.starts)
+        pl = plan(term, self.registry)
+        scored = pl.kind == "scored"
+        reads = _reads_features(term)
         # outside nested chunks an aggregate has 1 or P outer samples; inside
         # one, P * inner_mc or more
         inner = self.inner_mc if chunks else max(self.inner_mc,
                                                  self._m // shape[1])
         mass = _spread(weights, inner)
-        out, step = np.empty(shape), max(1, _BLOCK // inner)
+        out, step = np.empty(shape), max(1, _BLOCK // (inner * d))
         for lo in range(0, shape[1], step):
             hi = min(shape[1], lo + step)
-            slots = (hi - lo) * inner
+            s, slots = hi - lo, (hi - lo) * inner
             cost = slots * d  # elements per node or row
+            tail = chunks + (lo,)
             per_row = np.full(shape[0], len(codes) * cost)
             for r0, r1 in cost_blocks(per_row, _BLOCK):
                 n = r1 - r0
                 nodes = np.concatenate([arr[r0:r1] for arr in frame.values()])
                 part, keep = _pick(g, np.unique(
                     np.searchsorted(g.starts, nodes, side="right") - 1))
-                k = len(keep)
-                outer = g.feats[keep, lo:hi, None]
+                # a scored aggregate's classes form a union of their own
+                k = 0 if scored else len(keep)
+                outer = g.feats[keep, lo:hi] if reads else None
                 bound = {v: np.searchsorted(keep, arr[r0:r1])
                          for v, arr in frame.items()}
+                if scored:
+                    left = self._eval(
+                        pl.a, ((part._replace(feats=outer), bound), depth + 1,
+                               tail), (n, s, d), pl.score_path(path))
                 vals, etas = [], []
                 for a, b in cost_blocks((sizes + n) * cost, _BLOCK):
                     comp = _pick(u, np.arange(a, b))[0]
                     roots = k + comp.starts[:-1]
-                    feats = np.empty((roots[-1] + sizes[b - 1], slots, d))
-                    # an outer sample's features repeat over its inner draws
-                    feats[:k].reshape(k, hi - lo, inner, d)[...] = outer
-                    for c, at in zip(range(a, b), roots):
-                        feats[at:at + sizes[c]] = self._draws(
-                            sizes[c], slots, "inner", depth, self._tag,
-                            *self._key(codes[c]), *chunks, lo)
-                    sub = {v: np.tile(arr, b - a) for v, arr in bound.items()}
-                    sub[term.bound] = np.repeat(roots, n)
-                    args = (((_join(part, comp, feats), sub), depth + 1,
-                             chunks + (lo,)), ((b - a) * n, slots, d), path)
-                    vals.append(self._eval(term.value, *args))
-                    etas.append(self._weight_arg(term, *args))
-                vals, etas = _mixture(vals, n, inner), _mixture(etas, n, inner)
+                    feats = None
+                    if reads:
+                        feats = np.empty((roots[-1] + sizes[b - 1], slots, d))
+                        if not scored:
+                            # an outer sample's features repeat over its
+                            # inner draws
+                            feats[:k].reshape(k, s, inner, d)[...] = \
+                                outer[:, :, None]
+                        for c, at in zip(range(a, b), roots):
+                            feats[at:at + sizes[c]] = self._draws(
+                                sizes[c], slots, "inner", depth, self._tag,
+                                *self._key(codes[c]), *tail)
+                    if scored:
+                        args = (((comp._replace(feats=feats),
+                                  {term.bound: roots}), depth + 1, tail),
+                                (b - a, slots, d))
+                        vals.append(self._eval(term.value, *args, path))
+                        etas.append(_pair_scores(
+                            pl, left, self._eval(pl.b, *args,
+                                                 pl.score_path(path)),
+                            inner, self.registry, path))
+                    else:
+                        sub = {v: np.tile(arr, b - a)
+                               for v, arr in bound.items()}
+                        sub[term.bound] = np.repeat(roots, n)
+                        args = (((_join(part, comp, feats), sub), depth + 1,
+                                 tail), ((b - a) * n, slots, d), path)
+                        vals.append(self._eval(term.value, *args))
+                        etas.append(self._weight_arg(term, *args))
+                vals = _mixture(vals, 1 if scored else n, inner)
+                etas = _mixture(etas, n, inner)
                 out[r0:r1, lo:hi] = wmean_reduce(
                     vals, etas, term.weight_map, self.registry, None, mass,
                     path=path)
@@ -360,8 +450,8 @@ class McEngine(Interpreter):
 
     def run(self, sel: slice, tag, top: tuple) -> np.ndarray:
         """One pass of the recursion on the draws sel, tagged for reruns."""
-        self._sel = sel
-        self._m = len(range(self.mc)[sel])
+        draws = range(self.mc)[sel]
+        self._start, self._m = draws.start, len(draws)
         self._tag = tag
         self._cache = {}
         return self._eval(self.term, (top, 0, ()), (1, 1, self.d),

@@ -17,6 +17,7 @@ import pytest
 import aggterm.evaluate as evaluate
 from aggterm.architectures import (ArchConfig, compile_architecture,
                                    init_weights)
+from aggterm.dense_limit import dense_controller
 from aggterm.errors import ConfigError, EvaluationError
 from aggterm.evaluate import (adjacency_product, attention_reduce,
                               eval_closed, eval_nodewise, plan, wmean_reduce)
@@ -485,6 +486,22 @@ def test_gat_sparse_limit_agrees_with_expansion(spy):
     fast = sparse_limit(*args, registry=cm.registry)
     assert spy[2]["att1"] >= 1
     slow = sparse_limit(*args, registry=without_pairwise(cm.registry))
+    assert_rel(fast.estimate, slow.estimate)
+    assert np.allclose(fast.stderr, slow.stderr, rtol=1e-9, atol=1e-15)
+
+
+@pytest.mark.parametrize("kind,fn", [("gat", "att1"), ("gps", "dot_scaled")])
+def test_dense_nested_attention_limit_agrees_with_expansion(kind, fn, spy):
+    # the dense limit takes GAT's neighbourhood attention and GPS's global
+    # one as nested aggregates: one score per (outer sample, inner draw)
+    # pair, on the same draws the expansion reads
+    cfg = ArchConfig(kind=kind, layers=1, hidden=4, classes=3, in_dim=3)
+    cm = compile_architecture(cfg, init_weights(cfg, 4))
+    args = (cm.term, ErModel(DenseSchedule(0.1)), Uniform01(cm.dim), 60, 41)
+    fast = dense_controller(*args, registry=cm.registry, inner_mc=16)
+    assert spy[2][fn] >= 1
+    slow = dense_controller(*args, registry=without_pairwise(cm.registry),
+                            inner_mc=16)
     assert_rel(fast.estimate, slow.estimate)
     assert np.allclose(fast.stderr, slow.stderr, rtol=1e-9, atol=1e-15)
 

@@ -9,8 +9,8 @@ from scipy import integrate
 from aggterm.dense_limit import DenseController, dense_controller, dense_limit_p
 from aggterm.errors import ConfigError, UnsupportedTermError
 from aggterm.graphs import (BaModel, BernoulliFeatures, DenseSchedule, ErModel,
-                            LogSchedule, RootSchedule, SbmModel,
-                            SparseSchedule, Uniform01)
+                            LogSchedule, PaddedFeatures, RootSchedule,
+                            SbmModel, SparseSchedule, Uniform01, UniformRange)
 from aggterm.parser import parse_term
 from aggterm.registry import default_registry
 
@@ -140,7 +140,9 @@ def test_weight_argument_skipped_under_one(monkeypatch):
     monkeypatch.setattr(dl, "draw_features", counting)
     term = t("mean[x](mean[y](hadamard(H(x), H(y))))")
     got = dense_controller(term, ER01, Uniform01(1), 1000, 14, inner_mc=8)
-    assert sum(rows) == 17000
+    # the full run draws a 1000-row pool and 1000 * 8 inner rows; each of
+    # the 10 block reruns draws its own 100-row pool and 100 * 8 inner rows
+    assert sum(rows) == 1000 + 8000 + 10 * (100 + 800)
     # the same estimate with the value repeated as a weight the map reads
     # (exp of 0 * body is 1 everywhere), where both are evaluated
     rows.clear()
@@ -148,7 +150,8 @@ def test_weight_argument_skipped_under_one(monkeypatch):
                  "hadamard(0, mean[y](hadamard(H(x), H(y)))))")
     ref = dense_controller(weighted, ER01, Uniform01(1), 1000, 14,
                            inner_mc=8)
-    assert sum(rows) == 33000
+    # as above, with the inner rows drawn for the value and the weight
+    assert sum(rows) == 1000 + 2 * 8000 + 10 * (100 + 2 * 800)
     assert np.array_equal(got.estimate, ref.estimate)
 
 
@@ -233,3 +236,27 @@ def test_neighbourhood_aggregate_takes_the_global_path():
     assert np.array_equal(local.estimate, glob.estimate)
     assert np.array_equal(local.stderr, glob.stderr)
     assert local.truncated_mass is None and glob.truncated_mass is None
+
+
+# bytes of collapsed estimates and stderrs at 10000 draws, seed 8: a lone
+# root's sample-major pool stream is the node-major one, so reading each
+# block's draws from its own skipped-to stream changes no bit
+PINNED = [
+    ("wmean[v](H(v), exp)", Uniform01(1),
+     ["0x1.28f86c0f3430ep-1"], ["0x1.25cc5b35f4b28p-9"]),
+    ("mean[v](relu(sub(hadamard(2, H(v)), 1)))", Uniform01(1),
+     ["0x1.fb2d1ccf34792p-3"], ["0x1.0de94057a2c50p-9"]),
+    ("mean[v](H(v))", PaddedFeatures(Uniform01(2), 3),
+     ["0x1.02a966d1128afp-1", "0x1.ff0567394031fp-2", "0x0.0p+0"],
+     ["0x1.0248b868054c7p-8", "0x1.1f488abb15889p-9", "0x0.0p+0"]),
+    ("wmean[v](H(v), softplus)", UniformRange(-1.0, 2.0, 2),
+     ["0x1.e1bfbf6d5b1f0p-1", "0x1.df4804a4d4a47p-1"],
+     ["0x1.4d940eea87cbcp-7", "0x1.5233d546924d3p-8"]),
+]
+
+
+@pytest.mark.parametrize("src,dist,est,err", PINNED)
+def test_collapsed_estimates_are_pinned(src, dist, est, err):
+    v = dense_controller(t(src, d=dist.dim), ER01, dist, 10000, 8)
+    assert [x.hex() for x in v.estimate.tolist()] == est
+    assert [x.hex() for x in v.stderr.tolist()] == err

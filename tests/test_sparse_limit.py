@@ -192,6 +192,27 @@ def test_unread_weight_argument_needs_no_census_radius():
     assert len(engine._kept[0][1]) == 1
 
 
+@pytest.mark.parametrize("src,d,drawn", [
+    (ISO, 1, 0), ("mean[u](rw(u, 2))", 2, 0),
+    # the inner global's lone-root pool alone: 400 rows in the full run
+    # and 40 in each of the 10 block reruns
+    ("mean[u](mean[v](H(v)))", 1, 800)])
+def test_terms_reading_no_feature_draw_none(src, d, drawn, monkeypatch):
+    # a body that reads no feature on its union (an inner global that reads
+    # only its binder runs on pools of its own) draws no pool for it
+    sl = importlib.import_module("aggterm.sparse_limit")
+    rows = []
+
+    def counting(dist, count, rng):
+        rows.append(count)
+        return draw(dist, count, rng)
+
+    draw = sl.draw_features
+    monkeypatch.setattr(sl, "draw_features", counting)
+    sparse_limit(t(src, d), K1, Uniform01(d), CensusConfig(500, 300), 400, 3)
+    assert sum(rows) == drawn
+
+
 COUNT_CALLS = {
     "dense mc_samples": lambda: dense_controller(
         t("mean[v](H(v))"), ErModel(DenseSchedule(0.1)), Uniform01(1), 100.5,
