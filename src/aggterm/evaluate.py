@@ -41,7 +41,7 @@ Design notes:
   plus the edges scattered into them, against the expanded rows below.
 * Every other local aggregate, and the above on sparse graphs, expands
   (anchor, neighbor) pairs into flat arrays and reduces with segment sums,
-  chunked so the expansion never exceeds a few million rows at a time. A
+  chunked so the expansion holds about graphs.BLOCK elements at a time. A
   scored one evaluates a once per anchor row and reduces one score per
   expanded row. That kernel, local_aggregate, is shared with the limit
   engine, which runs it on a disjoint union of decoded neighborhood
@@ -55,7 +55,7 @@ Design notes:
   chunk of outer rows gets its score matrix from the score form (one
   matrix product for dot_scaled, a broadcast sum for an additive form)
   and the elementwise map, and attention_reduce takes the means with two
-  more products. Chunks depend only on n either way.
+  more products. Chunks and slabs hold about graphs.BLOCK elements.
 """
 
 from __future__ import annotations
@@ -64,14 +64,13 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import graphs
 from . import terms as T
 from .errors import ConfigError, EvaluationError
-from .graphs import dense_rows, flat_ranges
 from .registry import FunctionRegistry, default_registry, fit_width
 from .rw import rw_encoding_all
 from .terms import free_vars, validate_term
 
-_CHUNK_ROWS = 1 << 21
 # work in slab multiply-adds, as in rw's plan: an expanded (anchor,
 # neighbor) row costs about _PAIR_COST per coordinate, a dense slab entry
 # _SLAB_ENTRY_COST plus its d multiply-adds, and an edge scattered into a
@@ -273,13 +272,12 @@ def _checked_scores(pl: Plan, scores: np.ndarray, path: tuple,
 
 def local_aggregate(term, frame: dict, out: np.ndarray, indptr: np.ndarray,
                     indices: np.ndarray, value_at, registry: FunctionRegistry,
-                    path: tuple, chunk_rows: int = _CHUNK_ROWS,
-                    scores: Optional[np.ndarray] = None) -> np.ndarray:
+                    path: tuple, scores: Optional[np.ndarray] = None) -> np.ndarray:
     """Fill out with term, a LocalWMean or GcnAgg on the CSR graph (indptr,
     indices), at the node ids frame gives per row of out. Anchor chunks
-    expand to about chunk_rows (anchor, neighbor) rows, on which
-    value_at(subterm, child_frame, shape, path) returns a block of that
-    shape, (rows,) + out.shape[1:]. path ends with the node itself.
+    expand to (anchor, neighbor) rows of about graphs.BLOCK elements, on
+    which value_at(subterm, child_frame, shape, path) returns a block of
+    that shape, (rows,) + out.shape[1:]. path ends with the node itself.
 
     A scored aggregate (plan) reduces one score per expanded row (and
     trailing index) through wmean_reduce: scores[k] for the row of CSR
@@ -295,15 +293,13 @@ def local_aggregate(term, frame: dict, out: np.ndarray, indptr: np.ndarray,
     anchors, deg = frame[term.anchor], np.diff(indptr)
     counts = deg[anchors]
     cum = np.concatenate([[0], np.cumsum(counts)])
-    start, m = 0, out.shape[0]
-    while start < m:
-        end = int(np.searchsorted(cum, cum[start] + chunk_rows, side="right")) - 1
-        end = min(max(end, start + 1), m)
+    row = int(np.prod(out.shape[1:]))  # elements per expanded row
+    for start, end in graphs.cost_blocks(counts * row, graphs.BLOCK):
         cnt = counts[start:end]
         seg = cum[start:end + 1] - cum[start]
         shape = (int(seg[-1]),) + out.shape[1:]
         rep = np.repeat(np.arange(end - start), cnt)
-        entries = flat_ranges(indptr[anchors[start:end]], cnt)
+        entries = graphs.flat_ranges(indptr[anchors[start:end]], cnt)
         nbrs = indices[entries]
         rows = {v: arr[start:end] for v, arr in frame.items()}
         child = {v: arr[rep] for v, arr in rows.items()}
@@ -323,7 +319,6 @@ def local_aggregate(term, frame: dict, out: np.ndarray, indptr: np.ndarray,
         else:
             out[start:end] = _wmean(term, child, shape, seg, path, value_at,
                                     registry)
-        start = end
     if not np.all(np.isfinite(out)):
         raise EvaluationError(f"non-finite value in {_join(path)}")
     return out
@@ -367,7 +362,7 @@ def slab_pays(n: int, nnz: int, d: int) -> bool:
 
 def adjacency_product(term, vals: np.ndarray, indptr: np.ndarray,
                       indices: np.ndarray, path: tuple,
-                      block: int = _CHUNK_ROWS,
+                      block: Optional[int] = None,
                       scores: Optional[np.ndarray] = None) -> np.ndarray:
     """All n rows of term, a linear or scored local aggregate (plan), as
     products of the adjacency A with vals, the (n, d) rows of its body.
@@ -377,8 +372,8 @@ def adjacency_product(term, vals: np.ndarray, indptr: np.ndarray,
     (W @ vals) / (W @ 1), where W carries exp(score) shifted by its row's
     maximum score, as wmean_reduce shifts. An empty neighborhood gives 0
     every way. A is multiplied one dense slab of rows at a time
-    (graphs.dense_rows), each of about block entries, so each slab is one
-    matrix product. Errors are local_aggregate's.
+    (graphs.dense_rows), each of about block (default graphs.BLOCK)
+    entries, so each slab is one matrix product. Errors: local_aggregate's.
     """
     n = vals.shape[0]
     deg = np.diff(indptr)
@@ -391,12 +386,12 @@ def adjacency_product(term, vals: np.ndarray, indptr: np.ndarray,
         vals = scale * vals
     vals = np.ascontiguousarray(vals)
     out = np.zeros(vals.shape)
-    step = min(n, max(1, block // n))
+    step = min(n, max(1, (block or graphs.BLOCK) // n))
     slab = np.zeros((step, n))  # one buffer, cleared after each product
     for lo in range(0, n, step):
         hi = min(n, lo + step)
-        rows = dense_rows(indptr, indices, lo, hi, weights,
-                          out=slab[:hi - lo])
+        rows = graphs.dense_rows(indptr, indices, lo, hi, weights,
+                                 out=slab[:hi - lo])
         out[lo:hi] = rows @ vals
         rows.fill(0.0)
     if gcn:
@@ -617,7 +612,7 @@ class Evaluator(Interpreter):
         sub = pl.score_path(path)
         left, right = self._rows(pl.a, sub), self._rows(pl.b, sub)
         owner = np.repeat(np.arange(n), g.degrees)
-        step = max(1, _CHUNK_ROWS // self.d)
+        step = max(1, graphs.BLOCK // self.d)
         scores = np.concatenate([
             self.registry.call_pairs(pl.fn, left, right, owner[k:k + step],
                                      g.indices[k:k + step])
@@ -634,10 +629,11 @@ class Evaluator(Interpreter):
             return np.broadcast_to(res, shape)
 
         m = shape[0]
-        rows_per = max(1, _CHUNK_ROWS // n)
         out = np.empty(shape)
         pl = plan(term, self.registry)
         scored = pl.kind == "scored"
+        # an outer row holds n scores, or n expanded rows of d values
+        rows_per = max(1, graphs.BLOCK // (n if scored else n * self.d))
         if scored:
             sub = pl.score_path(path)
             vals, keys = self._rows(term.value, path), self._rows(pl.b, sub)

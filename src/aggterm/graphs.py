@@ -292,11 +292,16 @@ def from_edges(n: int, u: np.ndarray, v: np.ndarray,
     """Build a FeaturedGraph from unique edge endpoint arrays with u < v."""
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
-    # one key per arc, source * n + neighbor, sorts rows and their entries
-    src, dst = np.divmod(np.sort(np.concatenate([u * n + v, v * n + u])), n)
-    counts = np.bincount(src, minlength=n)
+    # arc keys source * n + neighbor, sorted and cut to neighbors in place
+    m = len(u)
+    keys = np.empty(2 * m, dtype=np.int64)
+    np.add(np.multiply(u, n, out=keys[:m]), v, out=keys[:m])
+    np.add(np.multiply(v, n, out=keys[m:]), u, out=keys[m:])
+    keys.sort()
+    counts = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
     indptr = np.concatenate([[0], np.cumsum(counts)])
-    return FeaturedGraph(n, indptr, dst, features, community)
+    return FeaturedGraph(n, indptr, np.remainder(keys, n, out=keys),
+                         features, community)
 
 
 def flat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -314,6 +319,11 @@ def run_starts(x: np.ndarray) -> np.ndarray:
     first = np.ones(len(x), dtype=bool)
     first[1:] = x[1:] != x[:-1]
     return first
+
+
+# float64 elements (2 MiB) in a chunked kernel's largest temporary; kernels
+# read it at call time, so setting graphs.BLOCK shrinks them all
+BLOCK = 1 << 18
 
 
 def cost_blocks(cost: np.ndarray, cap: float):
@@ -347,7 +357,6 @@ def dense_rows(indptr: np.ndarray, indices: np.ndarray, lo: int, hi: int,
 # ---------------------------------------------------------------------------
 
 _SPARSE_METHOD_CUTOFF = 0.01  # below this, skip-sample pair indices instead of scanning all
-_DRAW_BLOCK = 1 << 21  # Bernoulli draws per rng.random call
 
 
 def _pair_cum(u, n):
@@ -405,14 +414,14 @@ def _bernoulli_rows(rng: np.random.Generator, runs) -> tuple:
     A run (u, first, length, p) holds equal-length integer arrays of rows
     that share p: row i draws rng.random(length[i]) and links u[i] to
     first[i] + j wherever draw j is below p. Consecutive rows of a run
-    share one rng.random call of about _DRAW_BLOCK draws. The generator's
+    share one rng.random call of about BLOCK draws (2 MiB). The generator's
     doubles concatenate across calls, so the edges are the ones a call
     per row would give.
     """
     us, vs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for u, first, length, p in runs:
         ends = np.cumsum(length)
-        for lo, hi in cost_blocks(length, _DRAW_BLOCK):
+        for lo, hi in cost_blocks(length, BLOCK):
             base = ends[lo] - length[lo]
             hit = np.flatnonzero(rng.random(ends[hi - 1] - base) < p) + base
             row = np.searchsorted(ends, hit, side="right")

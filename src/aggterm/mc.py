@@ -29,8 +29,8 @@ reproduce exactly and every outer sample gets independent inner draws.
 A pool stream is sample-major: draw s of a class's node i is row
 s * nodes + i, so a run skips the rows of the draws before its own
 (graphs.skip_features) and draws only its own. Pools are drawn per chunk
-of classes and dropped with it; no pool outlives its chunk, so pools
-take memory by the block size, not by the census (a collapsed
+of classes and dropped with it, so pools take memory by graphs.BLOCK
+(elements, samples and d counted), not by the census (a collapsed
 aggregate's one value row per class and draw still grows with it). An
 aggregate whose body reads no feature on its union draws none.
 """
@@ -42,12 +42,11 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from . import graphs
 from .canonical import canonical_code
 from .errors import ConfigError, as_int
 from .evaluate import (Interpreter, _checked_scores, local_aggregate, plan,
                        reads_outer, wmean_reduce)
-from .graphs import (FeatureDist, RootedGraph, cost_blocks, feature_dim,
-                     flat_ranges, skip_features)
 from .registry import FunctionRegistry, fit_width
 from .rng import stream
 from .rw import walk_returns
@@ -56,11 +55,8 @@ from .terms import (Feature, GcnAgg, GlobalWMean, LocalWMean, Rw, Term,
 
 DEFAULT_BLOCKS = 10
 
-# elements per evaluated block: nodes or rows, times samples, times d
-_BLOCK = 1 << 18
-
 # the one radius-0 class: a lone root
-_LONE = canonical_code(RootedGraph(adj=((),), roots=(0,), radius=0)).code
+_LONE = canonical_code(graphs.RootedGraph(adj=((),), roots=(0,), radius=0)).code
 
 
 @dataclass(frozen=True)
@@ -191,11 +187,11 @@ def _pick(u: _Union, comps: np.ndarray) -> Tuple[_Union, np.ndarray]:
     if len(comps) == len(u.starts) - 1:
         return u, np.arange(len(u.indptr) - 1)
     size = u.starts[comps + 1] - u.starts[comps]
-    keep = flat_ranges(u.starts[comps], size)
+    keep = graphs.flat_ranges(u.starts[comps], size)
     deg = u.indptr[keep + 1] - u.indptr[keep]
     new = np.zeros(len(u.indptr) - 1, dtype=np.int64)
     new[keep] = np.arange(len(keep))
-    edges = u.indices[flat_ranges(u.indptr[keep], deg)]
+    edges = u.indices[graphs.flat_ranges(u.indptr[keep], deg)]
     return _Union(_offsets(deg), new[edges], _offsets(size)), keep
 
 
@@ -244,13 +240,13 @@ class McEngine(Interpreter):
     kind = ""  # first stream key after the seed: "dense" or "sparse"
 
     def __init__(self, term: Term, registry: FunctionRegistry,
-                 dist: FeatureDist, draw: Callable, mc_samples: int,
+                 dist: graphs.FeatureDist, draw: Callable, mc_samples: int,
                  seed: int, inner_mc: int):
         self.term = term
         self.registry = registry
         self.dist = dist
         self._draw = draw
-        self.d = feature_dim(dist)
+        self.d = graphs.feature_dim(dist)
         self.mc = as_int(mc_samples, "mc_samples", 2)
         self.seed = seed
         self.inner_mc = as_int(inner_mc, "inner_mc", 2)
@@ -300,7 +296,7 @@ class McEngine(Interpreter):
         rng, start, at = got
         if at != self._start * count:
             rng.bit_generator.state = start
-            skip_features(self.dist, self._start * count, rng)
+            graphs.skip_features(self.dist, self._start * count, rng)
         rows = self._draw(self.dist, self._m * count, rng)
         got[2] = (self._start + self._m) * count
         return rows.reshape(self._m, count, self.d).transpose(1, 0, 2)
@@ -330,7 +326,7 @@ class McEngine(Interpreter):
             term, frame, np.empty(shape), g.indptr, g.indices,
             lambda t, child, sh, p: self._eval(
                 t, ((g, child), depth + 1, chunks), sh, p),
-            self.registry, path, max(1, _BLOCK // (shape[1] * self.d)))
+            self.registry, path)
 
     def _global(self, term, scope: tuple, shape: tuple,
                 path: tuple) -> np.ndarray:
@@ -350,7 +346,7 @@ class McEngine(Interpreter):
         sizes = np.diff(u.starts)
         reads = _reads_features(term)
         vals, etas = [], []
-        for a, b in cost_blocks(sizes * (m * self.d), _BLOCK):
+        for a, b in graphs.cost_blocks(sizes * (m * self.d), graphs.BLOCK):
             g = _pick(u, np.arange(a, b))[0]
             # a chunk draws its classes' pools and drops them with g, so no
             # pool outlives its chunk
@@ -387,14 +383,14 @@ class McEngine(Interpreter):
         inner = self.inner_mc if chunks else max(self.inner_mc,
                                                  self._m // shape[1])
         mass = _spread(weights, inner)
-        out, step = np.empty(shape), max(1, _BLOCK // (inner * d))
+        out, step = np.empty(shape), max(1, graphs.BLOCK // (inner * d))
         for lo in range(0, shape[1], step):
             hi = min(shape[1], lo + step)
             s, slots = hi - lo, (hi - lo) * inner
             cost = slots * d  # elements per node or row
             tail = chunks + (lo,)
             per_row = np.full(shape[0], len(codes) * cost)
-            for r0, r1 in cost_blocks(per_row, _BLOCK):
+            for r0, r1 in graphs.cost_blocks(per_row, graphs.BLOCK):
                 n = r1 - r0
                 nodes = np.concatenate([arr[r0:r1] for arr in frame.values()])
                 part, keep = _pick(g, np.unique(
@@ -409,7 +405,7 @@ class McEngine(Interpreter):
                         pl.a, ((part._replace(feats=outer), bound), depth + 1,
                                tail), (n, s, d), pl.score_path(path))
                 vals, etas = [], []
-                for a, b in cost_blocks((sizes + n) * cost, _BLOCK):
+                for a, b in graphs.cost_blocks((sizes + n) * cost, graphs.BLOCK):
                     comp = _pick(u, np.arange(a, b))[0]
                     roots = k + comp.starts[:-1]
                     feats = None

@@ -11,22 +11,21 @@ the rows of a block of sources only ceil(kmax/2) times, either as sorted
 dense S (work B n^2 per step: dense graphs). S is built by
 graphs.dense_rows, the slab helper the evaluator's adjacency products use
 too. The choice compares the two work estimates, both from the degrees,
-so time grows smoothly with n.
+so time grows smoothly with n. A block's expected triples, or its slab
+entries, come to about graphs.BLOCK.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graphs import FeaturedGraph, cost_blocks, dense_rows, flat_ranges
+from . import graphs
 
 # unused here; bench/workloads.py sizes its single-node rw tolerance by it
 DEFAULT_WALKS = 100_000
 # work in slab multiply-adds: one expanded triple costs about 3000 of them
 # (2500 timed on one BLAS thread, 3500 on two), one dense S entry about 100
 _TRIPLE_COST, _DENSE_ENTRY_COST = 3000.0, 100.0
-# rough cap on the triples or slab entries held per block
-_BLOCK_ENTRIES = 1 << 21
 
 
 def _triple_rows(indptr, indices, scale, sources, half):
@@ -38,7 +37,7 @@ def _triple_rows(indptr, indices, scale, sources, half):
         node = key % n
         counts = indptr[node + 1] - indptr[node]
         owner = np.repeat(np.arange(len(key)), counts)
-        flat = flat_ranges(indptr[node], counts)
+        flat = graphs.flat_ranges(indptr[node], counts)
         new = key[owner] - node[owner] + indices[flat]
         # stable, so each source's summation order ignores its block
         order = np.argsort(new, kind="stable")
@@ -92,12 +91,12 @@ def walk_returns(indptr: np.ndarray, indices: np.ndarray, sources,
         dot, cost = _triple_dot, expand + 1.0
     else:
         owner = np.repeat(np.arange(n), np.diff(indptr))
-        dense = dense_rows(indptr, indices, 0, n, scale[owner] * scale[indices])
+        dense = graphs.dense_rows(indptr, indices, 0, n, scale[owner] * scale[indices])
         rows = lambda src: _slab_rows(dense, src, half)
         dot = lambda x, y, *_: np.einsum("ij,ij->i", x, y)
         cost = np.full(len(sources), float(n))
     out = np.zeros((len(sources), kmax))  # k = 1 stays 0: no self-loops
-    for lo, hi in cost_blocks(cost, _BLOCK_ENTRIES):
+    for lo, hi in graphs.cost_blocks(cost, graphs.BLOCK):
         prev = None
         for t, cur in enumerate(rows(sources[lo:hi]), 1):
             if prev is not None:
@@ -108,7 +107,7 @@ def walk_returns(indptr: np.ndarray, indices: np.ndarray, sources,
     return out
 
 
-def rw_encoding(graph: FeaturedGraph, v: int, kmax: int) -> np.ndarray:
+def rw_encoding(graph: graphs.FeaturedGraph, v: int, kmax: int) -> np.ndarray:
     """Length-kmax return-probability vector for node v, exact (walk_returns)."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
@@ -119,6 +118,6 @@ def rw_encoding(graph: FeaturedGraph, v: int, kmax: int) -> np.ndarray:
     return walk_returns(graph.indptr, graph.indices, [v], kmax)[0]
 
 
-def rw_encoding_all(graph: FeaturedGraph, kmax: int) -> np.ndarray:
+def rw_encoding_all(graph: graphs.FeaturedGraph, kmax: int) -> np.ndarray:
     """(n, kmax) matrix of exact return probabilities for every node."""
     return walk_returns(graph.indptr, graph.indices, np.arange(graph.n), kmax)

@@ -80,6 +80,16 @@ def rand_graph(rng, nmax, d, ensure_isolated=False):
     return from_edges(n, u, v, feats)
 
 
+def csr_by_divmod(n, u, v):
+    """Reference CSR of unique edges (u < v): one sort-and-divmod pass over
+    concatenated arc keys, the construction graphs.from_edges must equal."""
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    src, dst = np.divmod(np.sort(np.concatenate([u * n + v, v * n + u])), n)
+    counts = np.bincount(src, minlength=n)
+    return np.concatenate([[0], np.cumsum(counts)]), dst
+
+
 def path_graph(feats):
     """Path 0-1-...-(n-1) with the given (n, d) features."""
     feats = np.asarray(feats, dtype=np.float64)

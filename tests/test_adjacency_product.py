@@ -103,7 +103,7 @@ def test_product_matches_expansion(src, d, p):
     vals = Expanding(graph, REG)._nodewise_rows(term.value, term.bound, ())
     want = expanded(term, graph)
     # 203 nodes: one slab, slabs of 8 rows with a short last one, or 1 row
-    for block in (evaluate._CHUNK_ROWS, 8 * graph.n + 5, 1):
+    for block in (graphs.BLOCK, 8 * graph.n + 5, 1):
         got = adjacency_product(term, vals, graph.indptr, graph.indices, (),
                                 block)
         assert_close(got, want)
@@ -236,7 +236,7 @@ def assert_csr(g, want):
                                  (301, 1.0)])
 def test_gen_er_matches_row_sampler(n, p, block, monkeypatch):
     if block is not None:
-        monkeypatch.setattr(graphs, "_DRAW_BLOCK", block)
+        monkeypatch.setattr(graphs, "BLOCK", block)
     for seed in (1, 2):
         rows = [(u, u + 1, n - 1 - u, p) for u in range(n - 1)]
         want = reference_csr(n, rows, stream(seed, "er", n))
@@ -245,7 +245,7 @@ def test_gen_er_matches_row_sampler(n, p, block, monkeypatch):
 
 def test_gen_er_spans_several_draw_blocks():
     n, p = 2100, 0.02  # 2.2 million pairs
-    assert n * (n - 1) // 2 > graphs._DRAW_BLOCK
+    assert n * (n - 1) // 2 > graphs.BLOCK
     rows = [(u, u + 1, n - 1 - u, p) for u in range(n - 1)]
     assert_csr(gen_er(n, DenseSchedule(p), 3),
                reference_csr(n, rows, stream(3, "er", n)))
@@ -259,7 +259,7 @@ def test_gen_er_spans_several_draw_blocks():
     (3, (0.5, 0.5), ((1.0, 1.0), (1.0, 1.0)))])
 def test_gen_sbm_matches_row_sampler(n, fractions, probs, block, monkeypatch):
     if block is not None:
-        monkeypatch.setattr(graphs, "_DRAW_BLOCK", block)
+        monkeypatch.setattr(graphs, "BLOCK", block)
     sizes = sbm_sizes(n, fractions)
     starts = np.concatenate([[0], np.cumsum(sizes)])
     rows = []

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import aggterm.evaluate as evaluate
+import aggterm.graphs as graphs
 from aggterm.architectures import (ArchConfig, compile_architecture,
                                    init_weights)
 from aggterm.dense_limit import dense_controller
@@ -130,7 +131,7 @@ HAND_TERMS = [
 @pytest.mark.parametrize("src", HAND_TERMS)
 def test_hand_terms_agree_with_expansion(src, spy, monkeypatch):
     # small chunks, so outer rows are split into several score matrices
-    monkeypatch.setattr(evaluate, "_CHUNK_ROWS", 64)
+    monkeypatch.setattr(graphs, "BLOCK", 64)
     term = parse_term(src, 2, registry=REG)
     for seed in range(3):
         graph = rand_graph(np.random.default_rng(seed), 40, 2)
@@ -469,7 +470,7 @@ def test_large_local_scores_are_shifted_per_anchor(slab, monkeypatch):
 
 
 def test_global_additive_attention_agrees_with_expansion(spy, monkeypatch):
-    monkeypatch.setattr(evaluate, "_CHUNK_ROWS", 256)
+    monkeypatch.setattr(graphs, "BLOCK", 256)
     term = gt("mean[x](wmean[z](H(z), exp, leaky(att(H(x), H(z)))))")
     graph = er_graph(300, DenseSchedule(0.1), 37)
     fast = eval_closed(term, graph, GAT_REG)

@@ -1,9 +1,12 @@
 """Schedules, graph models, feature draws, file round trip."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aggterm.errors import ConfigError
 from aggterm.graphs import (AlternatingSchedule, BaModel, BernoulliFeatures,
@@ -16,7 +19,7 @@ from aggterm.graphs import (AlternatingSchedule, BaModel, BernoulliFeatures,
                             read_graph, rooted_neighborhood, sample_graph,
                             sbm_sizes, skip_features, write_graph)
 from aggterm.rng import stream
-from conftest import gen_ba_per_pick
+from conftest import csr_by_divmod, gen_ba_per_pick
 
 
 def test_schedule_values():
@@ -237,3 +240,51 @@ def test_gen_ba_endpoint_bound():
         gen_ba(2**31, 1, 0)
     with pytest.raises(ConfigError, match="2mn < 2\\*\\*32"):
         gen_ba(2**29, 4, 0)
+
+
+@st.composite
+def edge_lists(draw):
+    """n and unique edges u < v in any order, isolated nodes and all."""
+    n = draw(st.integers(1, 40))
+    arcs = draw(st.sets(st.tuples(st.integers(0, n - 1),
+                                  st.integers(0, n - 1)), max_size=120))
+    edges = sorted({(min(a, b), max(a, b)) for a, b in arcs if a != b})
+    edges = draw(st.permutations(edges))
+    u = np.array([a for a, _ in edges], dtype=np.int64)
+    v = np.array([b for _, b in edges], dtype=np.int64)
+    return n, u, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists())
+def test_from_edges_matches_sort_and_divmod(case):
+    n, u, v = case
+    g = from_edges(n, u, v)
+    indptr, indices = csr_by_divmod(n, u, v)
+    assert g.indptr.dtype == g.indices.dtype == np.int64
+    assert np.array_equal(g.indptr, indptr)
+    assert np.array_equal(g.indices, indices)
+    g.validate()
+
+
+# sha256 of (indptr, indices) as little-endian int64, recorded from the
+# sort-and-divmod construction (csr_by_divmod) before from_edges sorted
+# in place; the dense ER spans several Bernoulli draw blocks
+GRAPH_SHA256 = {
+    "er_dense": "b281d01ecd329de6531dde9d3ac31d26cd6278b52ba0debad5623ddac2b202d3",
+    "er_sparse": "faaa9543898deb651db43438f793f7ac597c48c1335c35a81d3ef2d4bdbd5edc",
+    "sbm": "d6345c72a720c03c40e0506c8cdd030bf29059643883fc8404103d2d1c999a43",
+    "ba": "8766e0cb73f147249c0b2cc81f65dc77478f3baf708890fda0ab9a89004a0269",
+}
+
+
+@pytest.mark.parametrize("name,make", [
+    ("er_dense", lambda: gen_er(1000, DenseSchedule(0.05), 1)),
+    ("er_sparse", lambda: gen_er(2000, SparseSchedule(3.0), 2)),
+    ("sbm", lambda: gen_sbm(600, (0.3, 0.7), ((0.2, 0.05), (0.05, 0.1)), 3)),
+    ("ba", lambda: gen_ba(1000, 3, 4))])
+def test_sampled_graphs_are_pinned(name, make):
+    g = make()
+    digest = hashlib.sha256(g.indptr.astype("<i8").tobytes()
+                            + g.indices.astype("<i8").tobytes())
+    assert digest.hexdigest() == GRAPH_SHA256[name]

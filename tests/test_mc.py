@@ -123,7 +123,7 @@ def test_sparse_two_hop_working_memory():
 
 
 def test_dense_nested_attention_working_memory():
-    # a nested chunk holds about _BLOCK elements, d included (114 MB for
+    # a nested chunk holds about graphs.BLOCK elements, d included (114 MB for
     # gat-1L when chunks were sized without d)
     cfg = ArchConfig(kind="gat", layers=1, hidden=8, classes=4, in_dim=4)
     net = compile_architecture(cfg, init_weights(cfg, 123))

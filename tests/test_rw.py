@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from aggterm import rw
+from aggterm import graphs, rw
 from aggterm.graphs import (BaModel, DenseSchedule, ErModel, LogSchedule,
                             SparseSchedule, from_edges, sample_graph)
 from aggterm.rw import rw_encoding, rw_encoding_all, walk_returns
@@ -147,7 +147,7 @@ def test_triples_ignore_block_partition(monkeypatch):
 
     monkeypatch.setattr(rw, "_slab_rows", no_slab)
     whole = rw_encoding_all(g, 5)
-    monkeypatch.setattr(rw, "_BLOCK_ENTRIES", 100)
+    monkeypatch.setattr(graphs, "BLOCK", 100)
     assert np.array_equal(rw_encoding_all(g, 5), whole)
     picks = [0, 17, 599, 601]
     assert np.array_equal(walk_returns(g.indptr, g.indices, picks, 5),
