@@ -263,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lim.add_argument("--mode", choices=("dense", "sparse"), required=True)
     lim.add_argument("--mc", type=int, default=100000,
                      help="feature draws per Monte-Carlo pool; the error "
-                          "bars rerun the estimate on 10 blocks of them")
+                          "bars are batch means over 10 blocks of them")
     lim.add_argument("--eps", type=float, default=0.05,
                      help="sparse mode: census mass allowed to be dropped")
     lim.add_argument("--seed", type=int, default=0)

@@ -40,7 +40,8 @@ from .graphs import (DenseSchedule, FeatureDist, LogSchedule, RootSchedule,
                      SbmModel, draw_features, feature_dim)
 from .mc import ControllerValue, McEngine
 from .registry import FunctionRegistry, default_registry
-from .terms import Term, contains_gcn, free_vars, validate_term
+from .terms import (GlobalWMean, LocalWMean, Term, contains_gcn, free_vars,
+                    validate_term)
 
 __all__ = ["dense_controller", "DenseController", "dense_limit_p"]
 
@@ -92,6 +93,7 @@ class _DenseEngine(McEngine):
 
     # a neighbor is a fresh draw, as a globally bound node is
     _local = McEngine._global
+    _globals = (GlobalWMean, LocalWMean)
 
 
 class DenseController:

@@ -6,33 +6,44 @@ root, as there a neighbor is a fresh i.i.d. draw like any globally bound
 node. McEngine is that mixture. The kept classes form one disjoint-union
 CSR graph, variables bind to node ids on it, every subterm is a (rows,
 samples, d) block, and the term runs through the evaluator's interpreter
-(evaluate.Interpreter) and wmean_reduce.
+(evaluate.Interpreter). Local aggregates reduce through wmean_reduce,
+global ones through _Mean, which takes its operations chunk by chunk.
 
 A global aggregate mixes over the classes at its census radius, each a
 fresh component, as one mean over all draws of mass q / draws each. One
 whose body reads only its binder (reads_outer) is collapsed: computed
-once per run on pools of the run's draws per depth and class. Otherwise
+once per estimate on pools of the m draws per depth and class. Otherwise
 it is nested: per chunk of outer samples, every class's component with
 fresh draws per outer sample joins the outer rows' components. An outer
-sample gets max(inner_mc, P // outer samples) draws, P those of the run,
-so an open term's top aggregate averages P draws; nested ratios keep an
-O(1/inner_mc) bias. A scored nested aggregate (evaluate.plan) evaluates its
-score's outer argument once per outer row and sample, the inner one and
-the value on the class components alone, and reduces one score per
-(outer sample, inner draw) pair.
+sample gets inner_mc draws, and an open term's top aggregate, whose one
+outer sample is the whole run, P = max(inner_mc, m); nested ratios keep
+an O(1/inner_mc) bias. A scored nested aggregate (evaluate.plan)
+evaluates its score's outer argument once per outer row and sample, the
+inner one and the value on the class components alone, and reduces one
+score per (outer sample, inner draw) pair.
 
-Error bars come from rerunning the recursion on disjoint blocks of the
-draws: for ratios of means this agrees with the delta method up to
-O(1/m). Streams are keyed (seed, kind, "pool", depth, class) and (seed,
-kind, "inner", depth, run tag, class, *chunks, chunk offset), so reruns
-reproduce exactly and every outer sample gets independent inner draws.
-A pool stream is sample-major: draw s of a class's node i is row
-s * nodes + i, so a run skips the rows of the draws before its own
-(graphs.skip_features) and draws only its own. Pools are drawn per chunk
-of classes and dropped with it, so pools take memory by graphs.BLOCK
-(elements, samples and d counted), not by the census (a collapsed
-aggregate's one value row per class and draw still grows with it). An
-aggregate whose body reads no feature on its union draws none.
+Error bars are batch means: block b owns slice b of the draws, and the
+estimate on its draws alone stands in for an independent run (for ratios
+of means this agrees with the delta method up to O(1/m)). One pass gives
+the full estimate and every block's. A per-run aggregate (a collapsed
+one, or an open term's top one) returns its full value and one value per
+block, each the mean over its draws; a scope records each sample's block
+(None in the full run), and a consumer reads its block's value. A body
+that reads no per-run value gives a draw the same rows in every run, so
+it is evaluated once and its rows feed the full mean and, sliced, each
+block's; any other body is evaluated once more, each draw reading its
+block's values. Streams are keyed (seed, kind, "pool", depth, class) and
+(seed, kind, "inner", depth, class, *chunks, chunk offset), offsets of
+absolute outer samples, so both evaluations read the same draws and every
+outer sample gets independent inner draws. A pool stream is sample-major:
+draw s of a class's node i is row s * nodes + i.
+
+Pools are drawn per chunk of classes and dropped with it, and every
+aggregate reduces a chunk's (class, draw) rows into running sums (_Mean)
+before the next chunk is drawn, so an estimate takes memory by
+graphs.BLOCK (elements, samples and d counted), not by the census, and
+reads each pool row once per aggregate. An aggregate whose body reads no
+feature on its union draws none.
 """
 
 from __future__ import annotations
@@ -45,8 +56,8 @@ import numpy as np
 from . import graphs
 from .canonical import canonical_code
 from .errors import ConfigError, as_int
-from .evaluate import (Interpreter, _checked_scores, local_aggregate, plan,
-                       reads_outer, wmean_reduce)
+from .evaluate import (Interpreter, _checked_ratio, _checked_scores,
+                       local_aggregate, plan, reads_outer)
 from .registry import FunctionRegistry, fit_width
 from .rng import stream
 from .rw import walk_returns
@@ -198,16 +209,11 @@ def _pick(u: _Union, comps: np.ndarray) -> Tuple[_Union, np.ndarray]:
 def _join(a: _Union, b: _Union, feats: np.ndarray) -> _Union:
     """b's components appended after a's, with the given features."""
     n = len(a.indptr) - 1
+    if not n:
+        return b._replace(feats=feats)
     return _Union(np.concatenate([a.indptr, b.indptr[1:] + a.indptr[-1]]),
                   np.concatenate([a.indices, b.indices + n]),
                   np.concatenate([a.starts, b.starts[1:] + n]), feats)
-
-
-def _stack(blocks: list) -> np.ndarray:
-    """blocks joined on the leading axis, copying only to be C-contiguous."""
-    if len(blocks) == 1:
-        return np.ascontiguousarray(blocks[0])
-    return np.concatenate(blocks)
 
 
 def _spread(weights: np.ndarray, draws: int) -> np.ndarray:
@@ -216,28 +222,72 @@ def _spread(weights: np.ndarray, draws: int) -> np.ndarray:
                            (len(weights), draws)).reshape(-1)
 
 
-def _mixture(blocks, rows: int, draws: int) -> Optional[np.ndarray]:
-    """Class-major (classes * rows, samples * draws, d) blocks as one
-    (classes * draws, rows, samples, d) array, or None for unread weights."""
-    if blocks[0] is None:
-        return None
-    x = _stack(blocks)
+def _mixture(x: np.ndarray, rows: int, draws: int) -> np.ndarray:
+    """A class-major (classes * rows, samples * draws, d) block as one
+    (classes * draws, rows, samples, d) array."""
     c, s, d = x.shape[0] // rows, x.shape[1] // draws, x.shape[2]
     return (x.reshape(c, rows, s, draws, d).transpose(0, 3, 1, 2, 4)
             .reshape(c * draws, rows, s, d))
 
 
+class _Mean:
+    """One weighted mean over the leading axis of row blocks fed one at a
+    time, as wmean_reduce takes it over all rows at once: a row weighs
+    weight_map(eta) times its mass, and sums of weight times value and of
+    weight run over the blocks. Exp weights share one shift, the largest
+    eta so far, and the sums are rescaled when a later block raises it. A
+    block's sums take wmean_reduce's operations, so a mean of one block
+    has its bits."""
+
+    def __init__(self, weight_map: str, registry: FunctionRegistry):
+        self.map, self.registry = weight_map, registry
+        self.num = self.den = self.top = None
+
+    def add(self, vals: np.ndarray, eta: Optional[np.ndarray],
+            mass: np.ndarray) -> None:
+        mass = mass.reshape((-1,) + (1,) * (vals.ndim - 1))
+        if self.map == "one":
+            w = mass
+        elif self.map == "exp":
+            top = eta.max(axis=0, keepdims=True)
+            if self.top is not None:
+                top = np.maximum(top, self.top)
+                # exactly 1 where the shift stays
+                scale = np.exp(self.top - top)[0]
+                self.num *= scale
+                self.den *= scale
+            self.top = top
+            w = eta - top
+            np.exp(w, out=w)
+            w *= mass
+        else:
+            w = self.registry.call(
+                self.map, [eta.reshape(-1, eta.shape[-1])]
+            ).reshape(eta.shape) * mass
+        num, den = (vals * w).sum(axis=0), w.sum(axis=0)
+        if self.num is None:
+            self.num, self.den = num, den
+        else:
+            self.num += num
+            self.den += den
+
+    def value(self, path: tuple) -> np.ndarray:
+        return _checked_ratio(self.num, self.den, self.map, path)
+
+
 class McEngine(Interpreter):
     """One term's value on a mixture of rooted classes, with error bars.
 
-    A scope is (bindings, depth, chunks): the union the variables live in
-    with each one's node ids per block row, the nesting depth of
-    aggregates around the node, and the outer-sample offsets of the nested
-    chunks enclosing it. Radius 0 has one class, the lone root; a subclass
-    supplies _census(radius), the kept classes at radius >= 1.
+    A scope is (bindings, depth, chunks, blocks): the union the variables
+    live in with each one's node ids per row, the nesting depth of
+    aggregates around the node, the outer-sample offsets of the nested
+    chunks enclosing it, and each sample's error block (None in the full
+    run). Radius 0 has one class, the lone root; a subclass supplies
+    _census(radius), the kept classes at radius >= 1.
     """
 
     kind = ""  # first stream key after the seed: "dense" or "sparse"
+    _globals: tuple = (GlobalWMean,)  # the node kinds _global takes
 
     def __init__(self, term: Term, registry: FunctionRegistry,
                  dist: graphs.FeatureDist, draw: Callable, mc_samples: int,
@@ -250,15 +300,14 @@ class McEngine(Interpreter):
         self.mc = as_int(mc_samples, "mc_samples", 2)
         self.seed = seed
         self.inner_mc = as_int(inner_mc, "inner_mc", 2)
-        # pool key -> [its stream, its starting state, the row it stands at]
-        self._streams: Dict[tuple, list] = {}
+        self._nblocks = len(block_slices(self.mc))
+        # pool key -> its stream and starting state: making a stream costs
+        # more than resetting one
+        self._streams: Dict[tuple, tuple] = {}
         # radius -> (union, codes, weights, dropped mass) of the kept classes
         self._kept: Dict[int, tuple] = {}
-        # per-run state: the first selected draw, their count and the run's tag
-        self._start = 0
-        self._m = self.mc
-        self._tag = "full"
-        self._cache: Dict[tuple, np.ndarray] = {}
+        # (per-run aggregate, depth) -> its full value and block values
+        self._cache: Dict[tuple, tuple] = {}
 
     def _radius(self, term) -> int:
         """The census radius a global aggregate reads. Degree-normalized
@@ -283,23 +332,23 @@ class McEngine(Interpreter):
             count, slots, self.d)
 
     def _pool(self, depth: int, code: bytes, count: int) -> np.ndarray:
-        """A class's (count, selected draws, d) pool at a depth, read from
-        its sample-major stream: the rows of the draws before the run's
-        are skipped, not drawn. Only the stream, its starting state and
-        the row it stands at are kept: making a stream costs more than
-        resetting one, and consecutive blocks need neither."""
+        """A class's (count, m, d) pool at a depth, read from the start of
+        its sample-major stream."""
         key = ("pool", depth, *self._key(code))
         got = self._streams.get(key)
         if got is None:
             rng = stream(self.seed, self.kind, *key)
-            got = self._streams[key] = [rng, rng.bit_generator.state, 0]
-        rng, start, at = got
-        if at != self._start * count:
-            rng.bit_generator.state = start
-            graphs.skip_features(self.dist, self._start * count, rng)
-        rows = self._draw(self.dist, self._m * count, rng)
-        got[2] = (self._start + self._m) * count
-        return rows.reshape(self._m, count, self.d).transpose(1, 0, 2)
+            got = self._streams[key] = (rng, rng.bit_generator.state)
+        rng, start = got
+        rng.bit_generator.state = start
+        rows = self._draw(self.dist, self.mc * count, rng)
+        return rows.reshape(self.mc, count, self.d).transpose(1, 0, 2)
+
+    def _reads_run(self, term) -> bool:
+        """Whether a subterm reads a per-run value: that of a collapsed
+        aggregate anywhere below it."""
+        return any((isinstance(t, self._globals) and not reads_outer(t))
+                   or self._reads_run(t) for t in read_children(term))
 
     def _weight_arg(self, term, *args) -> Optional[np.ndarray]:
         """The weight argument, or None under the map "one", which never
@@ -321,152 +370,175 @@ class McEngine(Interpreter):
 
     def _local(self, term, scope: tuple, shape: tuple,
                path: tuple) -> np.ndarray:
-        (g, frame), depth, chunks = scope
+        (g, frame), depth, chunks, blocks = scope
         return local_aggregate(
             term, frame, np.empty(shape), g.indptr, g.indices,
             lambda t, child, sh, p: self._eval(
-                t, ((g, child), depth + 1, chunks), sh, p),
+                t, ((g, child), depth + 1, chunks, blocks), sh, p),
             self.registry, path)
 
     def _global(self, term, scope: tuple, shape: tuple,
                 path: tuple) -> np.ndarray:
-        if reads_outer(term):
+        depth, blocks = scope[1], scope[3]
+        if depth and reads_outer(term):
             return self._nested(term, scope, shape, path)
-        depth = scope[1]
         key = (term, depth)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = self._cache[key] = self._collapsed(term, depth, path)
-        return np.broadcast_to(cached, shape)
+        got = self._cache.get(key)
+        if got is None:
+            got = self._cache[key] = self._run(term, scope, path)
+        full, per_block = got
+        return np.broadcast_to(full if blocks is None else per_block[blocks],
+                               shape)
 
-    def _collapsed(self, term, depth: int, path: tuple) -> np.ndarray:
-        """One row per class, a chunk of classes at a time, on pools."""
-        m = self._m
-        u, codes, weights, _ = self._types(self._radius(term))
-        sizes = np.diff(u.starts)
-        reads = _reads_features(term)
-        vals, etas = [], []
-        for a, b in graphs.cost_blocks(sizes * (m * self.d), graphs.BLOCK):
-            g = _pick(u, np.arange(a, b))[0]
-            # a chunk draws its classes' pools and drops them with g, so no
-            # pool outlives its chunk
-            if reads:
-                g = g._replace(feats=_stack([
-                    self._pool(depth, codes[c], sizes[c])
-                    for c in range(a, b)]))
-            args = (((g, {term.bound: g.starts[:-1]}), depth + 1, ()),
-                    (b - a, m, self.d), path)
-            vals.append(self._eval(term.value, *args))
-            etas.append(self._weight_arg(term, *args))
-        # rebinding frees the per-chunk blocks before the reduction
-        vals, etas = _mixture(vals, 1, m), _mixture(etas, 1, m)
-        return wmean_reduce(vals, etas, term.weight_map, self.registry, None,
-                            _spread(weights, m), path=path)[0, 0]
+    def _run(self, term, scope: tuple, path: tuple) -> tuple:
+        """A per-run aggregate's full value and its block values, in one
+        pass: a collapsed one on pools of the m draws, or an open term's
+        top aggregate on P = max(inner_mc, m) inner draws. Block b owns
+        slice b of the draws. A body that reads no per-run value is
+        evaluated once, and its rows feed the full mean and, sliced, each
+        block's; any other is evaluated again with every draw reading its
+        block's values, for the block means."""
+        (g, frame), depth = scope[:2]
+        top = reads_outer(term)
+        draws = max(self.inner_mc, self.mc) if top else self.mc
+        if not top:
+            g, frame = _layout([]), {}
+        slices = block_slices(draws, self._nblocks)
+        full = _Mean(term.weight_map, self.registry)
+        parts = [_Mean(term.weight_map, self.registry) for _ in slices]
+        whole = [(full, slice(None), draws)]
+        split = [(mean, sl, sl.stop - sl.start)
+                 for mean, sl in zip(parts, slices)]
+        if self._reads_run(term):
+            ids = np.repeat(np.arange(len(slices)),
+                            [sl.stop - sl.start for sl in slices])
+            contexts = [(None, whole), (ids, split)]
+        else:
+            contexts = [(None, whole + split)]
+        self._classes(term, ((g, frame), depth, (0,) if top else ()), 1,
+                      slice(0, 1), draws, None, contexts, path)
+        return (full.value(path)[0, 0],
+                np.stack([mean.value(path)[0, 0] for mean in parts]))
 
     def _nested(self, term, scope: tuple, shape: tuple,
                 path: tuple) -> np.ndarray:
-        """Per chunk of outer samples and rows, every class's fresh
-        component joins the rows' components, bindings repeated per class.
-        A scored aggregate (evaluate.plan) joins nothing: its score's outer
+        """Per chunk of outer samples and rows, one mean over every class
+        (_classes), inner_mc fresh draws per outer sample."""
+        (g, frame), depth, chunks, blocks = scope
+        inner = self.inner_mc
+        pl = plan(term, self.registry)
+        classes = len(self._types(self._radius(term))[1])
+        out, step = np.empty(shape), max(1, graphs.BLOCK // (inner * self.d))
+        for lo in range(0, shape[1], step):
+            hi = min(shape[1], lo + step)
+            # an inner draw reads its outer sample's block
+            ids = None if blocks is None else np.repeat(blocks[lo:hi], inner)
+            per_row = np.full(shape[0], classes * (hi - lo) * inner * self.d)
+            for r0, r1 in graphs.cost_blocks(per_row, graphs.BLOCK):
+                mean = _Mean(term.weight_map, self.registry)
+                rows = {v: arr[r0:r1] for v, arr in frame.items()}
+                self._classes(term, ((g, rows), depth, chunks + (lo,)),
+                              r1 - r0, slice(lo, hi), inner,
+                              pl if pl.kind == "scored" else None,
+                              [(ids, [(mean, slice(None), inner)])], path)
+                out[r0:r1, lo:hi] = mean.value(path)
+        return out
+
+    def _classes(self, term, scope: tuple, rows: int, samples: slice,
+                 inner: int, pl, contexts: list, path: tuple) -> None:
+        """Fresh components of every class, a chunk of classes at a time,
+        joined after those of the rows the scope (bindings, depth, chunks)
+        binds, whose features repeat over each of their samples' inner
+        draws. A collapsed aggregate binds no rows and reads pools; the
+        others read draws keyed by their outer samples' offsets. The body
+        runs once per context (blocks, sinks): blocks gives each draw's
+        error block or is None, and each sink (mean, draws, draws per
+        class) takes the rows of its slice of the draws. A scored
+        aggregate (pl, evaluate.plan) joins nothing: its score's outer
         argument runs once per row and sample on the rows' components, its
         value and inner argument on the classes' alone, and one score per
         (outer sample, inner draw) pair weighs the value."""
-        (g, frame), depth, chunks = scope
-        d = self.d
+        (g, frame), depth, tail = scope
+        d, s = self.d, samples.stop - samples.start
+        slots = s * inner
         u, codes, weights, _ = self._types(self._radius(term))
         sizes = np.diff(u.starts)
-        pl = plan(term, self.registry)
-        scored = pl.kind == "scored"
+        pooled = not reads_outer(term)
         reads = _reads_features(term)
-        # outside nested chunks an aggregate has 1 or P outer samples; inside
-        # one, P * inner_mc or more
-        inner = self.inner_mc if chunks else max(self.inner_mc,
-                                                 self._m // shape[1])
-        mass = _spread(weights, inner)
-        out, step = np.empty(shape), max(1, graphs.BLOCK // (inner * d))
-        for lo in range(0, shape[1], step):
-            hi = min(shape[1], lo + step)
-            s, slots = hi - lo, (hi - lo) * inner
-            cost = slots * d  # elements per node or row
-            tail = chunks + (lo,)
-            per_row = np.full(shape[0], len(codes) * cost)
-            for r0, r1 in graphs.cost_blocks(per_row, graphs.BLOCK):
-                n = r1 - r0
-                nodes = np.concatenate([arr[r0:r1] for arr in frame.values()])
-                part, keep = _pick(g, np.unique(
-                    np.searchsorted(g.starts, nodes, side="right") - 1))
-                # a scored aggregate's classes form a union of their own
-                k = 0 if scored else len(keep)
-                outer = g.feats[keep, lo:hi] if reads else None
-                bound = {v: np.searchsorted(keep, arr[r0:r1])
-                         for v, arr in frame.items()}
-                if scored:
-                    left = self._eval(
-                        pl.a, ((part._replace(feats=outer), bound), depth + 1,
-                               tail), (n, s, d), pl.score_path(path))
-                vals, etas = [], []
-                for a, b in graphs.cost_blocks((sizes + n) * cost, graphs.BLOCK):
-                    comp = _pick(u, np.arange(a, b))[0]
-                    roots = k + comp.starts[:-1]
-                    feats = None
-                    if reads:
-                        feats = np.empty((roots[-1] + sizes[b - 1], slots, d))
-                        if not scored:
-                            # an outer sample's features repeat over its
-                            # inner draws
-                            feats[:k].reshape(k, s, inner, d)[...] = \
-                                outer[:, :, None]
-                        for c, at in zip(range(a, b), roots):
-                            feats[at:at + sizes[c]] = self._draws(
-                                sizes[c], slots, "inner", depth, self._tag,
-                                *self._key(codes[c]), *tail)
-                    if scored:
-                        args = (((comp._replace(feats=feats),
-                                  {term.bound: roots}), depth + 1, tail),
-                                (b - a, slots, d))
-                        vals.append(self._eval(term.value, *args, path))
-                        etas.append(_pair_scores(
-                            pl, left, self._eval(pl.b, *args,
-                                                 pl.score_path(path)),
-                            inner, self.registry, path))
-                    else:
-                        sub = {v: np.tile(arr, b - a)
-                               for v, arr in bound.items()}
-                        sub[term.bound] = np.repeat(roots, n)
-                        args = (((_join(part, comp, feats), sub), depth + 1,
-                                 tail), ((b - a) * n, slots, d), path)
-                        vals.append(self._eval(term.value, *args))
-                        etas.append(self._weight_arg(term, *args))
-                vals = _mixture(vals, 1 if scored else n, inner)
-                etas = _mixture(etas, n, inner)
-                out[r0:r1, lo:hi] = wmean_reduce(
-                    vals, etas, term.weight_map, self.registry, None, mass,
-                    path=path)
-        return out
-
-    def run(self, sel: slice, tag, top: tuple) -> np.ndarray:
-        """One pass of the recursion on the draws sel, tagged for reruns."""
-        draws = range(self.mc)[sel]
-        self._start, self._m = draws.start, len(draws)
-        self._tag = tag
-        self._cache = {}
-        return self._eval(self.term, (top, 0, ()), (1, 1, self.d),
-                          ())[0, 0].copy()
+        nodes = np.concatenate([np.zeros(0, np.int64), *frame.values()])
+        part, keep = _pick(g, np.unique(
+            np.searchsorted(g.starts, nodes, side="right") - 1))
+        bound = {v: np.searchsorted(keep, arr) for v, arr in frame.items()}
+        outer = g.feats[keep, samples] if reads and len(keep) else None
+        k = 0 if pl else len(keep)
+        lefts = [self._eval(
+            pl.a, ((part._replace(feats=outer), bound), depth + 1, tail,
+                   None if ids is None else ids[::inner]),
+            (rows, s, d), pl.score_path(path)) if pl else None
+            for ids, _ in contexts]
+        for a, b in graphs.cost_blocks((sizes + rows) * (slots * d),
+                                       graphs.BLOCK):
+            comp = _pick(u, np.arange(a, b))[0]
+            roots = k + comp.starts[:-1]
+            feats = None
+            if reads:
+                feats = np.empty((roots[-1] + sizes[b - 1], slots, d))
+                if k:
+                    feats[:k].reshape(k, s, inner, d)[...] = outer[:, :, None]
+                for c, at in zip(range(a, b), roots):
+                    feats[at:at + sizes[c]] = (
+                        self._pool(depth, codes[c], sizes[c]) if pooled
+                        else self._draws(sizes[c], slots, "inner", depth,
+                                         *self._key(codes[c]), *tail))
+            for (ids, sinks), left in zip(contexts, lefts):
+                if pl:
+                    args = (((comp._replace(feats=feats),
+                              {term.bound: roots}), depth + 1, tail, ids),
+                            (b - a, slots, d))
+                    vals = self._eval(term.value, *args, path)
+                    etas = _pair_scores(
+                        pl, left, self._eval(pl.b, *args,
+                                             pl.score_path(path)),
+                        inner, self.registry, path)
+                else:
+                    sub = {v: np.tile(arr, b - a) for v, arr in bound.items()}
+                    sub[term.bound] = np.repeat(roots, rows)
+                    args = (((_join(part, comp, feats), sub), depth + 1,
+                             tail, ids), ((b - a) * rows, slots, d), path)
+                    vals = self._eval(term.value, *args)
+                    etas = self._weight_arg(term, *args)
+                for mean, sl, count in sinks:
+                    mean.add(_mixture(vals[:, sl], 1 if pl else rows, count),
+                             None if etas is None else
+                             _mixture(etas[:, sl], rows, count),
+                             _spread(weights[a:b], count))
+                # freed before the next context's body runs
+                del vals, etas
 
     def estimate(self, env: Optional[Dict[str, np.ndarray]] = None
                  ) -> ControllerValue:
-        """The estimate with error bars. env gives each free variable's
-        (d,) feature vector, held by a one-node component of its own."""
+        """The estimate with error bars: the recursion once at one sample,
+        the full run, and once at one sample per block, where sample b
+        reads block b's values of the per-run aggregates, all computed in
+        the first. env gives each free variable's (d,) feature vector,
+        held by a one-node component of its own."""
         env = env or {}
-        feats = np.array(list(env.values()), dtype=np.float64)
-        top = (_layout([((),)] * len(env))._replace(
-            feats=feats.reshape(len(env), 1, self.d)),
-            {v: np.array([i]) for i, v in enumerate(env)})
-        full = self.run(slice(None), "full", top)
-        blocks = [self.run(sl, i, top)
-                  for i, sl in enumerate(block_slices(self.mc))]
-        return ControllerValue(estimate=full,
-                               stderr=batch_stderr(np.stack(blocks)),
+        nb, d = self._nblocks, self.d
+        feats = np.array(list(env.values()), dtype=np.float64).reshape(
+            len(env), 1, d)
+        g = _layout([((),)] * len(env))
+        frame = {v: np.array([i]) for i, v in enumerate(env)}
+
+        def run(samples: int, blocks) -> np.ndarray:
+            top = g._replace(
+                feats=np.broadcast_to(feats, (len(env), samples, d)))
+            return self._eval(self.term, ((top, frame), 0, (), blocks),
+                              (1, samples, d), ())[0]
+
+        self._cache = {}
+        full, blocks = run(1, None), run(nb, np.arange(nb))
+        return ControllerValue(estimate=full[0].copy(),
+                               stderr=batch_stderr(blocks),
                                mc_samples=self.mc,
                                truncated_mass=self.truncated_mass())
 

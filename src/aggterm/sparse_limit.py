@@ -16,9 +16,10 @@ The mixture runs on mc.McEngine, the engine of the dense limit too. Here
 each global aggregate reads a census at the radius its body needs
 (mc.aggregation_depth), drawn once per radius and cut to the heaviest
 classes covering 1 - eps of the mass, renormalized; the dropped mass is
-reported. Radius 0, a lone root, needs no census. Block reruns give error
-bars without census noise, so size the census budget generously. Nested
-aggregates keep an O(1/inner_mc) ratio bias.
+reported. Radius 0, a lone root, needs no census. The error bars are
+batch means over blocks of the feature draws, taken in the same pass as
+the estimate; they hold no census noise, so size the census budget
+generously. Nested aggregates keep an O(1/inner_mc) ratio bias.
 """
 
 from __future__ import annotations

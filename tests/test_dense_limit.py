@@ -140,9 +140,10 @@ def test_weight_argument_skipped_under_one(monkeypatch):
     monkeypatch.setattr(dl, "draw_features", counting)
     term = t("mean[x](mean[y](hadamard(H(x), H(y))))")
     got = dense_controller(term, ER01, Uniform01(1), 1000, 14, inner_mc=8)
-    # the full run draws a 1000-row pool and 1000 * 8 inner rows; each of
-    # the 10 block reruns draws its own 100-row pool and 100 * 8 inner rows
-    assert sum(rows) == 1000 + 8000 + 10 * (100 + 800)
+    # one pass draws the 1000-row pool of mean[x] once and, its body reading
+    # no per-run value, evaluates it once: 1000 outer samples * 8 inner rows
+    # for mean[y]. The blocks' means take slices of the same rows
+    assert sum(rows) == 1000 + 8000
     # the same estimate with the value repeated as a weight the map reads
     # (exp of 0 * body is 1 everywhere), where both are evaluated
     rows.clear()
@@ -151,7 +152,7 @@ def test_weight_argument_skipped_under_one(monkeypatch):
     ref = dense_controller(weighted, ER01, Uniform01(1), 1000, 14,
                            inner_mc=8)
     # as above, with the inner rows drawn for the value and the weight
-    assert sum(rows) == 1000 + 2 * 8000 + 10 * (100 + 2 * 800)
+    assert sum(rows) == 1000 + 2 * 8000
     assert np.array_equal(got.estimate, ref.estimate)
 
 

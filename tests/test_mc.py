@@ -2,6 +2,7 @@
 pool streams and working memory."""
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,11 +12,15 @@ from aggterm.dense_limit import dense_controller
 from aggterm.errors import ConfigError
 from aggterm.graphs import (BernoulliFeatures, ConstantFeatures, DenseSchedule,
                             ErModel, PaddedFeatures, SparseSchedule, Uniform01,
-                            UniformRange)
-from aggterm.mc import ControllerValue, McEngine, batch_stderr, block_slices
+                            UniformRange, draw_features)
+from aggterm.dense_limit import _DenseEngine
+from aggterm.evaluate import wmean_reduce
+from aggterm.mc import (_LONE, ControllerValue, McEngine, _Mean, batch_stderr,
+                        block_slices)
 from aggterm.parser import parse_term
 from aggterm.registry import default_registry
-from aggterm.sparse_limit import CensusConfig, sparse_limit
+from aggterm.rng import stream
+from aggterm.sparse_limit import CensusConfig, _SparseEngine, sparse_limit
 
 
 def test_controller_value_readonly():
@@ -67,23 +72,43 @@ def test_batch_stderr_scales_with_noise():
     assert large[0] > 10 * small[0]
 
 
+@pytest.mark.parametrize("weight_map,width", [
+    ("one", 2), ("exp", 2), ("exp", 1), ("softplus", 2)])
+def test_streamed_mean_is_the_mean_over_all_rows(weight_map, width):
+    # rows fed in chunks whose weight arguments jump by +50 and then -20:
+    # the exp sums rescale to the largest shift so far, and every map gives
+    # wmean_reduce's mean over all rows; fed as one chunk, its bits
+    rng = np.random.default_rng(5)
+    vals = rng.normal(size=(30, 2, 3, 2))
+    jumps = np.repeat([0.0, 50.0, -20.0], 10)[:, None, None, None]
+    eta = rng.normal(size=(30, 2, 3, width)) + jumps
+    mass = rng.random(30)
+    reg = default_registry()
+    want = wmean_reduce(vals, eta, weight_map, reg, None, mass)
+    streamed, whole = _Mean(weight_map, reg), _Mean(weight_map, reg)
+    for sl in block_slices(30, 3):
+        streamed.add(vals[sl], eta[sl], mass[sl])
+    whole.add(vals, eta, mass)
+    assert np.allclose(streamed.value(()), want, rtol=1e-12, atol=0)
+    assert np.array_equal(whole.value(()), want)
+
+
 DISTS = [Uniform01(2), UniformRange(-1.0, 3.0, 2), BernoulliFeatures(0.3, 3),
          ConstantFeatures(0.5, 2), PaddedFeatures(Uniform01(3), 5),
          PaddedFeatures(BernoulliFeatures(0.6, 1), 2)]
 
 
 @pytest.mark.parametrize("dist", DISTS, ids=lambda d: type(d).__name__)
-def test_block_pools_are_the_full_pool_restricted(dist, monkeypatch):
-    # every run reads its own draws of a class's sample-major pool stream,
-    # skipping the rows of earlier draws: the block reruns' pools are the
-    # full run's, split along the draws, bit for bit. Two aggregates read
-    # each pool in every run, so the second read of a block rerun resets
-    # its stream and skips to the block's first draw
-    pools = {}
+def test_pool_streams_are_read_once_per_aggregate(dist, monkeypatch):
+    # one pass serves the full run and every error block, so each (depth,
+    # class) pool stream is read once per aggregate that draws on it, from
+    # its start: the two aggregates below read each class's depth-0 pool
+    # twice, and every read is the stream's sample-major rows
+    reads = []
 
     def recording(self, depth, code, count):
         pool = pool_of(self, depth, code, count)
-        pools.setdefault(code, []).append(pool.copy())
+        reads.append((depth, code, pool.copy()))
         return pool
 
     pool_of = McEngine._pool
@@ -93,12 +118,72 @@ def test_block_pools_are_the_full_pool_restricted(dist, monkeypatch):
                       registry=default_registry())
     sparse_limit(term, ErModel(SparseSchedule(2.0)), dist,
                  CensusConfig(n=300, node_samples=200), 53, 4)
-    assert any(p[0].shape[0] > 1 for p in pools.values())
-    for full, again, *blocks in pools.values():
-        assert len(blocks) == 20 and full.shape[1] == 53
-        assert np.array_equal(again, full)
-        for reads in (blocks[::2], blocks[1::2]):
-            assert np.array_equal(np.concatenate(reads, axis=1), full)
+    counts = Counter((depth, code) for depth, code, _ in reads)
+    assert len(counts) > 1 and set(counts.values()) == {2}
+    assert any(pool.shape[0] > 1 for _, _, pool in reads)
+    for depth, code, pool in reads:
+        nodes = pool.shape[0]
+        rows = draw_features(dist, 53 * nodes,
+                             stream(4, "sparse", "pool", depth, code.hex()))
+        assert np.array_equal(
+            pool, rows.reshape(53, nodes, dist.dim).transpose(1, 0, 2))
+
+
+def _lone_draws(kind, seed, count, *key):
+    """count U[0, 1] draws of the lone root from the stream (seed, kind,
+    *key), straight from the stream."""
+    return draw_features(Uniform01(1), count, stream(seed, kind, *key))[:, 0]
+
+
+PER_RUN = "mean[x](hadamard(H(x), mean[y](H(y))))"
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+def test_blocks_read_their_own_per_run_values(kind):
+    # the outer body reads mean[y]'s per-run value, so block b's estimate is
+    # the product of block b's means of the two radius-0 pools, at depths 0
+    # and 1 (the sparse engine keys its lone root's pools by its code)
+    m, seed = 997, 12
+    term = parse_term(PER_RUN, 1, registry=default_registry())
+    if kind == "dense":
+        engine, key = _DenseEngine(term, default_registry(), Uniform01(1),
+                                   draw_features, m, seed, 64), ()
+    else:
+        engine, key = _SparseEngine(
+            term, default_registry(), Uniform01(1),
+            ErModel(SparseSchedule(2.0)),
+            CensusConfig(n=300, node_samples=100), m, seed, 0.05, 64), \
+            (_LONE.hex(),)
+    v = engine.estimate()
+    full, blocks = engine._cache[(term, 0)]
+    x, y = (_lone_draws(kind, seed, m, "pool", depth, *key)
+            for depth in (0, 1))
+    want = np.array([[x[sl].mean() * y[sl].mean()] for sl in block_slices(m)])
+    assert np.allclose(full, [x.mean() * y.mean()], rtol=1e-12, atol=0)
+    assert np.array_equal(v.estimate, full)
+    assert np.allclose(blocks, want, rtol=1e-12, atol=0)
+    assert np.allclose(v.stderr, batch_stderr(want), rtol=1e-12, atol=0)
+
+
+def test_open_top_aggregate_blocks_slice_its_inner_draws():
+    # an open term's top aggregate averages P = max(inner_mc, m) = 64 inner
+    # draws of its one outer sample, and block b is slice b of them; its
+    # body reads mean[z]'s per-run value, block b's for block b's draws
+    m, seed, h = 40, 13, 0.7
+    term = parse_term("mean[y](hadamard(H(x), hadamard(H(y), mean[z](H(z)))))",
+                      1, registry=default_registry())
+    engine = _DenseEngine(term, default_registry(), Uniform01(1),
+                          draw_features, m, seed, 64)
+    v = engine.estimate({"x": np.array([h])})
+    full, blocks = engine._cache[(term, 0)]
+    y = _lone_draws("dense", seed, 64, "inner", 0, 0)
+    z = _lone_draws("dense", seed, m, "pool", 1)
+    want = np.array([[h * y[a].mean() * z[b].mean()] for a, b in
+                     zip(block_slices(64), block_slices(m))])
+    assert np.allclose(full, [h * y.mean() * z.mean()], rtol=1e-12, atol=0)
+    assert np.array_equal(v.estimate, full)
+    assert np.allclose(blocks, want, rtol=1e-12, atol=0)
+    assert np.allclose(v.stderr, batch_stderr(want), rtol=1e-12, atol=0)
 
 
 def _traced_peak_mb(fn) -> float:
@@ -120,6 +205,18 @@ def test_sparse_two_hop_working_memory():
     assert _traced_peak_mb(lambda: sparse_limit(
         term, ErModel(SparseSchedule(2.0)), Uniform01(1),
         CensusConfig(n=5000, node_samples=5000), 4000, 7)) < 40
+
+
+def test_sparse_two_hop_reduces_as_it_streams():
+    # the same limit: each chunk of classes is reduced into running sums
+    # before the next is drawn, so no classes x draws value matrix is held
+    # (18.7 MB when it was, with block reruns)
+    term = parse_term(
+        "mean[u](wmean[v in N(u)](mean[w in N(v)](H(w)), exp, H(v)))", 1,
+        registry=default_registry())
+    assert _traced_peak_mb(lambda: sparse_limit(
+        term, ErModel(SparseSchedule(2.0)), Uniform01(1),
+        CensusConfig(n=5000, node_samples=5000), 4000, 7)) < 12
 
 
 def test_dense_nested_attention_working_memory():

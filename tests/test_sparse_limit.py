@@ -194,9 +194,10 @@ def test_unread_weight_argument_needs_no_census_radius():
 
 @pytest.mark.parametrize("src,d,drawn", [
     (ISO, 1, 0), ("mean[u](rw(u, 2))", 2, 0),
-    # the inner global's lone-root pool alone: 400 rows in the full run
-    # and 40 in each of the 10 block reruns
-    ("mean[u](mean[v](H(v)))", 1, 800)])
+    # the inner global's lone-root pool alone, 400 rows drawn once: the
+    # outer body reads mean[v]'s per-run value, so it runs for the full
+    # run and again for the blocks, on no pool of its own
+    ("mean[u](mean[v](H(v)))", 1, 400)])
 def test_terms_reading_no_feature_draw_none(src, d, drawn, monkeypatch):
     # a body that reads no feature on its union (an inner global that reads
     # only its binder runs on pools of its own) draws no pool for it
