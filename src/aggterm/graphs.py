@@ -579,6 +579,21 @@ def draw_features(dist: FeatureDist, count: int, rng: np.random.Generator) -> np
     raise ConfigError(f"unknown feature distribution {dist!r}")
 
 
+def skip_features(dist: FeatureDist, count: int, rng: np.random.Generator) -> None:
+    """Advance rng past count rows of draw_features(dist, ·, rng), drawing
+    none of them. A row takes one 64-bit output per coordinate of the
+    undrawn base (none for constant features). rng must be Philox, which
+    skips 4 outputs per counter step; advance takes Python ints only."""
+    base = dist
+    while isinstance(base, PaddedFeatures):
+        base = base.base
+    per_row = 0 if isinstance(base, ConstantFeatures) else feature_dim(base)
+    steps, rest = divmod(int(count) * per_row, 4)
+    rng.bit_generator.advance(steps)
+    if rest:
+        rng.random(rest)
+
+
 def attach_features(graph: FeaturedGraph, dist: FeatureDist, seed: SeedLike) -> FeaturedGraph:
     """Draw i.i.d. features per node and coordinate; structure is shared."""
     rng = _as_rng(seed, "features")

@@ -17,7 +17,7 @@ from aggterm.graphs import (AlternatingSchedule, BaModel, BernoulliFeatures,
                             eval_schedule, feature_dim, from_edges, gen_ba,
                             gen_er, gen_sbm,
                             read_graph, rooted_neighborhood, sample_graph,
-                            sbm_sizes, write_graph)
+                            sbm_sizes, skip_features, write_graph)
 from aggterm.rng import stream
 from conftest import csr_by_divmod, gen_ba_per_pick
 
@@ -122,6 +122,19 @@ def test_feature_draws():
     p = draw_features(PaddedFeatures(Uniform01(2), 5), 40, stream(314))
     assert p.shape == (40, 5)
     assert np.all(p[:, 2:] == 0.0) and p[:, :2].min() >= 0.0
+
+
+@pytest.mark.parametrize("dist", [
+    Uniform01(3), UniformRange(-2.0, 5.0, 2), BernoulliFeatures(0.25, 1),
+    ConstantFeatures(1.5, 2), PaddedFeatures(Uniform01(3), 5),
+    PaddedFeatures(ConstantFeatures(0.5, 1), 2)], ids=repr)
+@pytest.mark.parametrize("skip", [0, 1, 3, 4, 7, 250])
+def test_skip_features_lands_on_the_next_row(dist, skip):
+    # skipping rows then drawing reads the rows a longer draw gives there
+    rng = stream(315)
+    skip_features(dist, skip, rng)
+    got = draw_features(dist, 9, rng)
+    assert np.array_equal(got, draw_features(dist, skip + 9, stream(315))[skip:])
 
 
 def test_feature_dim():
