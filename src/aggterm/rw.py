@@ -6,13 +6,22 @@ of length i starting at v ends back at v. Isolated nodes get the zero vector.
 All exact values come from walk_returns. With S = D^-1/2 A D^-1/2,
 P^k[v, v] = S^k[v, v] = <S^a[v, :], S^b[v, :]> for a + b = k, so it steps
 the rows of a block of sources only ceil(kmax/2) times, either as sorted
-(source, node) triples expanded along the CSR and merged with a stable sort
-(work follows the walks: sparse graphs) or as a dense (B, n) slab times a
-dense S (work B n^2 per step: dense graphs). S is built by
-graphs.dense_rows, the slab helper the evaluator's adjacency products use
-too. The choice compares the two work estimates, both from the degrees,
-so time grows smoothly with n. A block's expected triples, or its slab
-entries, come to about graphs.BLOCK.
+(source, node) triples expanded along the CSR and merged (work follows the
+walks: sparse graphs) or as a dense (B, n) slab times a dense S (work B n^2
+per step: dense graphs). S is built by graphs.dense_rows, the slab helper
+the evaluator's adjacency products use too. The choice compares the two
+work estimates, both from the degrees, so time grows smoothly with n. A
+block's expected triples, or its slab entries, come to about graphs.BLOCK.
+
+The triples merge in a stable order, so each source's sums ignore its
+block. One default sort of (key, position) packed into an int64 gives that
+order at about a tenth of the cost of a stable sort. At odd kmax = 2h - 1
+the triples plan need not build r_h: the last return <r_(h-1), r_(h-1) S>
+sums r[u] S[u, w] r[w] over r_(h-1)'s own expansion, each pair u < w once
+and doubled, since S is symmetric, with r[w] found by binary search. It
+does so where the rows searched are short, judged from the degrees alone
+(at kmax 3 whenever the mean neighbor degree is at most 128), so the bits
+do not depend on the sources asked for or on the blocks.
 """
 
 from __future__ import annotations
@@ -23,9 +32,50 @@ from . import graphs
 
 # unused here; bench/workloads.py sizes its single-node rw tolerance by it
 DEFAULT_WALKS = 100_000
-# work in slab multiply-adds: one expanded triple costs about 3000 of them
-# (2500 timed on one BLAS thread, 3500 on two), one dense S entry about 100
-_TRIPLE_COST, _DENSE_ENTRY_COST = 3000.0, 100.0
+# work in slab multiply-adds: one expanded triple costs about 1500 of them
+# (640-1710 timed on one BLAS thread, 300-2100 on two), one dense S entry
+# about 100
+_TRIPLE_COST, _DENSE_ENTRY_COST = 1500.0, 100.0
+# odd kmax = 2h - 1 closes the last return over r_(h-1) when growth^(h-1),
+# about the entries of a source's r_(h-1) that the closure searches, is at
+# most this: 1.2-1.9x faster than building r_h up to 121 on every ER and BA
+# graph timed; above, 0.7-1.5x, slower on BA(3) from 246
+_CLOSURE_ROWS = 128.0
+
+
+def _stable_sort(keys):
+    """(np.sort(keys), np.argsort(keys, kind="stable")) of an int64 array.
+
+    Packs (key - min, position) into one int64 and sorts that with the
+    default sort, about ten times faster than the stable one; keys too far
+    apart to pack take the stable sort.
+    """
+    if len(keys) == 0:
+        return keys, np.arange(0)
+    lo = keys.min()
+    bits = (len(keys) - 1).bit_length()
+    if (int(keys.max()) - int(lo)) >> (63 - bits):
+        order = np.argsort(keys, kind="stable")
+        return keys[order], order
+    packed = (keys - lo) << bits
+    packed |= np.arange(len(keys))
+    packed.sort()
+    order = packed & ((1 << bits) - 1)
+    packed >>= bits
+    packed += lo
+    return packed, order
+
+
+def _expand(indptr, indices, scale, key, val):
+    """One unmerged CSR step of a row's triples: for each key (source, u) in
+    turn and each neighbor w of u in CSR order, the key (source, w) and the
+    index of (source, u); and each key's value times scale[u]."""
+    n = len(scale)
+    node = key % n
+    counts = indptr[node + 1] - indptr[node]
+    owner = np.repeat(np.arange(len(key)), counts)
+    flat = graphs.flat_ranges(indptr[node], counts)
+    return (key - node)[owner] + indices[flat], owner, val * scale[node]
 
 
 def _triple_rows(indptr, indices, scale, sources, half):
@@ -34,27 +84,45 @@ def _triple_rows(indptr, indices, scale, sources, half):
     key = np.arange(len(sources), dtype=np.int64) * n + sources
     val = np.ones(len(sources))
     for _ in range(half):
-        node = key % n
-        counts = indptr[node + 1] - indptr[node]
-        owner = np.repeat(np.arange(len(key)), counts)
-        flat = graphs.flat_ranges(indptr[node], counts)
-        new = key[owner] - node[owner] + indices[flat]
+        new, owner, weight = _expand(indptr, indices, scale, key, val)
         # stable, so each source's summation order ignores its block
-        order = np.argsort(new, kind="stable")
-        new = new[order]
-        first = np.flatnonzero(np.diff(new, prepend=-1))
+        new, order = _stable_sort(new)
+        first = np.flatnonzero(graphs.run_starts(new))
         key = new[first]
-        val = (np.add.reduceat((val * scale[node])[owner][order], first)
-               * scale[key % n])
+        val = np.add.reduceat(weight[owner[order]], first) * scale[key % n]
         yield key, val
+
+
+def _triple_closure(indptr, indices, scale, row, count):
+    """Per-source <r, r S> of a triple row r of a count-source block, from
+    r's own expansion: each expanded (source, u -> w) adds r[u] S[u, w] r[w].
+    S is symmetric with a zero diagonal, so it adds the pairs w > u twice."""
+    key, val = row
+    n = len(scale)
+    new, owner, weight = _expand(indptr, indices, scale, key, val)
+    up = np.flatnonzero(new > key[owner])
+    new, owner = new[up], owner[up]
+    hit, pos = _find(key, new)
+    new = new[hit]
+    return 2.0 * np.bincount(new // n, weights=weight[owner[hit]]
+                             * scale[new % n] * val[pos], minlength=count)
+
+
+def _find(keys, queries):
+    """Indices of the queries found in the sorted keys, and their positions
+    there."""
+    pos = np.searchsorted(keys, queries)
+    hit = np.flatnonzero(np.append(keys, -1)[pos] == queries)
+    return hit, pos[hit]
 
 
 def _triple_dot(x, y, count, n):
     """Per-source inner products of two triple rows of a count-source block."""
     (kx, vx), (ky, vy) = x, y
-    pos = np.searchsorted(ky, kx)
-    hit = np.append(ky, -1)[pos] == kx
-    return np.bincount(kx[hit] // n, weights=vx[hit] * vy[pos[hit]],
+    if x is y:  # keys are unique, so each meets only itself
+        return np.bincount(kx // n, weights=vx * vx, minlength=count)
+    hit, pos = _find(ky, kx)
+    return np.bincount(kx[hit] // n, weights=vx[hit] * vy[pos],
                        minlength=count)
 
 
@@ -86,8 +154,12 @@ def walk_returns(indptr: np.ndarray, indices: np.ndarray, sources,
                         * growth ** np.arange(half)).sum(axis=1)
     slab_work = (n * n * (_DENSE_ENTRY_COST + len(sources) * max(half - 1, 0))
                  + len(sources) * n)
+    closure = False
     if _TRIPLE_COST * expand.sum() <= slab_work:
-        rows = lambda src: _triple_rows(indptr, indices, scale, src, half)
+        closure = (kmax % 2 == 1 and kmax > 1
+                   and growth ** (half - 1) <= _CLOSURE_ROWS)
+        rows = lambda src: _triple_rows(indptr, indices, scale, src,
+                                        half - closure)
         dot, cost = _triple_dot, expand + 1.0
     else:
         owner = np.repeat(np.arange(n), np.diff(indptr))
@@ -104,6 +176,9 @@ def walk_returns(indptr: np.ndarray, indices: np.ndarray, sources,
             if 2 * t <= kmax:
                 out[lo:hi, 2 * t - 1] = dot(cur, cur, hi - lo, n)
             prev = cur
+        if closure:
+            out[lo:hi, kmax - 1] = _triple_closure(indptr, indices, scale,
+                                                   prev, hi - lo)
     return out
 
 

@@ -1,9 +1,12 @@
 """Walk-return encodings against hand-computed transition powers."""
 
+import hashlib
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aggterm import graphs, rw
 from aggterm.graphs import (BaModel, DenseSchedule, ErModel, LogSchedule,
@@ -152,6 +155,96 @@ def test_triples_ignore_block_partition(monkeypatch):
     picks = [0, 17, 599, 601]
     assert np.array_equal(walk_returns(g.indptr, g.indices, picks, 5),
                           whole[picks])
+
+
+@pytest.mark.parametrize("rows", [None, 0.0, np.inf])
+@pytest.mark.parametrize("kmax", [3, 5, 7])
+def test_odd_kmax_on_triples(monkeypatch, kmax, rows):
+    # the last odd return <r_(h-1), r_h> comes from r_(h-1)'s expansion
+    # (always at kmax 3 here), or from r_h when rows cap it at 0
+    cases = (with_isolated(sample_graph(ErModel(LogSchedule(2.0)), 400, 6), 5),
+             sample_graph(BaModel(3), 400, 6))
+
+    def no_slab(*args):
+        raise AssertionError("expected the triples plan")
+
+    closures = []
+    closure = rw._triple_closure
+
+    def spy(*args):
+        closures.append(1)
+        return closure(*args)
+
+    monkeypatch.setattr(rw, "_slab_rows", no_slab)
+    monkeypatch.setattr(rw, "_triple_closure", spy)
+    monkeypatch.setattr(rw, "_TRIPLE_COST", 0.0)  # triples at any kmax
+    if rows is not None:
+        monkeypatch.setattr(rw, "_CLOSURE_ROWS", rows)
+    for g in cases:
+        src = np.arange(g.n)
+        closures.clear()
+        whole = walk_returns(g.indptr, g.indices, src, kmax)
+        if rows is not None or kmax == 3:
+            assert bool(closures) == (rows != 0.0)
+        assert np.abs(whole - power_returns(g, kmax)).max() < 1e-12
+        # every return but the last is kmax - 1's, bit for bit
+        assert np.array_equal(whole[:, :-1],
+                              walk_returns(g.indptr, g.indices, src, kmax - 1))
+        picks = [0, 17, 399, g.n - 1]
+        assert np.array_equal(walk_returns(g.indptr, g.indices, picks, kmax),
+                              whole[picks])
+        with monkeypatch.context() as m:
+            m.setattr(graphs, "BLOCK", 100)
+            assert np.array_equal(walk_returns(g.indptr, g.indices, src, kmax),
+                                  whole)
+
+
+@st.composite
+def sort_keys(draw):
+    """int64 keys with ties, around the widest spread that packs with the
+    positions: max - min < 2^(63 - bits), bits the positions' width."""
+    m = draw(st.integers(0, 40))
+    span = 1 << (63 - max(m - 1, 0).bit_length())
+    lo = draw(st.integers(-2 ** 63, 2 ** 63 - 1 - span))
+    offsets = st.sampled_from([0, 1, span // 2, span - 1, span]) | \
+        st.integers(0, 4)
+    return np.array([lo + off for off in draw(st.lists(offsets, min_size=m,
+                                                       max_size=m))],
+                    dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sort_keys())
+@example(np.zeros(0, dtype=np.int64))
+@example(np.array([7], dtype=np.int64))
+@example(np.array([3, 1, 3, 1, 0, 3], dtype=np.int64))
+# key * length overflows int64: the stable sort takes over
+@example(np.array([2 ** 62, 0, 2 ** 62, 5, 0], dtype=np.int64))
+@example(np.array([2 ** 63 - 1, -2 ** 63, 0, 2 ** 63 - 1], dtype=np.int64))
+def test_packed_sort_is_the_stable_order(keys):
+    before = keys.copy()
+    got, order = rw._stable_sort(keys)
+    assert np.array_equal(keys, before)
+    assert order.dtype == np.int64
+    assert np.array_equal(order, np.argsort(keys, kind="stable"))
+    assert np.array_equal(got, keys[order]) and got.dtype == np.int64
+
+
+# sha256 of rw_encoding_all(g, 4) as little-endian float64, recorded while
+# the triples were ordered by np.argsort(kind="stable"): the packed sort
+# gives the same order, so every even-length return keeps its bits
+RW4_SHA256 = {
+    "er_log2": "2230bff508f8b61fabac5907ce8000cc3796aaa381d9bfcd8f2aac061f4626f6",
+    "ba3": "faa5e841033d1edc660ae798419c97110ea433be5e592062000e8988f9a4b41d",
+}
+
+
+@pytest.mark.parametrize("name, model, n", [
+    ("er_log2", ErModel(LogSchedule(2.0)), 1000), ("ba3", BaModel(3), 2000)])
+def test_even_returns_are_pinned(name, model, n):
+    enc = rw_encoding_all(sample_graph(model, n, 1), 4)
+    digest = hashlib.sha256(enc.astype("<f8").tobytes()).hexdigest()
+    assert digest == RW4_SHA256[name]
 
 
 def test_ba_hub_is_exact():
