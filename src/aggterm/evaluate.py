@@ -35,7 +35,7 @@ Design notes:
   its anchor is one matrix product for all nodes: (A @ H) / deg,
   D^-1/2 A D^-1/2 H, or (W @ H) / (W @ 1) with W the adjacency carrying
   each CSR entry's shifted exp score. It is taken as dense slabs of rows
-  (graphs.dense_rows, which also builds rw's dense S) times H
+  (graphs.dense_rows, which also builds rw's row slabs of S) times H
   (adjacency_product). Like rw's plan, the choice compares two work
   estimates from the node and edge counts (slab_pays): n^2 slab entries
   plus the edges scattered into them, against the expanded rows below.

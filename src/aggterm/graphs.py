@@ -292,14 +292,17 @@ def from_edges(n: int, u: np.ndarray, v: np.ndarray,
     """Build a FeaturedGraph from unique edge endpoint arrays with u < v."""
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
-    # arc keys source * n + neighbor, sorted and cut to neighbors in place
     m = len(u)
     keys = np.empty(2 * m, dtype=np.int64)
     np.add(np.multiply(u, n, out=keys[:m]), v, out=keys[:m])
     np.add(np.multiply(v, n, out=keys[m:]), u, out=keys[m:])
+    return _from_keys(n, keys, features, community)
+
+
+def _from_keys(n, keys, features=None, community=None) -> FeaturedGraph:
+    """The graph of unique arc keys source * n + neighbor, sorted in place."""
     keys.sort()
-    counts = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
     return FeaturedGraph(n, indptr, np.remainder(keys, n, out=keys),
                          features, community)
 
@@ -405,29 +408,36 @@ def gen_er(n: int, schedule: Schedule, seed: SeedLike) -> FeaturedGraph:
         u, v = _linear_to_pair(lin, n) if len(lin) else (lin, lin)
         return from_edges(n, u, v)
     u = np.arange(n - 1)
-    return from_edges(n, *_bernoulli_rows(rng, [(u, u + 1, n - 1 - u, p)]))
+    return _bernoulli_graph(rng, n, [(u, u + 1, n - 1 - u, p)])
 
 
-def _bernoulli_rows(rng: np.random.Generator, runs) -> tuple:
-    """Edge arrays (us, vs) from independent Bernoulli rows, drawn in order.
+def _bernoulli_graph(rng: np.random.Generator, n: int, runs,
+                     community=None) -> FeaturedGraph:
+    """The graph of independent Bernoulli rows, drawn in order.
 
     A run (u, first, length, p) holds equal-length integer arrays of rows
     that share p: row i draws rng.random(length[i]) and links u[i] to
     first[i] + j wherever draw j is below p. Consecutive rows of a run
     share one rng.random call of about BLOCK draws (2 MiB). The generator's
     doubles concatenate across calls, so the edges are the ones a call
-    per row would give.
+    per row would give. Each block writes both arcs of its edges into one
+    key array, sized for the expected edges plus six deviations, or grown.
     """
-    us, vs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    mean = sum(p * float(length.sum()) for _, _, length, p in runs)
+    keys = np.empty(2 * int(mean + 6 * math.sqrt(mean) + 64), dtype=np.int64)
+    at = 0
     for u, first, length, p in runs:
         ends = np.cumsum(length)
         for lo, hi in cost_blocks(length, BLOCK):
             base = ends[lo] - length[lo]
             hit = np.flatnonzero(rng.random(ends[hi - 1] - base) < p) + base
             row = np.searchsorted(ends, hit, side="right")
-            us.append(u[row])
-            vs.append(first[row] + hit - (ends[row] - length[row]))
-    return np.concatenate(us), np.concatenate(vs)
+            a, b = u[row], first[row] + hit - (ends[row] - length[row])
+            if at + 2 * len(hit) > len(keys):
+                keys = np.resize(keys, 2 * (at + 2 * len(hit)))
+            keys[at:at + 2 * len(hit)] = np.concatenate([a * n + b, b * n + a])
+            at += 2 * len(hit)
+    return _from_keys(n, keys[:at], community=community)
 
 
 def sbm_sizes(n: int, fractions: Sequence[float]) -> list[int]:
@@ -464,7 +474,7 @@ def gen_sbm(n: int, fractions: Sequence[float], p, seed: SeedLike) -> FeaturedGr
                 runs.append((starts[a] + i, np.full(i.size, starts[b]),
                              np.full(i.size, sizes[b]), pab))
 
-    return from_edges(n, *_bernoulli_rows(rng, runs), community=labels)
+    return _bernoulli_graph(rng, n, runs, community=labels)
 
 
 def bounded_draws(rng: np.random.Generator, block: int):

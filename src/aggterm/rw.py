@@ -7,11 +7,14 @@ All exact values come from walk_returns. With S = D^-1/2 A D^-1/2,
 P^k[v, v] = S^k[v, v] = <S^a[v, :], S^b[v, :]> for a + b = k, so it steps
 the rows of a block of sources only ceil(kmax/2) times, either as sorted
 (source, node) triples expanded along the CSR and merged (work follows the
-walks: sparse graphs) or as a dense (B, n) slab times a dense S (work B n^2
-per step: dense graphs). S is built by graphs.dense_rows, the slab helper
-the evaluator's adjacency products use too. The choice compares the two
-work estimates, both from the degrees, so time grows smoothly with n. A
-block's expected triples, or its slab entries, come to about graphs.BLOCK.
+walks: sparse graphs) or densely from tiles of S (work n^2 per source and
+step: dense graphs), rebuilding each tile's row slabs of graphs.BLOCK // n
+rows from the CSR (graphs.dense_rows), so S is never held. Up to kmax = 4
+one tile per pair of slabs gives every node's returns at half the
+multiply-adds of stepping rows. The choice compares the two work estimates,
+both from the degrees, so time grows smoothly with n. A block's expected
+triples, or a slab, come to about graphs.BLOCK entries; the dense sums
+follow the tiles, so their last bits depend on that budget.
 
 The triples merge in a stable order, so each source's sums ignore its
 block. One default sort of (key, position) packed into an int64 gives that
@@ -32,10 +35,10 @@ from . import graphs
 
 # unused here; bench/workloads.py sizes its single-node rw tolerance by it
 DEFAULT_WALKS = 100_000
-# work in slab multiply-adds: one expanded triple costs about 1500 of them
-# (640-1710 timed on one BLAS thread, 300-2100 on two), one dense S entry
-# about 100
-_TRIPLE_COST, _DENSE_ENTRY_COST = 1500.0, 100.0
+# work in tile multiply-adds (about 64 ps each on one BLAS thread): one
+# expanded triple costs about 1000 of them (340-1380 timed at kmax 3-6),
+# one built slab entry of S about 100
+_TRIPLE_COST, _DENSE_ENTRY_COST = 1000.0, 100.0
 # odd kmax = 2h - 1 closes the last return over r_(h-1) when growth^(h-1),
 # about the entries of a source's r_(h-1) that the closure searches, is at
 # most this: 1.2-1.9x faster than building r_h up to 121 on every ER and BA
@@ -126,13 +129,36 @@ def _triple_dot(x, y, count, n):
                        minlength=count)
 
 
-def _slab_rows(dense, sources, half):
-    """Rows r_1..r_half of the block as dense (B, n) arrays."""
-    rows = dense[sources]
-    yield rows
-    for _ in range(half - 1):
-        rows = rows @ dense
-        yield rows
+def _tile_returns(slab, step, n, kmax):
+    """Every node's returns up to kmax <= 4 from tiles S^2[a, b] = S[a] S[b]^T
+    of the row slabs slab(lo) = S[lo:lo + step]. S^3[v, v] sums S^2[v, w]
+    S[v, w] and S^4[v, v] sums S^2[v, w]^2, both symmetric, so a tile per
+    pair of blocks a <= b adds its row sums to a and column sums to b."""
+    out = np.zeros((n, 4))  # k = 1 stays 0: no self-loops
+    for i in range(0, n, step):
+        a = slab(i)
+        out[i:i + step, 1] = np.einsum("ij,ij->i", a, a)
+        for j in range(i, n, step) if kmax > 2 else ():
+            t = a @ (slab(j) if j > i else a).T
+            for k, part in ((2, t * a[:, j:j + step]), (3, t * t))[:kmax - 2]:
+                out[i:i + step, k] += part.sum(axis=1)
+                out[j:j + step, k] += part.sum(axis=0) if j > i else 0
+    return out[:, :kmax]
+
+
+def _tile_rows(slab, step, n, sources, half):
+    """Rows r_1..r_half (half >= 2) of the block as dense (B, n) arrays.
+    r_(t+1) sums r_t[:, c] S[c] over slabs c; the first sweep also fills r_1."""
+    row = np.empty((len(sources), n))
+    for t in range(1, half):
+        nxt = np.zeros_like(row)
+        for lo in range(0, n, step):
+            s = slab(lo)
+            if t == 1:
+                row[:, lo:lo + step] = s[:, sources].T
+            nxt += row[:, lo:lo + step] @ s
+        yield from (row, nxt) if t == 1 else (nxt,)
+        row = nxt
 
 
 def walk_returns(indptr: np.ndarray, indices: np.ndarray, sources,
@@ -152,19 +178,23 @@ def walk_returns(indptr: np.ndarray, indices: np.ndarray, sources,
     growth = (deg ** 2).sum() / max(nnz, 1)
     expand = np.minimum(nnz, deg[sources, None]
                         * growth ** np.arange(half)).sum(axis=1)
-    slab_work = (n * n * (_DENSE_ENTRY_COST + len(sources) * max(half - 1, 0))
-                 + len(sources) * n)
+    # tile multiply-adds per n^2: n / 2 up to kmax 4, then B per step
+    tiles = n / 2 if half == 2 else len(sources) * max(half - 1, 0)
     closure = False
-    if _TRIPLE_COST * expand.sum() <= slab_work:
+    if _TRIPLE_COST * expand.sum() <= n * n * (_DENSE_ENTRY_COST + tiles):
         closure = (kmax % 2 == 1 and kmax > 1
                    and growth ** (half - 1) <= _CLOSURE_ROWS)
         rows = lambda src: _triple_rows(indptr, indices, scale, src,
                                         half - closure)
         dot, cost = _triple_dot, expand + 1.0
     else:
-        owner = np.repeat(np.arange(n), np.diff(indptr))
-        dense = graphs.dense_rows(indptr, indices, 0, n, scale[owner] * scale[indices])
-        rows = lambda src: _slab_rows(dense, src, half)
+        weight = np.repeat(scale, np.diff(indptr)) * scale[indices]
+        step = max(1, graphs.BLOCK // n)
+        slab = lambda lo: graphs.dense_rows(indptr, indices, lo,
+                                            min(lo + step, n), weight)
+        if half <= 2:
+            return _tile_returns(slab, step, n, kmax)[sources]
+        rows = lambda src: _tile_rows(slab, step, n, src, half)
         dot = lambda x, y, *_: np.einsum("ij,ij->i", x, y)
         cost = np.full(len(sources), float(n))
     out = np.zeros((len(sources), kmax))  # k = 1 stays 0: no self-loops

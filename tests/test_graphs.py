@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aggterm import graphs
 from aggterm.errors import ConfigError
 from aggterm.graphs import (AlternatingSchedule, BaModel, BernoulliFeatures,
                             ConstantFeatures, DenseSchedule, ErModel,
@@ -288,3 +289,37 @@ def test_sampled_graphs_are_pinned(name, make):
     digest = hashlib.sha256(g.indptr.astype("<i8").tobytes()
                             + g.indices.astype("<i8").tobytes())
     assert digest.hexdigest() == GRAPH_SHA256[name]
+
+
+# the same digests at bench size, recorded before the Bernoulli samplers
+# wrote their arcs straight into the CSR's key array
+BENCH_GRAPH_SHA256 = {
+    "er_0.1": "59ac7a9c60d91d6e64b3536152a1e11d600d263f310be229f869047b5378f68b",
+    "sbm": "11cae8715490e1b3570d530d530c5292df561b9e369af5197fa41bd656366c9c",
+}
+
+
+@pytest.mark.parametrize("name,make", [
+    ("er_0.1", lambda: gen_er(3000, DenseSchedule(0.1), 1)),
+    ("sbm", lambda: gen_sbm(3000, (0.5, 0.5), ((0.2, 0.05), (0.05, 0.2)), 1))])
+def test_bench_size_graphs_are_pinned(name, make):
+    g = make()
+    digest = hashlib.sha256(g.indptr.astype("<i8").tobytes()
+                            + g.indices.astype("<i8").tobytes())
+    assert digest.hexdigest() == BENCH_GRAPH_SHA256[name]
+
+
+class AllHits:
+    """An rng whose every draw is 0: each Bernoulli pair is an edge."""
+
+    def random(self, size):
+        return np.zeros(size)
+
+
+def test_bernoulli_key_array_grows_past_its_estimate():
+    # p = 0.01 expects 0.01 * 80 * 79 / 2 = 32 edges, but every pair
+    # is drawn, so the key array outgrows its first size
+    u = np.arange(79)
+    g = graphs._bernoulli_graph(AllHits(), 80, [(u, u + 1, 79 - u, 0.01)])
+    g.validate()
+    assert np.array_equal(g.degrees, np.full(80, 79))

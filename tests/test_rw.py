@@ -110,30 +110,31 @@ def test_both_plans_match_matrix_powers(monkeypatch):
     # one graph on each side of the plan choice, both with isolated nodes
     sparse = with_isolated(sample_graph(ErModel(LogSchedule(2.0)), 2100, 5), 7)
     dense = with_isolated(sample_graph(ErModel(DenseSchedule(0.1)), 2100, 5), 7)
-    slab_calls = []
-    slab_rows = rw._slab_rows
+    tile_calls = []
+    tile_returns = rw._tile_returns
 
     def spy(*args):
-        slab_calls.append(args)
-        return slab_rows(*args)
+        tile_calls.append(args)
+        return tile_returns(*args)
 
-    monkeypatch.setattr(rw, "_slab_rows", spy)
-    for g, slab_plan in ((sparse, False), (dense, True)):
+    monkeypatch.setattr(rw, "_tile_returns", spy)
+    for g, dense_plan in ((sparse, False), (dense, True)):
         ref = power_returns(g, 4)
         assert np.all(ref[-7:] == 0.0)
-        slab_calls.clear()
+        tile_calls.clear()
         assert np.abs(walk_returns(g.indptr, g.indices, np.arange(g.n), 4)
                       - ref).max() < 1e-12
-        assert bool(slab_calls) == slab_plan
-        # each plan directly: <r_a, r_b> is the (a + b)-step return
+        assert bool(tile_calls) == dense_plan
+        # each plan's rows directly: <r_a, r_b> is the (a + b)-step return
         src, deg = np.arange(g.n), g.degrees.astype(float)
         scale = np.divide(1.0, np.sqrt(deg), out=np.zeros(g.n), where=deg > 0)
         mat = np.zeros((g.n, g.n))
         rows = np.repeat(src, g.degrees)
         mat[rows, g.indices] = scale[rows] * scale[g.indices]
-        plans = [(list(slab_rows(mat, src, 2)),
+        plans = [(list(rw._tile_rows(lambda lo: mat[lo:lo + 300], 300, g.n,
+                                     src, 2)),
                   lambda x, y: np.einsum("ij,ij->i", x, y))]
-        if not slab_plan:  # triples on a dense graph take seconds
+        if not dense_plan:  # triples on a dense graph take seconds
             plans.append((list(rw._triple_rows(g.indptr, g.indices, scale,
                                                src, 2)),
                           lambda x, y: rw._triple_dot(x, y, g.n, g.n)))
@@ -142,13 +143,42 @@ def test_both_plans_match_matrix_powers(monkeypatch):
             assert np.abs(got - ref[:, 1:]).max() < 1e-12
 
 
+def no_dense_rows(*args, **kwargs):
+    raise AssertionError("expected the triples plan")
+
+
+@pytest.mark.parametrize("block", [None, 1 << 12])
+def test_dense_tiles_match_matrix_powers(monkeypatch, block):
+    # 1 << 12 gives row slabs of 6 rows, 102 of them, the last of one row
+    if block is not None:
+        monkeypatch.setattr(graphs, "BLOCK", block)
+    monkeypatch.setattr(rw, "_TRIPLE_COST", 1e30)  # the dense plan
+    slabs = []
+    dense_rows = graphs.dense_rows
+
+    def spy(indptr, indices, lo, hi, *args):
+        slabs.append(hi - lo)
+        return dense_rows(indptr, indices, lo, hi, *args)
+
+    monkeypatch.setattr(graphs, "dense_rows", spy)
+    sbm = graphs.gen_sbm(600, (0.5, 0.5), ((0.2, 0.05), (0.05, 0.2)), 9)
+    er = sample_graph(ErModel(DenseSchedule(0.1)), 600, 9)
+    picks = [0, 17, 17, 599, 606, 3]
+    for g in (with_isolated(er, 7), with_isolated(sbm, 7)):
+        for kmax in range(1, 7):
+            slabs.clear()
+            whole = walk_returns(g.indptr, g.indices, np.arange(g.n), kmax)
+            assert max(slabs) == min(graphs.BLOCK // g.n, g.n)
+            assert np.abs(whole - power_returns(g, kmax)).max() < 1e-12
+            assert np.all(whole[-7:] == 0.0)
+            some = walk_returns(g.indptr, g.indices, picks, kmax)
+            assert np.abs(some - whole[picks]).max() < 1e-12
+
+
 def test_triples_ignore_block_partition(monkeypatch):
     g = with_isolated(sample_graph(ErModel(SparseSchedule(3.0)), 600, 8), 3)
 
-    def no_slab(*args):
-        raise AssertionError("expected the triples plan")
-
-    monkeypatch.setattr(rw, "_slab_rows", no_slab)
+    monkeypatch.setattr(graphs, "dense_rows", no_dense_rows)
     whole = rw_encoding_all(g, 5)
     monkeypatch.setattr(graphs, "BLOCK", 100)
     assert np.array_equal(rw_encoding_all(g, 5), whole)
@@ -165,9 +195,6 @@ def test_odd_kmax_on_triples(monkeypatch, kmax, rows):
     cases = (with_isolated(sample_graph(ErModel(LogSchedule(2.0)), 400, 6), 5),
              sample_graph(BaModel(3), 400, 6))
 
-    def no_slab(*args):
-        raise AssertionError("expected the triples plan")
-
     closures = []
     closure = rw._triple_closure
 
@@ -175,7 +202,7 @@ def test_odd_kmax_on_triples(monkeypatch, kmax, rows):
         closures.append(1)
         return closure(*args)
 
-    monkeypatch.setattr(rw, "_slab_rows", no_slab)
+    monkeypatch.setattr(graphs, "dense_rows", no_dense_rows)
     monkeypatch.setattr(rw, "_triple_closure", spy)
     monkeypatch.setattr(rw, "_TRIPLE_COST", 0.0)  # triples at any kmax
     if rows is not None:

@@ -5,6 +5,7 @@ output bit."""
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from aggterm import evaluate, graphs
 from aggterm.architectures import ArchConfig, compile_architecture, init_weights
@@ -35,6 +36,27 @@ def test_dense_graph_build_working_memory():
     # (27 MB with 2^21 draws per call and five 2|E| copies in from_edges)
     assert traced_peak_mb(lambda: graphs.gen_er(
         3000, DenseSchedule(0.1), 1)) < 20
+
+
+BENCH_SBM = graphs.SbmModel((0.5, 0.5), ((0.2, 0.05), (0.05, 0.2)))
+
+
+@pytest.mark.parametrize("make, limit", [
+    # the CSR's 2|E| keys are 7.2 and 9.0 MB: arcs go straight into them
+    # (13.9 and 17.5 MB with per-block edge lists and a from_edges copy)
+    (lambda: graphs.gen_er(3000, DenseSchedule(0.1), 1), 11),
+    (lambda: sample_graph(BENCH_SBM, 3000, 1), 14.5)])
+def test_bernoulli_graph_build_working_memory(make, limit):
+    assert traced_peak_mb(make) < limit
+
+
+@pytest.mark.parametrize("kmax", [3, 4])
+@pytest.mark.parametrize("n, limit", [(1500, 12), (3000, 24)])
+def test_dense_walk_returns_working_memory(n, limit, kmax):
+    # tiles of S from row slabs of BLOCK entries (23 and 89 MB with the
+    # whole n x n matrix S)
+    graph = sample_graph(ErModel(DenseSchedule(0.1)), n, 2)
+    assert traced_peak_mb(lambda: rw_encoding_all(graph, kmax)) < limit
 
 
 def test_walk_returns_working_memory():
