@@ -42,7 +42,7 @@ from .rng import stream
 from .rw import rw_encoding, rw_encoding_all
 from .sparse_limit import CensusConfig, sparse_limit
 from .terms import (Apply, Const, Feature, GcnAgg, GlobalWMean, LocalWMean,
-                    Rw, Term, contains_gcn, free_vars, reach, substitute,
+                    Rw, Term, contains_gcn, free_vars, substitute,
                     validate_term)
 
 __version__ = "0.1.0"

@@ -37,7 +37,6 @@ from .parser import parse_term
 from .registry import default_registry
 from .rng import stream
 from .sparse_limit import CensusConfig, sparse_limit
-from .terms import free_vars, validate_term
 
 _G = "%.17g"
 
@@ -96,13 +95,7 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _closed_term(path: str, d: int, registry):
-    term = parse_term(_load_text(path), d, registry=registry)
-    validate_term(term, registry, d)
-    fvs = free_vars(term)
-    if fvs:
-        raise ConfigError(
-            f"this command needs a closed term; free variables: {list(fvs)}")
-    return term
+    return parse_term(_load_text(path), d, registry=registry, closed=True)
 
 
 def _write_lines(path, lines) -> None:

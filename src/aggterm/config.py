@@ -101,7 +101,7 @@ def from_spec(group: str, spec):
 def _convert(tp, value, what: str):
     """value as the declared type tp, or ConfigError naming what and value."""
     args = get_args(tp)
-    if tp is int and not isinstance(value, bool):
+    if tp is int:
         return as_int(value, what)
     if (tp is float and isinstance(value, (int, float))
             and not isinstance(value, bool) and abs(value) <= sys.float_info.max):

@@ -40,8 +40,7 @@ from .graphs import (DenseSchedule, FeatureDist, LogSchedule, RootSchedule,
                      SbmModel, draw_features, feature_dim)
 from .mc import ControllerValue, McEngine
 from .registry import FunctionRegistry, default_registry
-from .terms import (GlobalWMean, LocalWMean, Term, contains_gcn, free_vars,
-                    validate_term)
+from .terms import GlobalWMean, LocalWMean, Term, validate_term
 
 __all__ = ["dense_controller", "DenseController", "dense_limit_p"]
 
@@ -150,13 +149,12 @@ def dense_controller(term: Term, model, feature_dist: FeatureDist,
     reg = registry if registry is not None else default_registry()
     d = feature_dim(feature_dist)
     validate_term(term, reg, d)
-    if contains_gcn(term):
+    if term.gcn:
         raise UnsupportedTermError(
             "degree-normalized aggregation has no dense-limit construction")
     dense_limit_p(model)
     engine = _DenseEngine(term, reg, feature_dist, draw_features,
                           mc_samples, seed, inner_mc)
-    fvs = free_vars(term)
-    if not fvs:
+    if not term.free:
         return engine.estimate()
-    return DenseController(engine, fvs)
+    return DenseController(engine, term.free)

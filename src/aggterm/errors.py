@@ -30,14 +30,17 @@ class UnsupportedTermError(AggtermError):
 
 
 def as_int(x, what: str, low: Optional[int] = None) -> int:
-    """x through operator.index, so NumPy integers pass and floats do not.
+    """x through operator.index, so NumPy integers pass and floats and
+    bools do not.
 
     With low, a value below it is refused too. Both failures are ConfigError.
     """
     try:
         val = index(x)
     except TypeError:
-        raise ConfigError(f"{what} must be an integer, got {x!r}") from None
+        val = None
+    if val is None or isinstance(x, bool):
+        raise ConfigError(f"{what} must be an integer, got {x!r}")
     if low is not None and val < low:
         raise ConfigError(f"{what} must be >= {low}, got {val}")
     return val

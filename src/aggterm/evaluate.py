@@ -14,11 +14,13 @@ produces bit-identical numbers regardless of how it is invoked.
 
 Design notes:
 
-* Subterms with no free variables are computed once and cached by a
-  structural key. Subterms with exactly one free variable are computed for
-  all n nodes at once and cached as an (n, d) matrix; evaluation at
-  specific nodes is then a row gather. Only subterms whose weights depend
-  on two or more variables fall back to explicit expansion.
+* Subterms with no free variables are computed once and cached by the
+  node's id (terms), so subterms that differ only in variable names share
+  one entry. Subterms with exactly one free variable are computed for all
+  n nodes at once and cached, under the same ids, as an (n, d) matrix;
+  evaluation at specific nodes is then a row gather. Only subterms whose
+  weights depend on two or more variables fall back to explicit
+  expansion.
 * One plan (plan) sorts every aggregate into the kernel that takes it:
   - linear: a gcn, or a mean under weight map one, whose body reads only
     the bound variable (mean, gcn and GPS-MPNN layers). Its value is
@@ -66,10 +68,10 @@ import numpy as np
 
 from . import graphs
 from . import terms as T
-from .errors import ConfigError, EvaluationError
+from .errors import ConfigError, EvaluationError, as_int
 from .registry import FunctionRegistry, default_registry, fit_width
 from .rw import rw_encoding_all
-from .terms import free_vars, validate_term
+from .terms import validate_term
 
 # work in slab multiply-adds, as in rw's plan: an expanded (anchor,
 # neighbor) row costs about _PAIR_COST per coordinate, a dense slab entry
@@ -237,7 +239,7 @@ def plan(term, registry: FunctionRegistry) -> Plan:
     nodes. Everything else is expanded.
     """
     if isinstance(term, T.GcnAgg) or term.weight_map == "one":
-        return _EXPANSION if reads_outer(term) else Plan("linear")
+        return _EXPANSION if term.outer else Plan("linear")
     w, unary = term.weight_arg, None
     if term.weight_map != "exp" or not isinstance(w, T.Apply):
         return _EXPANSION
@@ -248,8 +250,8 @@ def plan(term, registry: FunctionRegistry) -> Plan:
         return _EXPANSION
     a, b = w.args
     only_bound = {term.bound}
-    if (set(free_vars(term.value)) - only_bound or term.bound in free_vars(a)
-            or set(free_vars(b)) - only_bound):
+    if (set(term.value.free) - only_bound or term.bound in a.free
+            or set(b.free) - only_bound):
         return _EXPANSION
     return Plan("scored", w.fn, unary, a, b)
 
@@ -406,15 +408,6 @@ def adjacency_product(term, vals: np.ndarray, indptr: np.ndarray,
     return out
 
 
-def reads_outer(term) -> bool:
-    """Whether an aggregate's body reads a variable other than its binder.
-
-    One that does not is a single vector for every outer assignment, so it
-    is computed once. Only the children it reads count (T.read_children).
-    """
-    return any(set(free_vars(t)) - {term.bound} for t in T.read_children(term))
-
-
 class Interpreter:
     """The meaning of each term node, shared by every evaluator of terms.
 
@@ -481,10 +474,9 @@ class Evaluator(Interpreter):
         self.registry = registry if registry is not None else default_registry()
         self.d = graph.d
         self._feat = np.asarray(graph.features, dtype=np.float64)
-        self._closed_cache: dict[str, np.ndarray] = {}
-        self._node_cache: dict[str, np.ndarray] = {}
-        self._skel: dict[tuple[int, str | None], str] = {}
-        self._pins: list = []
+        # term id -> a closed subterm's (d,) value or the (n, d) rows of
+        # one with one free variable
+        self._cache: dict[int, np.ndarray] = {}
         self._rw_cache: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
@@ -492,82 +484,67 @@ class Evaluator(Interpreter):
 
     def closed(self, term: T.Term) -> np.ndarray:
         validate_term(term, self.registry, self.d)
-        if free_vars(term):
+        if term.free:
             raise EvaluationError(
-                f"term has free variables {free_vars(term)}; expected a closed term")
-        return self._closed(term, ())
+                f"term has free variables {term.free}; expected a closed term")
+        return self._cached(term, ())
 
     def nodewise(self, term: T.Term) -> np.ndarray:
         validate_term(term, self.registry, self.d)
-        fv = free_vars(term)
+        fv = term.free
         if len(fv) != 1:
             raise EvaluationError(
                 f"nodewise evaluation needs exactly one free variable, got {fv}")
-        return self._nodewise_rows(term, fv[0], ())
+        return self._cached(term, ())
 
     def at(self, term: T.Term, assignment: dict[str, int] | None = None) -> np.ndarray:
         validate_term(term, self.registry, self.d)
         assignment = assignment or {}
-        fv = free_vars(term)
-        missing = [v for v in fv if v not in assignment]
+        missing = [v for v in term.free if v not in assignment]
         if missing:
             raise EvaluationError(f"assignment is missing variables {missing}")
-        for v in fv:
-            node = assignment[v]
-            if not (0 <= int(node) < self.graph.n):
+        frame = {}
+        for v in term.free:
+            node = as_int(assignment[v], f"node id of {v}")
+            if not 0 <= node < self.graph.n:
                 raise EvaluationError(f"assignment {v}={node} is out of range")
-        frame = {v: np.array([int(assignment[v])]) for v in fv}
+            frame[v] = np.array([node])
         return self._value(term, frame, (1, self.d), ())[0].copy()
 
     # ------------------------------------------------------------------
     # caching layers
 
-    def _skeleton(self, term: T.Term, var: str | None) -> str:
-        key = (id(term), var)
-        hit = self._skel.get(key)
-        if hit is None:
-            self._pins.append(term)
-            env = {} if var is None else {var: "§"}
-            hit = _skel_string(term, env, 0)
-            self._skel[key] = hit
-        return hit
-
-    def _closed(self, term: T.Term, path: tuple) -> np.ndarray:
-        key = self._skeleton(term, None)
-        val = self._closed_cache.get(key)
-        if val is None:
-            val = np.ascontiguousarray(self._eval(term, {}, (1, self.d), path)[0])
-            val.flags.writeable = False
-            self._closed_cache[key] = val
-        return val
-
-    def _nodewise_rows(self, term: T.Term, var: str, path: tuple) -> np.ndarray:
-        key = self._skeleton(term, var)
-        rows = self._node_cache.get(key)
-        if rows is None:
-            n = self.graph.n
-            rows = np.ascontiguousarray(
-                self._eval(term, {var: np.arange(n)}, (n, self.d), path))
-            rows.flags.writeable = False
-            self._node_cache[key] = rows
-        return rows
+    def _cached(self, term: T.Term, path: tuple) -> np.ndarray:
+        """A closed term's (d,) value, or the (n, d) rows of a term with
+        one free variable bound to every node in turn, computed once per
+        term id."""
+        got = self._cache.get(term.id)
+        if got is None:
+            if term.free:
+                n = self.graph.n
+                got = self._eval(term, {term.free[0]: np.arange(n)},
+                                 (n, self.d), path)
+            else:
+                got = self._eval(term, {}, (1, self.d), path)[0]
+            got = np.ascontiguousarray(got)
+            got.flags.writeable = False
+            self._cache[term.id] = got
+        return got
 
     def _value(self, term: T.Term, frame: dict, shape: tuple, path: tuple) -> np.ndarray:
-        fv = free_vars(term)
+        fv = term.free
         if not fv:
-            return np.broadcast_to(self._closed(term, path), shape)
+            return np.broadcast_to(self._cached(term, path), shape)
         if len(fv) == 1:
-            return self._nodewise_rows(term, fv[0], path)[frame[fv[0]]]
+            return self._cached(term, path)[frame[fv[0]]]
         return self._eval(term, frame, shape, path)
 
     def _rows(self, term: T.Term, path: tuple) -> np.ndarray:
         """The (n, d) rows of a term with at most one free variable, bound
         to every node in turn: the cached array itself, not a gather."""
-        fv = free_vars(term)
-        if not fv:
-            return np.broadcast_to(self._closed(term, path),
-                                   (self.graph.n, self.d))
-        return self._nodewise_rows(term, fv[0], path)
+        rows = self._cached(term, path)
+        return rows if term.free else np.broadcast_to(rows, (self.graph.n,
+                                                             self.d))
 
     # ------------------------------------------------------------------
     # node kinds
@@ -592,7 +569,7 @@ class Evaluator(Interpreter):
         # for all n at once: as slabs where they pay, else with the scores
         # of all CSR entries formed once from nodewise rows; its body comes
         # first, as the expansion evaluates it before the weights
-        if pl.kind != "expansion" and free_vars(term) == (term.anchor,):
+        if pl.kind != "expansion" and term.free == (term.anchor,):
             vals = self._rows(term.value, path)
             if pl.kind == "scored":
                 scores = self._edge_scores(term, pl, path)
@@ -622,7 +599,7 @@ class Evaluator(Interpreter):
     def _global(self, term, frame: dict, shape: tuple, path: tuple) -> np.ndarray:
         n = self.graph.n
         allv = np.arange(n)
-        if not reads_outer(term):
+        if not term.outer:
             # the aggregate is one global vector; compute over all nodes once
             res = _wmean(term, {term.bound: allv}, (n, self.d), None, path,
                          self._value, self.registry)
@@ -666,27 +643,6 @@ def _label(term) -> str:
     kind = "gcn" if isinstance(term, T.GcnAgg) else "wmean"
     nbhd = f" in N({term.anchor})" if hasattr(term, "anchor") else ""
     return f"{kind}[{term.bound}{nbhd}]"
-
-
-def _skel_string(term: T.Term, env: dict, depth: int) -> str:
-    """A cache key for term that names each variable by env or, for a
-    binder, by its depth, so equal subterms under renaming share a key."""
-    if isinstance(term, T.Const):
-        return "C" + repr(term.value)
-    if isinstance(term, T.Feature):
-        return "H:" + env[term.var]
-    if isinstance(term, T.Rw):
-        return f"rw:{env[term.var]}:{term.kmax}"
-    kids = T.children(term)
-    if isinstance(term, T.Apply):
-        head = "A:" + term.fn
-    else:
-        anchor = env.get(getattr(term, "anchor", None), "")
-        env = {**env, term.bound: f"b{depth}"}
-        head = (f"{type(term).__name__}[b{depth}<{anchor}]:"
-                f"{getattr(term, 'weight_map', '')}")
-        depth += 1
-    return f"{head}({';'.join(_skel_string(k, env, depth) for k in kids)})"
 
 
 def eval_closed(term: T.Term, graph, registry: FunctionRegistry | None = None) -> np.ndarray:

@@ -37,7 +37,7 @@ from .mc import ControllerValue
 from .parser import print_term
 from .registry import FunctionRegistry, default_registry
 from .rng import stream
-from .terms import Term, free_vars, validate_term
+from .terms import Term, validate_term
 
 __all__ = ["SweepConfig", "SweepReport", "SizeSummary", "ParityGap",
            "run_sweep", "diverge_demo", "write_report_csv",
@@ -182,9 +182,8 @@ def _subject(config: SweepConfig):
         return sub.term, sub.registry, sub.classes, extras
     reg = config.registry if config.registry is not None else default_registry()
     validate_term(sub, reg, d_in)
-    fvs = free_vars(sub)
-    if fvs:
-        raise ConfigError(f"sweep subjects must be closed; free: {list(fvs)}")
+    if sub.free:
+        raise ConfigError(f"sweep subjects must be closed; free: {list(sub.free)}")
     return sub, reg, None, {}
 
 

@@ -11,7 +11,7 @@ global ones through _Mean, which takes its operations chunk by chunk.
 
 A global aggregate mixes over the classes at its census radius, each a
 fresh component, as one mean over all draws of mass q / draws each. One
-whose body reads only its binder (reads_outer) is collapsed: computed
+whose body reads only its binder (its node's outer fact) is collapsed: computed
 once per estimate on pools of the m draws per depth and class. Otherwise
 it is nested: per chunk of outer samples, every class's component with
 fresh draws per outer sample joins the outer rows' components. An outer
@@ -57,12 +57,11 @@ from . import graphs
 from .canonical import canonical_code
 from .errors import ConfigError, as_int
 from .evaluate import (Interpreter, _checked_ratio, _checked_scores,
-                       local_aggregate, plan, reads_outer)
+                       local_aggregate, plan)
 from .registry import FunctionRegistry, fit_width
 from .rng import stream
 from .rw import walk_returns
-from .terms import (Feature, GcnAgg, GlobalWMean, LocalWMean, Rw, Term,
-                    contains_gcn, read_children)
+from .terms import GlobalWMean, Term, read_children
 
 DEFAULT_BLOCKS = 10
 
@@ -128,36 +127,6 @@ class _Union(NamedTuple):
     indices: np.ndarray
     starts: np.ndarray
     feats: Optional[np.ndarray] = None
-
-
-def aggregation_depth(term: Term) -> int:
-    """Nesting depth of structure-reading operators below a binder.
-
-    This is the radius a decoded neighborhood class must have so the term
-    evaluates on it exactly. It differs from reach in one place: a global
-    binder does not reset the count, because its body may still read
-    structure around outer variables, and the components decoded for those
-    variables must extend far enough to serve it. Like reach, it counts
-    only the children a node reads (terms.read_children).
-    """
-    if isinstance(term, Rw):
-        return term.kmax
-    inner = max(map(aggregation_depth, read_children(term)), default=0)
-    return inner + 1 if isinstance(term, (LocalWMean, GcnAgg)) else inner
-
-
-def _reads_features(term: Term) -> bool:
-    """Whether an aggregate's body reads features on the union its binder
-    lives on: a Feature outside every global aggregate that reads only its
-    binder, as each of those runs on pools of its own."""
-    def reads(t) -> bool:
-        if isinstance(t, Feature):
-            return True
-        if isinstance(t, GlobalWMean) and not reads_outer(t):
-            return False
-        return any(map(reads, read_children(t)))
-
-    return any(map(reads, read_children(term)))
 
 
 def _pair_scores(pl, left: np.ndarray, right: np.ndarray, inner: int,
@@ -312,7 +281,7 @@ class McEngine(Interpreter):
     def _radius(self, term) -> int:
         """The census radius a global aggregate reads. Degree-normalized
         sums read the bound node's degree, one ring past the body."""
-        return aggregation_depth(term) + (1 if contains_gcn(term) else 0)
+        return term.depth + (1 if term.gcn else 0)
 
     def _key(self, code: bytes) -> tuple:
         """A class's part of the stream keys of its draws."""
@@ -344,12 +313,6 @@ class McEngine(Interpreter):
         rows = self._draw(self.dist, self.mc * count, rng)
         return rows.reshape(self.mc, count, self.d).transpose(1, 0, 2)
 
-    def _reads_run(self, term) -> bool:
-        """Whether a subterm reads a per-run value: that of a collapsed
-        aggregate anywhere below it."""
-        return any((isinstance(t, self._globals) and not reads_outer(t))
-                   or self._reads_run(t) for t in read_children(term))
-
     def _weight_arg(self, term, *args) -> Optional[np.ndarray]:
         """The weight argument, or None under the map "one", which never
         reads it (so its inner draws are never made)."""
@@ -380,7 +343,7 @@ class McEngine(Interpreter):
     def _global(self, term, scope: tuple, shape: tuple,
                 path: tuple) -> np.ndarray:
         depth, blocks = scope[1], scope[3]
-        if depth and reads_outer(term):
+        if depth and term.outer:
             return self._nested(term, scope, shape, path)
         key = (term, depth)
         got = self._cache.get(key)
@@ -399,7 +362,7 @@ class McEngine(Interpreter):
         block's; any other is evaluated again with every draw reading its
         block's values, for the block means."""
         (g, frame), depth = scope[:2]
-        top = reads_outer(term)
+        top = term.outer
         draws = max(self.inner_mc, self.mc) if top else self.mc
         if not top:
             g, frame = _layout([]), {}
@@ -409,7 +372,8 @@ class McEngine(Interpreter):
         whole = [(full, slice(None), draws)]
         split = [(mean, sl, sl.stop - sl.start)
                  for mean, sl in zip(parts, slices)]
-        if self._reads_run(term):
+        # the body reads a per-run value: that of a collapsed aggregate
+        if not term.solo.isdisjoint(self._globals):
             ids = np.repeat(np.arange(len(slices)),
                             [sl.stop - sl.start for sl in slices])
             contexts = [(None, whole), (ids, split)]
@@ -463,8 +427,10 @@ class McEngine(Interpreter):
         slots = s * inner
         u, codes, weights, _ = self._types(self._radius(term))
         sizes = np.diff(u.starts)
-        pooled = not reads_outer(term)
-        reads = _reads_features(term)
+        pooled = not term.outer
+        # features on the union the binder lives on: the global aggregates
+        # below that read only their binder run on pools of their own
+        reads = any(c.feeds for c in read_children(term))
         nodes = np.concatenate([np.zeros(0, np.int64), *frame.values()])
         part, keep = _pick(g, np.unique(
             np.searchsorted(g.starts, nodes, side="right") - 1))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .registry import FunctionRegistry, default_registry
 from .terms import (Apply, Const, Feature, GcnAgg, GlobalWMean, LocalWMean,
-                    RESERVED, Rw, Term, free_vars, validate_term)
+                    RESERVED, Rw, Term, validate_term)
 
 
 class ParseError(ConfigError):
@@ -240,11 +240,9 @@ def parse_term(src: str, d: int, registry: FunctionRegistry | None = None,
     if tok.kind != "eof":
         parser.fail(tok, "trailing input after term")
     validate_term(term, registry, d)
-    if closed:
-        fv = free_vars(term)
-        if fv:
-            raise ParseError(
-                f"term must be closed but has free variables: {', '.join(fv)}")
+    if closed and term.free:
+        raise ParseError(
+            f"term must be closed but has free variables: {', '.join(term.free)}")
     return term
 
 

@@ -14,7 +14,7 @@ fresh component.
 
 The mixture runs on mc.McEngine, the engine of the dense limit too. Here
 each global aggregate reads a census at the radius its body needs
-(mc.aggregation_depth), drawn once per radius and cut to the heaviest
+(its depth, a fact of every term node), drawn once per radius and cut to the heaviest
 classes covering 1 - eps of the mass, renormalized; the dropped mass is
 reported. Radius 0, a lone root, needs no census. The error bars are
 batch means over blocks of the feature draws, taken in the same pass as
@@ -32,12 +32,12 @@ import numpy as np
 from .census import DEFAULT_SIZE_CAP, is_sparse_class, neighborhood_census
 from .errors import ConfigError, as_int
 from .graphs import FeatureDist, draw_features, feature_dim
-from .mc import ControllerValue, McEngine, _layout, aggregation_depth
+from .mc import ControllerValue, McEngine, _layout
 from .registry import FunctionRegistry, default_registry
 from .rng import stream
-from .terms import Term, free_vars, validate_term
+from .terms import Term, validate_term
 
-__all__ = ["CensusConfig", "sparse_limit", "aggregation_depth"]
+__all__ = ["CensusConfig", "sparse_limit"]
 
 
 @dataclass(frozen=True)
@@ -116,10 +116,9 @@ def sparse_limit(term: Term, model, feature_dist: FeatureDist,
     reg = registry if registry is not None else default_registry()
     d = feature_dim(feature_dist)
     validate_term(term, reg, d)
-    fvs = free_vars(term)
-    if fvs:
+    if term.free:
         raise ConfigError(
-            f"sparse limits are defined for closed terms; free: {list(fvs)}")
+            f"sparse limits are defined for closed terms; free: {list(term.free)}")
     if not is_sparse_class(model):
         raise ConfigError(
             f"model {model!r} is not sparse-class; use dense_controller")

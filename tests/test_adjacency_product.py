@@ -100,7 +100,7 @@ def test_product_matches_expansion(src, d, p):
     graph = er(200, p, d, 11)
     term = t(src, d)
     assert plan(term, REG).kind == "linear"
-    vals = Expanding(graph, REG)._nodewise_rows(term.value, term.bound, ())
+    vals = Expanding(graph, REG)._rows(term.value, ())
     want = expanded(term, graph)
     # 203 nodes: one slab, slabs of 8 rows with a short last one, or 1 row
     for block in (graphs.BLOCK, 8 * graph.n + 5, 1):

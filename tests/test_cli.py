@@ -65,6 +65,17 @@ def test_eval_term_csv(files, capsys):
     assert 0.0 <= float(lines[1].split(",")[1]) <= 1.0
 
 
+def test_eval_open_term_exits_2(files, capsys):
+    graph = str(files["dir"] / "g.graph")
+    main(["gen", "--model", files["dense"], "--size", "10", "--out", graph])
+    capsys.readouterr()
+    term = files["dir"] / "open.term"
+    term.write_text("mean[y in N(x)](H(y))\n")
+    assert main(["eval", "--term", str(term), "--graph", graph]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "free variables" in err
+
+
 def test_eval_arch_gives_class_scores(files, capsys):
     graph = str(files["dir"] / "g2.graph")
     main(["gen", "--model", files["dense"], "--size", "20",

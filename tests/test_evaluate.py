@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aggterm.errors import EvaluationError
+from aggterm.errors import ConfigError, EvaluationError
 from aggterm.evaluate import eval_closed, eval_nodewise, eval_term
 from aggterm.parser import parse_term
 from aggterm.registry import default_registry
@@ -138,6 +138,15 @@ def test_closed_requires_closed():
 def test_missing_assignment_rejected():
     with pytest.raises(Exception):
         eval_term(t("H(x)"), P3(), {})
+
+
+@pytest.mark.parametrize("node", [1.7, 1.0, "3", True, None])
+def test_assignment_node_ids_must_be_integers(node):
+    # not truncated or parsed into some node: refused as configuration
+    with pytest.raises(ConfigError, match="node id of x must be an integer"):
+        eval_term(t("H(x)"), P3(), {"x": node})
+    assert eval_term(t("H(x)"), P3(), {"x": np.int64(2)}) == pytest.approx(
+        [0.8])
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

@@ -11,7 +11,7 @@ from aggterm.graphs import (ConstantFeatures, DenseSchedule, ErModel,
                             SparseSchedule, Uniform01, draw_features)
 from aggterm.parser import parse_term
 from aggterm.registry import default_registry
-from aggterm.sparse_limit import CensusConfig, aggregation_depth, sparse_limit
+from aggterm.sparse_limit import CensusConfig, sparse_limit
 
 DENSE = ErModel(DenseSchedule(0.5))
 SPARSE = ErModel(SparseSchedule(2.0))
@@ -86,7 +86,7 @@ def test_engines_agree_on_structure_free_terms():
     checked = raised = 0
     for seed in range(400):
         term = rand_term(np.random.default_rng(seed), 2, max_depth=3)
-        if aggregation_depth(term) != 0:
+        if term.depth != 0:
             continue
         got = []
         for run in _engines(term, reg, ConstantFeatures(0.3, 2)):
