@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, as_int
 from .graphs import FeaturedGraph
 from .registry import (FunctionRegistry, default_registry, make_leaky_relu,
                        make_linear, make_concat_pad)
@@ -80,8 +80,12 @@ class ArchConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", canonical_kind(self.kind))
-        object.__setattr__(self, "skips",
-                           tuple((int(a), int(b)) for a, b in self.skips))
+        for name in ("layers", "hidden", "classes", "in_dim") + (
+                () if self.rw_len is None else ("rw_len",)):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
+        object.__setattr__(self, "skips", tuple(
+            (as_int(a, "skip layer"), as_int(b, "skip layer"))
+            for a, b in self.skips))
         if self.layers < 1:
             raise ConfigError("need at least one layer")
         if min(self.hidden, self.classes, self.in_dim) < 1:

@@ -48,10 +48,12 @@ Design notes:
   expanded row. That kernel, local_aggregate, is shared with the limit
   engine, which runs it on a disjoint union of decoded neighborhood
   classes with feature draws as trailing axes.
-* Every weighted mean, here and in the limit engine, goes through
-  wmean_reduce, which owns the exp shift, the denominator check and the
-  empty-neighborhood rule; the slab products and attention_reduce keep
-  its shift, checks and errors.
+* Every weighted mean, here and in the limit engine, takes its weights
+  from _weights (the maps, the exp shift) and its ratio and denominator
+  check from _checked_ratio: over segments in wmean_reduce (with the
+  empty-neighborhood rule), over the leading axis in _Mean (closed global
+  means, and the engine's global ones), and in the slab products and
+  attention_reduce.
 * A global aggregate whose body reads outer variables expands all (outer
   row, node) pairs, n rows per outer row, unless it is scored. Then each
   chunk of outer rows gets its score matrix from the score form (one
@@ -104,79 +106,97 @@ def _segment_reduce(ufunc: np.ufunc, data: np.ndarray,
     return out
 
 
+def _weights(weight_map: str, eta: np.ndarray | None,
+             registry: FunctionRegistry | None, top) -> np.ndarray | None:
+    """Row weights weight_map(eta): None under "one", which never reads
+    eta; under exp, exp(eta - top(eta)) with top(eta) the maximum of each
+    mean's rows (means are invariant under the shift, which keeps
+    denominators in range), an array the caller may scale in place; any
+    other map is a registry call on the rows of eta."""
+    if weight_map == "one":
+        return None
+    if weight_map == "exp":
+        w = eta - top(eta)  # maxima left unnamed: freed once subtracted
+        return np.exp(w, out=w)
+    return registry.call(weight_map, [eta.reshape(-1, eta.shape[-1])]
+                         ).reshape(eta.shape)
+
+
+def _segment_top(seg: np.ndarray):
+    """The exp shift over segments seg: each row's segment maximum."""
+    return lambda eta: np.repeat(_segment_reduce(np.maximum, eta, seg),
+                                 np.diff(seg), axis=0)
+
+
 def wmean_reduce(vals: np.ndarray, eta: np.ndarray | None, weight_map: str,
-                 registry: FunctionRegistry, seg: np.ndarray | None,
-                 mass: np.ndarray | None = None, path: tuple = ()) -> np.ndarray:
-    """Weighted means of the rows of vals, over segments or the leading axis.
+                 registry: FunctionRegistry, seg: np.ndarray,
+                 path: tuple = ()) -> np.ndarray:
+    """Weighted means of the rows of vals over segments seg[k]:seg[k+1].
 
     vals and eta are (rows, ..., d); eta may instead end in an axis of 1,
-    one weight per row shared by all d components. With seg, segment k
-    covers rows seg[k]:seg[k+1] and the result is (len(seg) - 1, ..., d).
-    With seg=None one mean runs over the leading axis with a plain axis
-    sum, and the result drops that axis. Either way every trailing index
-    gets its own mean. Row weights are weight_map(eta), times mass[row]
-    when a mass is given, so a mixture can weight each row by its share.
-    The weight map "one" never reads eta, which may then be None.
-
-    exp weights are stabilized by subtracting the per-mean maximum of eta
-    before exponentiating. Weighted means are invariant under this shift,
-    and it keeps denominators in a sane floating range. A denominator that
-    is zero or not finite (a weight map that underflows to zero across a
-    whole segment) raises instead of dividing, as does a mean that is not
-    finite; the error names path, the term nodes down to the aggregate. An
-    empty segment, or an empty leading axis, yields zeros by definition.
+    one weight per row shared by all d components. The result is
+    (len(seg) - 1, ..., d), every trailing index with its own mean under
+    the row weights _weights(weight_map, eta). A denominator that is zero
+    or not finite, or a mean that is not finite, raises (_checked_ratio)
+    naming path, the term nodes down to the aggregate. An empty segment
+    yields zeros by definition. _Mean is the mean over the leading axis.
     """
-    if seg is None and vals.shape[0] == 0:
-        return np.zeros(vals.shape[1:])
-    counts = None if seg is None else np.diff(seg)
-    # shape that broadcasts a per-row (or per-segment) scalar along rows
-    col = (-1,) + (1,) * (vals.ndim - 1)
-    if weight_map == "one":
-        w = None
-    elif weight_map == "exp":
-        w = _exp_weights(eta, seg)
-    else:
-        flat = eta.reshape(-1, eta.shape[-1])
-        w = registry.call(weight_map, [flat]).reshape(eta.shape)
-    if mass is not None:
-        mass = mass.reshape(col)
-        if weight_map == "exp":
-            # exp weights are this function's own array: scale them in place
-            # instead of allocating a copy
-            w *= mass
-        else:
-            w = mass if w is None else w * mass
-    if seg is None:
-        num = vals.sum(axis=0) if w is None else (vals * w).sum(axis=0)
-        den = vals.shape[0] if w is None else w.sum(axis=0)
-    else:
-        nonempty = counts > 0
-        if w is None:
-            num, den = _segment_reduce(np.add, vals, seg), counts.reshape(col)
-        else:
-            num = _segment_reduce(np.add, vals * w, seg)
-            den = _segment_reduce(np.add, w, seg)
-        num, den = num[nonempty], den[nonempty]
-    res = _checked_ratio(num, den, weight_map, path)
-    if seg is None:
-        return res
-    out = np.zeros((counts.shape[0],) + vals.shape[1:])
-    out[nonempty] = res
+    w = _weights(weight_map, eta, registry, _segment_top(seg))
+    counts = np.diff(seg)
+    num = _segment_reduce(np.add, vals if w is None else vals * w, seg)
+    den = (counts.reshape((-1,) + (1,) * (vals.ndim - 1)) if w is None
+           else _segment_reduce(np.add, w, seg))
+    # the full sums are freed before the result is allocated
+    nonempty = counts > 0
+    num, den = num[nonempty], den[nonempty]
+    out = np.zeros((len(counts),) + vals.shape[1:])
+    out[nonempty] = _checked_ratio(num, den, weight_map, path)
     return out
 
 
-def _exp_weights(eta: np.ndarray, seg: Optional[np.ndarray]) -> np.ndarray:
-    """exp(eta) shifted by the maximum of each segment, or of the leading
-    axis with seg=None. Weighted means are invariant under the shift, and
-    it keeps denominators in a sane floating range."""
-    # the repeated segment maxima are an eta-sized temporary: leave them
-    # unnamed so they are freed once subtracted
-    if seg is None:
-        w = eta - eta.max(axis=0, keepdims=True)
-    else:
-        w = eta - np.repeat(_segment_reduce(np.maximum, eta, seg),
-                            np.diff(seg), axis=0)
-    return np.exp(w, out=w)
+class _Mean:
+    """One weighted mean over the leading axis of row blocks fed one at a
+    time: a row weighs _weights(weight_map, eta), times its mass if add
+    gets one (a mixture's share), and the sums of weight times value and
+    of weight run over the blocks. Exp weights share one shift, the
+    largest eta so far, and the sums are rescaled when a block raises it.
+    """
+
+    def __init__(self, weight_map: str, registry: FunctionRegistry):
+        self.map, self.registry = weight_map, registry
+        self.num = self.den = self.top = None
+
+    def add(self, vals: np.ndarray, eta: Optional[np.ndarray],
+            mass: Optional[np.ndarray] = None) -> None:
+        w = _weights(self.map, eta, self.registry, self._shift)
+        if mass is not None:
+            mass = mass.reshape((-1,) + (1,) * (vals.ndim - 1))
+            if self.map == "exp":
+                w *= mass  # _weights' own array: scaled without a copy
+            else:
+                w = mass if w is None else w * mass
+        num = (vals if w is None else vals * w).sum(axis=0)
+        den = vals.shape[0] if w is None else w.sum(axis=0)
+        if self.num is None:
+            self.num, self.den = num, den
+        else:
+            self.num += num
+            self.den += den
+
+    def _shift(self, eta: np.ndarray) -> np.ndarray:
+        """The largest eta so far, the sums rescaled to it."""
+        top = eta.max(axis=0, keepdims=True)
+        if self.top is not None:
+            top = np.maximum(top, self.top)
+            # exactly 1 where the shift stays
+            scale = np.exp(self.top - top)[0]
+            self.num *= scale
+            self.den *= scale
+        self.top = top
+        return top
+
+    def value(self, path: tuple) -> np.ndarray:
+        return _checked_ratio(self.num, self.den, self.map, path)
 
 
 def attention_reduce(scores: np.ndarray, vals: np.ndarray,
@@ -188,10 +208,9 @@ def attention_reduce(scores: np.ndarray, vals: np.ndarray,
     k-row segment with weight map exp and eta[j] = scores[i, j] in every
     component: the row is shifted by its maximum, then the ratio is
     (exp(S) @ vals) / (exp(S) @ 1), two BLAS products in place of m * k
-    expanded rows. It keeps wmean_reduce's denominator and finiteness
-    checks and their errors.
+    expanded rows, with the same checks and errors.
     """
-    w = np.exp(scores - scores.max(axis=1, keepdims=True))
+    w = _weights("exp", scores, None, lambda s: s.max(axis=1, keepdims=True))
     return _checked_ratio(w @ vals, w.sum(axis=1, keepdims=True), "exp", path)
 
 
@@ -207,6 +226,15 @@ def _checked_ratio(num, den, weight_map: str, path: tuple) -> np.ndarray:
             f"weighted mean under weight map {weight_map!r} is not finite "
             f"in {_join(path)}")
     return res
+
+
+def _body(term, value_at, *args) -> tuple:
+    """An aggregate's value, then its weight argument, each
+    value_at(subterm, *args); the weight argument is None under the map
+    "one", which never reads it."""
+    vals = value_at(term.value, *args)
+    return vals, (None if term.weight_map == "one"
+                  else value_at(term.weight_arg, *args))
 
 
 class Plan(NamedTuple):
@@ -319,8 +347,9 @@ def local_aggregate(term, frame: dict, out: np.ndarray, indptr: np.ndarray,
                 np.add, vals * scale.reshape((-1,) + (1,) * (vals.ndim - 1)),
                 seg)
         else:
-            out[start:end] = _wmean(term, child, shape, seg, path, value_at,
-                                    registry)
+            out[start:end] = wmean_reduce(
+                *_body(term, value_at, child, shape, path), term.weight_map,
+                registry, seg, path=path)
     if not np.all(np.isfinite(out)):
         raise EvaluationError(f"non-finite value in {_join(path)}")
     return out
@@ -346,15 +375,6 @@ def _segment_scores(pl: Plan, rows: dict, cnt: np.ndarray, child: dict,
     return _checked_scores(pl, scores.reshape(shape[:-1]), path, registry)
 
 
-def _wmean(term, child: dict, shape: tuple, seg, path: tuple, value_at,
-           registry: FunctionRegistry) -> np.ndarray:
-    """Evaluate an aggregate's body on expanded rows and reduce them."""
-    vals = value_at(term.value, child, shape, path)
-    eta = (None if term.weight_map == "one"
-           else value_at(term.weight_arg, child, shape, path))
-    return wmean_reduce(vals, eta, term.weight_map, registry, seg, path=path)
-
-
 def slab_pays(n: int, nnz: int, d: int) -> bool:
     """Whether adjacency_product on n nodes, nnz CSR entries and d
     coordinates costs less work than expanding its nnz rows."""
@@ -364,7 +384,6 @@ def slab_pays(n: int, nnz: int, d: int) -> bool:
 
 def adjacency_product(term, vals: np.ndarray, indptr: np.ndarray,
                       indices: np.ndarray, path: tuple,
-                      block: Optional[int] = None,
                       scores: Optional[np.ndarray] = None) -> np.ndarray:
     """All n rows of term, a linear or scored local aggregate (plan), as
     products of the adjacency A with vals, the (n, d) rows of its body.
@@ -374,21 +393,22 @@ def adjacency_product(term, vals: np.ndarray, indptr: np.ndarray,
     (W @ vals) / (W @ 1), where W carries exp(score) shifted by its row's
     maximum score, as wmean_reduce shifts. An empty neighborhood gives 0
     every way. A is multiplied one dense slab of rows at a time
-    (graphs.dense_rows), each of about block (default graphs.BLOCK)
-    entries, so each slab is one matrix product. Errors: local_aggregate's.
+    (graphs.dense_rows), each of about graphs.BLOCK entries, so each slab
+    is one matrix product. Errors: local_aggregate's.
     """
     n = vals.shape[0]
     deg = np.diff(indptr)
     nonempty = deg > 0
     gcn = isinstance(term, T.GcnAgg)
-    weights = None if scores is None else _exp_weights(scores, indptr)
+    weights = (None if scores is None
+               else _weights("exp", scores, None, _segment_top(indptr)))
     if gcn:
         scale = np.divide(1.0, np.sqrt(deg), out=np.zeros(n),
                           where=nonempty)[:, None]
         vals = scale * vals
     vals = np.ascontiguousarray(vals)
     out = np.zeros(vals.shape)
-    step = min(n, max(1, (block or graphs.BLOCK) // n))
+    step = min(n, max(1, graphs.BLOCK // n))
     slab = np.zeros((step, n))  # one buffer, cleared after each product
     for lo in range(0, n, step):
         hi = min(n, lo + step)
@@ -477,7 +497,6 @@ class Evaluator(Interpreter):
         # term id -> a closed subterm's (d,) value or the (n, d) rows of
         # one with one free variable
         self._cache: dict[int, np.ndarray] = {}
-        self._rw_cache: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # public entry points
@@ -553,13 +572,10 @@ class Evaluator(Interpreter):
         return self._feat[frame[term.var]]
 
     def _rw(self, term: T.Rw, frame: dict, shape: tuple) -> np.ndarray:
-        mat = self._rw_cache.get(term.kmax)
-        if mat is None:
-            mat = np.ascontiguousarray(
-                fit_width(rw_encoding_all(self.graph, term.kmax), self.d))
-            mat.flags.writeable = False
-            self._rw_cache[term.kmax] = mat
-        return mat[frame[term.var]]
+        # an Rw node has one free variable, so _cached takes it, once per
+        # kmax (nodes with equal kmax share an id), with every node bound
+        return fit_width(rw_encoding_all(self.graph, term.kmax),
+                         self.d)[frame[term.var]]
 
     def _local(self, term, frame: dict, shape: tuple, path: tuple) -> np.ndarray:
         g = self.graph
@@ -600,10 +616,11 @@ class Evaluator(Interpreter):
         n = self.graph.n
         allv = np.arange(n)
         if not term.outer:
-            # the aggregate is one global vector; compute over all nodes once
-            res = _wmean(term, {term.bound: allv}, (n, self.d), None, path,
-                         self._value, self.registry)
-            return np.broadcast_to(res, shape)
+            # the aggregate is one global vector: one mean over all nodes
+            mean = _Mean(term.weight_map, self.registry)
+            mean.add(*_body(term, self._value, {term.bound: allv},
+                            (n, self.d), path))
+            return np.broadcast_to(mean.value(path), shape)
 
         m = shape[0]
         out = np.empty(shape)
@@ -628,9 +645,10 @@ class Evaluator(Interpreter):
                 rep = np.repeat(np.arange(nrows), n)
                 child = {v: arr[rep] for v, arr in rows.items()}
                 child[term.bound] = np.tile(allv, nrows)
-                out[s:e] = _wmean(term, child, (nrows * n, self.d),
-                                  np.arange(nrows + 1) * n, path, self._value,
-                                  self.registry)
+                out[s:e] = wmean_reduce(
+                    *_body(term, self._value, child, (nrows * n, self.d),
+                           path), term.weight_map, self.registry,
+                    np.arange(nrows + 1) * n, path=path)
         return out
 
 

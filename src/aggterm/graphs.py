@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, NeighborhoodTooLargeError
+from .errors import ConfigError, NeighborhoodTooLargeError, as_int
 from .rng import stream
 
 SeedLike = Union[int, np.random.Generator]
@@ -29,6 +29,16 @@ def _as_rng(seed: SeedLike, *tags) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # schedules and model specs
 # ---------------------------------------------------------------------------
+
+
+def _finite(x, what: str) -> None:
+    """Refuse x unless it is a finite real number, as the spec codec does."""
+    try:
+        ok = math.isfinite(x)
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ConfigError(f"{what} must be a finite number, got {x!r}")
 
 
 class _Rate:
@@ -56,6 +66,10 @@ class RootSchedule(_Rate):
 
     k: float
     beta: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        _finite(self.beta, "schedule exponent beta")
 
 
 @dataclass(frozen=True)
@@ -117,6 +131,8 @@ class SbmModel:
         m = len(self.fractions)
         if m == 0:
             raise ConfigError("SBM needs at least one community")
+        for f in self.fractions:
+            _finite(f, "community fraction")
         if any(f <= 0 for f in self.fractions):
             raise ConfigError("community fractions must be positive")
         if abs(sum(self.fractions) - 1.0) > 1e-9:
@@ -137,6 +153,7 @@ class BaModel:
     m: int
 
     def __post_init__(self):
+        object.__setattr__(self, "m", as_int(self.m, "preferential attachment m"))
         if self.m < 1:
             raise ConfigError("preferential attachment needs m >= 1")
 
@@ -153,8 +170,7 @@ class _Features:
     """Every feature distribution draws dim >= 1 coordinates per node."""
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ConfigError(f"feature dimension must be >= 1, got {self.dim}")
+        object.__setattr__(self, "dim", as_int(self.dim, "feature dimension", 1))
 
 
 @dataclass(frozen=True)
@@ -170,6 +186,8 @@ class UniformRange(_Features):
 
     def __post_init__(self):
         super().__post_init__()
+        _finite(self.a, "uniform range bound a")
+        _finite(self.b, "uniform range bound b")
         if self.a > self.b:
             raise ConfigError("need a <= b for uniform range features")
 
@@ -189,6 +207,10 @@ class BernoulliFeatures(_Features):
 class ConstantFeatures(_Features):
     c: float
     dim: int
+
+    def __post_init__(self):
+        super().__post_init__()
+        _finite(self.c, "constant feature c")
 
 
 @dataclass(frozen=True)

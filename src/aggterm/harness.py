@@ -265,7 +265,7 @@ def diverge_demo(term: Term, schedule: AlternatingSchedule, sizes, samples: int,
     """
     if not isinstance(schedule, AlternatingSchedule):
         raise ConfigError("diverge_demo needs an alternating schedule")
-    sizes = tuple(int(s) for s in sizes)
+    sizes = tuple(as_int(s, "size", 1) for s in sizes)
     evens = [s for s in sizes if s % 2 == 0]
     odds = [s for s in sizes if s % 2 == 1]
     if not evens or not odds:

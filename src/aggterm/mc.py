@@ -6,8 +6,9 @@ root, as there a neighbor is a fresh i.i.d. draw like any globally bound
 node. McEngine is that mixture. The kept classes form one disjoint-union
 CSR graph, variables bind to node ids on it, every subterm is a (rows,
 samples, d) block, and the term runs through the evaluator's interpreter
-(evaluate.Interpreter). Local aggregates reduce through wmean_reduce,
-global ones through _Mean, which takes its operations chunk by chunk.
+(evaluate.Interpreter). Its weighted means are the evaluator's: local
+aggregates reduce through evaluate.wmean_reduce, global ones through
+evaluate._Mean, which takes its rows chunk by chunk.
 
 A global aggregate mixes over the classes at its census radius, each a
 fresh component, as one mean over all draws of mass q / draws each. One
@@ -56,7 +57,7 @@ import numpy as np
 from . import graphs
 from .canonical import canonical_code
 from .errors import ConfigError, as_int
-from .evaluate import (Interpreter, _checked_ratio, _checked_scores,
+from .evaluate import (Interpreter, _body, _checked_scores, _Mean,
                        local_aggregate, plan)
 from .registry import FunctionRegistry, fit_width
 from .rng import stream
@@ -199,51 +200,6 @@ def _mixture(x: np.ndarray, rows: int, draws: int) -> np.ndarray:
             .reshape(c * draws, rows, s, d))
 
 
-class _Mean:
-    """One weighted mean over the leading axis of row blocks fed one at a
-    time, as wmean_reduce takes it over all rows at once: a row weighs
-    weight_map(eta) times its mass, and sums of weight times value and of
-    weight run over the blocks. Exp weights share one shift, the largest
-    eta so far, and the sums are rescaled when a later block raises it. A
-    block's sums take wmean_reduce's operations, so a mean of one block
-    has its bits."""
-
-    def __init__(self, weight_map: str, registry: FunctionRegistry):
-        self.map, self.registry = weight_map, registry
-        self.num = self.den = self.top = None
-
-    def add(self, vals: np.ndarray, eta: Optional[np.ndarray],
-            mass: np.ndarray) -> None:
-        mass = mass.reshape((-1,) + (1,) * (vals.ndim - 1))
-        if self.map == "one":
-            w = mass
-        elif self.map == "exp":
-            top = eta.max(axis=0, keepdims=True)
-            if self.top is not None:
-                top = np.maximum(top, self.top)
-                # exactly 1 where the shift stays
-                scale = np.exp(self.top - top)[0]
-                self.num *= scale
-                self.den *= scale
-            self.top = top
-            w = eta - top
-            np.exp(w, out=w)
-            w *= mass
-        else:
-            w = self.registry.call(
-                self.map, [eta.reshape(-1, eta.shape[-1])]
-            ).reshape(eta.shape) * mass
-        num, den = (vals * w).sum(axis=0), w.sum(axis=0)
-        if self.num is None:
-            self.num, self.den = num, den
-        else:
-            self.num += num
-            self.den += den
-
-    def value(self, path: tuple) -> np.ndarray:
-        return _checked_ratio(self.num, self.den, self.map, path)
-
-
 class McEngine(Interpreter):
     """One term's value on a mixture of rooted classes, with error bars.
 
@@ -270,9 +226,6 @@ class McEngine(Interpreter):
         self.seed = seed
         self.inner_mc = as_int(inner_mc, "inner_mc", 2)
         self._nblocks = len(block_slices(self.mc))
-        # pool key -> its stream and starting state: making a stream costs
-        # more than resetting one
-        self._streams: Dict[tuple, tuple] = {}
         # radius -> (union, codes, weights, dropped mass) of the kept classes
         self._kept: Dict[int, tuple] = {}
         # (per-run aggregate, depth) -> its full value and block values
@@ -301,24 +254,11 @@ class McEngine(Interpreter):
             count, slots, self.d)
 
     def _pool(self, depth: int, code: bytes, count: int) -> np.ndarray:
-        """A class's (count, m, d) pool at a depth, read from the start of
-        its sample-major stream."""
-        key = ("pool", depth, *self._key(code))
-        got = self._streams.get(key)
-        if got is None:
-            rng = stream(self.seed, self.kind, *key)
-            got = self._streams[key] = (rng, rng.bit_generator.state)
-        rng, start = got
-        rng.bit_generator.state = start
-        rows = self._draw(self.dist, self.mc * count, rng)
-        return rows.reshape(self.mc, count, self.d).transpose(1, 0, 2)
-
-    def _weight_arg(self, term, *args) -> Optional[np.ndarray]:
-        """The weight argument, or None under the map "one", which never
-        reads it (so its inner draws are never made)."""
-        if term.weight_map == "one":
-            return None
-        return self._eval(term.weight_arg, *args)
+        """A class's (count, m, d) pool at a depth: the first m * count
+        draws of its sample-major stream (seed, kind, "pool", depth, class),
+        drawn afresh at each read."""
+        return self._draws(self.mc, count, "pool", depth,
+                           *self._key(code)).transpose(1, 0, 2)
 
     def _feature(self, term, scope: tuple) -> np.ndarray:
         g, frame = scope[0]
@@ -471,8 +411,7 @@ class McEngine(Interpreter):
                     sub[term.bound] = np.repeat(roots, rows)
                     args = (((_join(part, comp, feats), sub), depth + 1,
                              tail, ids), ((b - a) * rows, slots, d), path)
-                    vals = self._eval(term.value, *args)
-                    etas = self._weight_arg(term, *args)
+                    vals, etas = _body(term, self._eval, *args)
                 for mean, sl, count in sinks:
                     mean.add(_mixture(vals[:, sl], 1 if pl else rows, count),
                              None if etas is None else

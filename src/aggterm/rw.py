@@ -212,10 +212,14 @@ def walk_returns(indptr: np.ndarray, indices: np.ndarray, sources,
     return out
 
 
+def _check_kmax(kmax) -> None:
+    if not isinstance(kmax, (int, np.integer)) or kmax < 1:
+        raise ValueError(f"kmax must be an integer >= 1, got {kmax!r}")
+
+
 def rw_encoding(graph: graphs.FeaturedGraph, v: int, kmax: int) -> np.ndarray:
     """Length-kmax return-probability vector for node v, exact (walk_returns)."""
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
+    _check_kmax(kmax)
     if not (isinstance(v, (int, np.integer)) and 0 <= v < graph.n):
         raise ValueError(f"node {v!r} is not an integer in [0, {graph.n})")
     if graph.degrees[v] == 0:
@@ -225,4 +229,5 @@ def rw_encoding(graph: graphs.FeaturedGraph, v: int, kmax: int) -> np.ndarray:
 
 def rw_encoding_all(graph: graphs.FeaturedGraph, kmax: int) -> np.ndarray:
     """(n, kmax) matrix of exact return probabilities for every node."""
+    _check_kmax(kmax)
     return walk_returns(graph.indptr, graph.indices, np.arange(graph.n), kmax)

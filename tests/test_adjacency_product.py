@@ -96,7 +96,7 @@ def products(monkeypatch):
 @pytest.mark.parametrize("src", LINEAR)
 @pytest.mark.parametrize("d", [1, 3])
 @pytest.mark.parametrize("p", [0.002, 0.02, 0.1, 0.5])
-def test_product_matches_expansion(src, d, p):
+def test_product_matches_expansion(src, d, p, monkeypatch):
     graph = er(200, p, d, 11)
     term = t(src, d)
     assert plan(term, REG).kind == "linear"
@@ -104,8 +104,8 @@ def test_product_matches_expansion(src, d, p):
     want = expanded(term, graph)
     # 203 nodes: one slab, slabs of 8 rows with a short last one, or 1 row
     for block in (graphs.BLOCK, 8 * graph.n + 5, 1):
-        got = adjacency_product(term, vals, graph.indptr, graph.indices, (),
-                                block)
+        monkeypatch.setattr(graphs, "BLOCK", block)
+        got = adjacency_product(term, vals, graph.indptr, graph.indices, ())
         assert_close(got, want)
         assert np.all(got[graph.degrees == 0] == 0.0)
 

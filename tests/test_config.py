@@ -166,5 +166,36 @@ def test_bad_values_rejected(read, spec, message):
         read(spec)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: RootSchedule(5.0, NAN),
+    lambda: RootSchedule(5.0, INF),
+    lambda: SbmModel((NAN, 1.0), ((0.5, 0.1), (0.1, 0.4))),
+    lambda: BaModel(2.7),
+    lambda: Uniform01(2.5),
+    lambda: UniformRange(NAN, 1.0, 2),
+    lambda: UniformRange(0.0, INF, 2),
+    lambda: ConstantFeatures(INF, 2),
+    lambda: ConstantFeatures(NAN, 2),
+    lambda: ArchConfig("mean", 2.5, 4, 2, 3),
+    lambda: ArchConfig("mean", 2, 4.5, 2, 3),
+    lambda: ArchConfig("mean", 2, 4, 2.5, 3),
+    lambda: ArchConfig("mean", 2, 4, 2, 3.5),
+    lambda: ArchConfig("gps_rw", 2, 4, 2, 3, rw_len=2.5),
+    lambda: ArchConfig("mean", 2, 4, 2, 4, skips=((0.5, 1.7),)),
+], ids=["root beta nan", "root beta inf", "sbm fraction nan", "ba m float",
+        "uniform01 dim float", "uniform a nan", "uniform b inf",
+        "constant c inf", "constant c nan", "arch layers float",
+        "arch hidden float", "arch classes float", "arch in_dim float",
+        "arch rw_len float", "arch skips float"])
+def test_python_specs_refuse_what_the_codec_refuses(build):
+    # the JSON codec turns each of these values away; built in Python they
+    # used to construct and fail later, or be cast silently
+    with pytest.raises(ConfigError):
+        build()
+
+
 def test_optional_field_takes_null():
     assert arch_from_spec({**ARCH, "rw_len": None}) == ArchConfig(**ARCH)

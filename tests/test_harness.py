@@ -157,6 +157,12 @@ def test_diverge_needs_both_parities():
         diverge_demo(ISO, DenseSchedule(0.5), (400, 401), 4, 1)
 
 
+def test_diverge_refuses_fractional_sizes():
+    # sizes are not truncated: 200.7 and 301.2 would run 200 and 301
+    with pytest.raises(ConfigError, match="size must be an integer"):
+        diverge_demo(ISO, ALT, (200.7, 301.2), 2, 1)
+
+
 def test_plot_svg_structure(tmp_path):
     rep = run_sweep(small_sweep(subject=t("mean[v](H(v))", d=2),
                                 feature_dist=Uniform01(2),

@@ -14,8 +14,8 @@ from aggterm.graphs import (BernoulliFeatures, ConstantFeatures, DenseSchedule,
                             ErModel, PaddedFeatures, SparseSchedule, Uniform01,
                             UniformRange, draw_features)
 from aggterm.dense_limit import _DenseEngine
-from aggterm.evaluate import wmean_reduce
-from aggterm.mc import (_LONE, ControllerValue, McEngine, _Mean, batch_stderr,
+from aggterm.evaluate import _Mean
+from aggterm.mc import (_LONE, ControllerValue, McEngine, batch_stderr,
                         block_slices)
 from aggterm.parser import parse_term
 from aggterm.registry import default_registry
@@ -77,14 +77,21 @@ def test_batch_stderr_scales_with_noise():
 def test_streamed_mean_is_the_mean_over_all_rows(weight_map, width):
     # rows fed in chunks whose weight arguments jump by +50 and then -20:
     # the exp sums rescale to the largest shift so far, and every map gives
-    # wmean_reduce's mean over all rows; fed as one chunk, its bits
+    # the mean over all rows written out below; fed as one chunk, its bits
     rng = np.random.default_rng(5)
     vals = rng.normal(size=(30, 2, 3, 2))
     jumps = np.repeat([0.0, 50.0, -20.0], 10)[:, None, None, None]
     eta = rng.normal(size=(30, 2, 3, width)) + jumps
     mass = rng.random(30)
     reg = default_registry()
-    want = wmean_reduce(vals, eta, weight_map, reg, None, mass)
+    col = mass.reshape(-1, 1, 1, 1)
+    if weight_map == "one":
+        w = col
+    elif weight_map == "exp":
+        w = np.exp(eta - eta.max(axis=0, keepdims=True)) * col
+    else:
+        w = np.logaddexp(0.0, eta) * col
+    want = (vals * w).sum(axis=0) / w.sum(axis=0)
     streamed, whole = _Mean(weight_map, reg), _Mean(weight_map, reg)
     for sl in block_slices(30, 3):
         streamed.add(vals[sl], eta[sl], mass[sl])

@@ -80,6 +80,11 @@ def test_bad_kmax_rejected():
     g = triangle()
     with pytest.raises(ValueError):
         rw_encoding(g, 0, 0)
+    for kmax in (0, -1, 2.5, None):
+        with pytest.raises(ValueError, match="kmax must be"):
+            rw_encoding(g, 0, kmax)
+        with pytest.raises(ValueError, match="kmax must be"):
+            rw_encoding_all(g, kmax)
     g = from_edges(3, [0], [1])
     for v in (-2, -1, 3, 1.0, None, "0"):
         with pytest.raises(ValueError, match="in \\[0, 3\\)"):
