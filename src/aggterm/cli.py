@@ -30,15 +30,13 @@ from .dense_limit import dense_controller
 from .errors import AggtermError, ConfigError, as_int
 from .evaluate import eval_closed
 from .graphs import (AlternatingSchedule, ErModel, Uniform01, feature_dim,
-                     read_graph, sample_graph, attach_features, write_graph)
-from .harness import (SweepConfig, diverge_demo, run_sweep, write_plot_svg,
-                      write_report_csv, write_summary_csv)
+                     read_graph, write_graph)
+from .harness import (SweepConfig, diverge_demo, g17, run_sweep, sweep_graph,
+                      write_lines, write_plot_svg, write_report_csv,
+                      write_summary_csv)
 from .parser import parse_term
 from .registry import default_registry
-from .rng import stream
 from .sparse_limit import CensusConfig, sparse_limit
-
-_G = "%.17g"
 
 
 def _load_json(path: str) -> dict:
@@ -98,39 +96,25 @@ def _closed_term(path: str, d: int, registry):
     return parse_term(_load_text(path), d, registry=registry, closed=True)
 
 
-def _write_lines(path, lines) -> None:
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-        return
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
-
-
 # subcommands ---------------------------------------------------------------
 
 def _cmd_gen(args) -> None:
-    model = _load_model(args.model)
-    g = sample_graph(model, args.size, stream(args.seed, "graph", args.size, 0))
-    dist = _load_features(args.features)
-    g = attach_features(g, dist, stream(args.seed, "features", args.size, 0))
+    g = sweep_graph(_load_model(args.model), _load_features(args.features),
+                    args.seed, args.size, 0)
     write_graph(g, args.out)
-    print(f"wrote n={g.n} graph with {g.num_edges} edges to {args.out}")
+    write_lines(None, [f"wrote n={g.n} graph with {g.num_edges} edges "
+                       f"to {args.out}"])
 
 
 def _cmd_eval(args) -> None:
     graph = read_graph(args.graph)
     if args.arch is not None:
-        model = _load_arch(args.arch)
-        out = model.run(graph)
+        out = _load_arch(args.arch).run(graph)
     else:
         reg = default_registry()
-        d = graph.features.shape[1]
-        term = _closed_term(args.term, d, reg)
-        out = eval_closed(term, graph, reg)
-    lines = ["dim,value"]
-    lines += [f"{j},{_G % x}" for j, x in enumerate(out)]
-    _write_lines(args.out, lines)
+        out = eval_closed(_closed_term(args.term, graph.d, reg), graph, reg)
+    write_lines(args.out,
+                ["dim,value"] + [f"{j},{g17(x)}" for j, x in enumerate(out)])
 
 
 def _cmd_limit(args) -> None:
@@ -149,12 +133,12 @@ def _cmd_limit(args) -> None:
         value = sparse_limit(term, model, dist, census, args.mc, args.seed,
                              eps=args.eps, registry=reg, inner_mc=args.inner_mc)
         header = "dim,estimate,stderr,mc_samples,truncated_mass"
-        tail = f",{_G % value.truncated_mass}"
+        tail = f",{g17(value.truncated_mass)}"
     lines = [header]
     for j in range(len(value.estimate)):
-        lines.append(f"{j},{_G % value.estimate[j]},{_G % value.stderr[j]},"
+        lines.append(f"{j},{g17(value.estimate[j])},{g17(value.stderr[j])},"
                      f"{value.mc_samples}{tail}")
-    _write_lines(args.out, lines)
+    write_lines(args.out, lines)
 
 
 def _cmd_census(args) -> None:
@@ -165,10 +149,10 @@ def _cmd_census(args) -> None:
     for code, prop in table.types_by_mass():
         rg = table.decode(code)
         lines.append(f"{code.hex()},{len(rg.adj)},{rg.num_edges()},"
-                     f"{rg.degree(0)},{_G % prop}")
-    _write_lines(args.out, lines)
-    print(f"mass {_G % table.total_mass()}, "
-          f"cap overflow {_G % table.truncated_mass}")
+                     f"{rg.degree(0)},{g17(prop)}")
+    write_lines(args.out, lines)
+    write_lines(None, [f"mass {g17(table.total_mass())}, "
+                       f"cap overflow {g17(table.truncated_mass)}"])
 
 
 def _sweep_config(args) -> SweepConfig:
@@ -202,9 +186,9 @@ def _cmd_sweep(args) -> None:
     _emit_report(report, args)
     for s in report.summary:
         dist = "" if s.dist_to_limit is None else \
-            f"  dist_to_limit {_G % s.dist_to_limit}"
-        print(f"n={s.size}  mean [{', '.join(_G % m for m in s.mean)}]"
-              f"  std [{', '.join(_G % v for v in s.std)}]{dist}")
+            f"  dist_to_limit {g17(s.dist_to_limit)}"
+        write_lines(None, [f"n={s.size}  mean [{', '.join(map(g17, s.mean))}]"
+                           f"  std [{', '.join(map(g17, s.std))}]{dist}"])
 
 
 def _cmd_diverge(args) -> None:
@@ -221,9 +205,9 @@ def _cmd_diverge(args) -> None:
                           registry=reg, workers=args.workers)
     _emit_report(report, args)
     p = report.parity
-    print(f"even mean [{', '.join(_G % m for m in p.even_mean)}]")
-    print(f"odd mean  [{', '.join(_G % m for m in p.odd_mean)}]")
-    print(f"parity gap {_G % p.gap}")
+    write_lines(None, [f"even mean [{', '.join(map(g17, p.even_mean))}]",
+                       f"odd mean  [{', '.join(map(g17, p.odd_mean))}]",
+                       f"parity gap {g17(p.gap)}"])
 
 
 # parser --------------------------------------------------------------------

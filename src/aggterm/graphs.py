@@ -712,7 +712,13 @@ def write_graph(graph: FeaturedGraph, path) -> None:
 
 
 def read_graph(path) -> FeaturedGraph:
-    """Parse the text format written by write_graph."""
+    """Parse the text format written by write_graph.
+
+    Refuses what write_graph cannot write: a negative d or community
+    count, a non-finite feature, a node without exactly one feature line
+    (when d > 0) or, with communities, without exactly one label in
+    1..communities.
+    """
     with open(path) as fh:
         raw = [ln.rstrip("\n") for ln in fh]
     lines = [ln for ln in raw if ln.strip()]
@@ -728,9 +734,12 @@ def read_graph(path) -> FeaturedGraph:
         raise ConfigError(f"malformed graph header: {exc}") from exc
     if n < 1:
         raise ConfigError("graph file must have n >= 1")
+    if d < 0 or m < 0:
+        raise ConfigError("graph file must have d >= 0 and communities >= 0")
     us, vs = [], []
     seen = set()
     features = np.zeros((n, d))
+    featured = np.zeros(n, dtype=bool)
     community = np.zeros(n, dtype=np.int64) if m > 0 else None
     for ln in lines[1:]:
         try:
@@ -738,14 +747,17 @@ def read_graph(path) -> FeaturedGraph:
             if parts[0] == "F":
                 v = int(parts[1])
                 vals = [float(x) for x in parts[2:]]
-                if len(vals) != d or not (0 <= v < n):
+                if len(vals) != d or not (0 <= v < n) or featured[v] \
+                        or not all(map(math.isfinite, vals)):
                     raise ConfigError(f"bad feature line: {ln!r}")
                 features[v] = vals
+                featured[v] = True
             elif parts[0] == "C":
-                v = int(parts[1])
-                if community is None or not (0 <= v < n):
+                v, label = int(parts[1]), int(parts[2])
+                if community is None or not (0 <= v < n) or community[v] \
+                        or not (1 <= label <= m):
                     raise ConfigError(f"bad community line: {ln!r}")
-                community[v] = int(parts[2])
+                community[v] = label
             else:
                 u, v = int(parts[0]), int(parts[1])
                 if not (0 <= u < v < n):
@@ -757,6 +769,9 @@ def read_graph(path) -> FeaturedGraph:
                 vs.append(v)
         except (ValueError, IndexError):
             raise ConfigError(f"malformed graph line: {ln!r}") from None
+    if d > 0 and not featured.all():
+        raise ConfigError(f"graph file lacks the feature line of node "
+                          f"{int(np.argmin(featured))}")
     if community is not None and community.min() < 1:
         raise ConfigError("community labels must cover all nodes with labels >= 1")
     return from_edges(n, np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64),

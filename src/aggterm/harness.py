@@ -14,15 +14,18 @@ size parity instead of settling; the report then carries the parity gap.
 
 Reports serialize to CSV (byte-deterministic, 17 significant digits, so
 floats survive a round trip exactly) and to a self-contained SVG with one
-mean curve per output dimension over shaded +-1 std bands.
+mean curve per output dimension over shaded +-1 std bands. g17 and
+write_lines are that float format and that line writer; the command line
+writes its files and stdout through them too.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -40,9 +43,9 @@ from .rng import stream
 from .terms import Term, validate_term
 
 __all__ = ["SweepConfig", "SweepReport", "SizeSummary", "ParityGap",
-           "run_sweep", "diverge_demo", "write_report_csv",
+           "sweep_graph", "run_sweep", "diverge_demo", "write_report_csv",
            "write_summary_csv", "write_plot_svg", "read_report_csv",
-           "summarize_outputs"]
+           "summarize_outputs", "g17", "write_lines"]
 
 VERSION = "0.1.0"
 
@@ -50,8 +53,19 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#e377c2", "#7f7f7f")
 
 
-def _g17(x: float) -> str:
+def g17(x: float) -> str:
+    """x at 17 significant digits, which a float survives exactly."""
     return "%.17g" % float(x)
+
+
+def write_lines(path: Optional[str], lines) -> None:
+    """Write each line with a newline after it, to path or else stdout."""
+    text = "\n".join(lines) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,6 +105,8 @@ class SweepConfig:
             limit = np.asarray(limit, dtype=np.float64)
             if limit.ndim != 1:
                 raise ConfigError("limit reference must be a flat vector")
+            if not np.isfinite(limit).all():
+                raise ConfigError(f"limit reference must be finite, got {limit}")
             limit.flags.writeable = False
         object.__setattr__(self, "limit", limit)
 
@@ -166,7 +182,7 @@ def _weight_digest(model: CompiledModel) -> str:
 
 
 def _subject(config: SweepConfig):
-    """Normalize the subject to (term, registry, kept dims, spec extras)."""
+    """Normalize the subject to (runner on a graph, term, spec extras)."""
     sub = config.subject
     d_in = feature_dim(config.feature_dist)
     if isinstance(sub, CompiledModel):
@@ -179,60 +195,49 @@ def _subject(config: SweepConfig):
                 f"distribution provides {d_in}")
         extras = {"arch_classes": sub.classes,
                   "weights_sha256": _weight_digest(sub)}
-        return sub.term, sub.registry, sub.classes, extras
+        return sub.run, sub.term, extras
     reg = config.registry if config.registry is not None else default_registry()
     validate_term(sub, reg, d_in)
     if sub.free:
         raise ConfigError(f"sweep subjects must be closed; free: {list(sub.free)}")
-    return sub, reg, None, {}
+    return (lambda g: eval_closed(sub, g, reg)), sub, {}
 
 
-def _prepare(config: SweepConfig, graph):
-    sub = config.subject
-    if isinstance(sub, CompiledModel):
-        return sub.prepare(graph)
-    return graph
+def sweep_graph(model, feature_dist: FeatureDist, seed: int, size: int,
+                sample: int):
+    """The featured graph of sweep item (size, sample), drawn from the
+    streams (seed, "graph" / "features", size, sample) and nothing else."""
+    g = sample_graph(model, size, stream(seed, "graph", size, sample))
+    return attach_features(g, feature_dist,
+                           stream(seed, "features", size, sample))
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Run all (size, sample) items and assemble the report.
 
-    Items are independent: each derives graph and feature streams from
-    (seed, "graph"/"features", size, sample). Failures are annotated with
-    their item coordinates.
+    Items are independent: each runs on its own sweep_graph. Failures
+    are annotated with their item coordinates.
     """
-    term, reg, keep, extras = _subject(config)
+    run, term, extras = _subject(config)
 
     def item(size: int, sample: int) -> np.ndarray:
         try:
-            g = sample_graph(config.model, size,
-                             stream(config.seed, "graph", size, sample))
-            g = attach_features(g, config.feature_dist,
-                                stream(config.seed, "features", size, sample))
-            out = eval_closed(term, _prepare(config, g), reg)
+            return run(sweep_graph(config.model, config.feature_dist,
+                                   config.seed, size, sample))
         except ConfigError:
             raise
         except Exception as exc:
             raise EvaluationError(
                 f"sweep item size={size} sample={sample}: {exc}") from exc
-        return out if keep is None else out[:keep]
 
-    coords = [(i, size, sample) for i, size in enumerate(config.sizes)
-              for sample in range(config.samples)]
-    results: dict = {}
+    sizes = [size for size in config.sizes for _ in range(config.samples)]
+    samples = list(range(config.samples)) * len(config.sizes)
     if config.workers == 1:
-        for i, size, sample in coords:
-            results[(i, sample)] = item(size, sample)
+        rows = list(map(item, sizes, samples))
     else:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futs = {pool.submit(item, size, sample): (i, sample)
-                    for i, size, sample in coords}
-            for fut, key in futs.items():
-                results[key] = fut.result()
-    d = len(results[(0, 0)])
-    outputs = np.empty((len(config.sizes), config.samples, d))
-    for (i, sample), vec in results.items():
-        outputs[i, sample] = vec
+            rows = list(pool.map(item, sizes, samples))
+    outputs = np.array(rows).reshape(len(config.sizes), config.samples, -1)
     outputs.flags.writeable = False
 
     spec = {"term": print_term(term),
@@ -281,12 +286,9 @@ def diverge_demo(term: Term, schedule: AlternatingSchedule, sizes, samples: int,
     means = {s.size: s.mean for s in report.summary}
     even_mean = np.mean([means[s] for s in evens], axis=0)
     odd_mean = np.mean([means[s] for s in odds], axis=0)
-    parity = ParityGap(even_mean=even_mean, odd_mean=odd_mean,
-                       gap=float(np.linalg.norm(odd_mean - even_mean)))
-    return SweepReport(sizes=report.sizes, samples=report.samples,
-                       outputs=report.outputs, summary=report.summary,
-                       provenance=report.provenance, limit=report.limit,
-                       parity=parity)
+    return replace(report, parity=ParityGap(
+        even_mean=even_mean, odd_mean=odd_mean,
+        gap=float(np.linalg.norm(odd_mean - even_mean))))
 
 
 # CSV ----------------------------------------------------------------------
@@ -298,40 +300,54 @@ def write_report_csv(report: SweepReport, path: str) -> None:
     for i, size in enumerate(report.sizes):
         for sample in range(report.samples):
             vec = report.outputs[i, sample]
-            lines.append(f"{size},{sample}," + ",".join(_g17(x) for x in vec))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+            lines.append(f"{size},{sample}," + ",".join(g17(x) for x in vec))
+    write_lines(path, lines)
 
 
 def read_report_csv(path: str):
-    """Read rows back as (sizes, outputs); exact inverse of the writer."""
+    """Read rows back as (sizes, outputs); exact inverse of the writer.
+
+    Refuses a row whose width differs from the header's, a non-numeric
+    cell, a repeated (size, sample), and a grid of sizes by samples
+    0..max with a hole in it.
+    """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("size,sample,"):
         raise ConfigError(f"{path} is not a sweep row CSV")
+    width = len(lines[0].split(","))
     rows: dict = {}
     for ln in lines[1:]:
         parts = ln.split(",")
-        size, sample = int(parts[0]), int(parts[1])
-        rows[(size, sample)] = np.array([float(x) for x in parts[2:]])
+        if len(parts) != width:
+            raise ConfigError(f"{path}: row {ln!r} has {len(parts)} cells, "
+                              f"the header {width}")
+        try:
+            key = (int(parts[0]), int(parts[1]))
+            vec = [float(x) for x in parts[2:]]
+        except ValueError:
+            raise ConfigError(f"{path}: non-numeric cell in {ln!r}") from None
+        if key in rows:
+            raise ConfigError(f"{path}: repeated row {ln!r}")
+        rows[key] = vec
+    if not rows:
+        raise ConfigError(f"{path} has no rows")
     sizes = tuple(sorted({s for s, _ in rows}))
     samples = 1 + max(i for _, i in rows)
-    d = len(next(iter(rows.values())))
-    outputs = np.empty((len(sizes), samples, d))
-    for (size, sample), vec in rows.items():
-        outputs[sizes.index(size), sample] = vec
-    return sizes, outputs
+    if min(i for _, i in rows) < 0 or len(rows) != len(sizes) * samples:
+        raise ConfigError(f"{path} lacks rows of its (size, sample) grid")
+    return sizes, np.array([[rows[(s, i)] for i in range(samples)]
+                            for s in sizes])
 
 
 def write_summary_csv(report: SweepReport, path: str) -> None:
     """Per-(size, dim) mean and std; distance repeats on each dim row."""
     lines = ["size,dim,mean,std,dist_to_limit"]
     for s in report.summary:
-        dist = "" if s.dist_to_limit is None else _g17(s.dist_to_limit)
+        dist = "" if s.dist_to_limit is None else g17(s.dist_to_limit)
         for j in range(len(s.mean)):
-            lines.append(f"{s.size},{j},{_g17(s.mean[j])},{_g17(s.std[j])},{dist}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+            lines.append(f"{s.size},{j},{g17(s.mean[j])},{g17(s.std[j])},{dist}")
+    write_lines(path, lines)
 
 
 # SVG ----------------------------------------------------------------------
@@ -407,5 +423,4 @@ def write_plot_svg(report: SweepReport, path: str) -> None:
             parts.append(f'<line x1="{ml}" y1="{y:.2f}" x2="{W - mr}" y2="{y:.2f}" '
                          f'stroke="{_PALETTE[j % len(_PALETTE)]}" stroke-dasharray="4 3" stroke-width="0.8"/>')
     parts.append("</svg>")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_lines(path, parts)

@@ -1,12 +1,13 @@
 """End-to-end command line runs, in process, against temp files."""
 
+import hashlib
 import json
 import math
 
 import pytest
 
 from aggterm.cli import main
-from aggterm.graphs import read_graph
+from aggterm.graphs import read_graph, write_graph
 
 
 @pytest.fixture
@@ -51,6 +52,36 @@ def test_gen_writes_readable_graph(files, capsys):
     assert g.n == 30
     assert g.features.shape == (30, 2)
     assert "n=30" in capsys.readouterr().out
+
+
+# sha256 of the file gen writes, recorded before gen drew its graph through
+# harness.sweep_graph
+GEN_SHA256 = "b246d013da731eca804104f017ec5cfff07a67096080824c9563470d4183d42b"
+
+
+def test_gen_file_is_pinned(files):
+    out = files["dir"] / "g.graph"
+    assert main(["gen", "--model", files["dense"], "--size", "40",
+                 "--seed", "4", "--features", files["feat2"],
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_SHA256
+
+
+def test_gen_writes_the_sweep_items_graph(files):
+    # gen's graph is sample 0 of a sweep at the same size and seed
+    from aggterm import config as cfg
+    from aggterm.harness import sweep_graph
+    out = files["dir"] / "g.graph"
+    assert main(["gen", "--model", files["dense"], "--size", "40",
+                 "--seed", "4", "--features", files["feat2"],
+                 "--out", str(out)]) == 0
+    with open(files["dense"]) as fh:
+        model = cfg.model_from_spec(json.load(fh))
+    with open(files["feat2"]) as fh:
+        dist = cfg.features_from_spec(json.load(fh))
+    ref = files["dir"] / "ref.graph"
+    write_graph(sweep_graph(model, dist, 4, 40, 0), str(ref))
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_eval_term_csv(files, capsys):
@@ -206,6 +237,44 @@ def test_malformed_graph_line_exits_2(files, capsys, line):
     assert main(["eval", "--term", files["mean_term"],
                  "--graph", str(graph)]) == 2
     assert repr(line) in capsys.readouterr().err
+
+
+GOOD_FEATURES = "F 0 0.5\nF 1 0.25\nF 2 0.75\n"
+BROKEN_GRAPHS = {
+    "negative_d": "n=3 d=-1 communities=0\n0 1\n",
+    "negative_communities": "n=3 d=1 communities=-1\n0 1\n" + GOOD_FEATURES,
+    "nan_feature": "n=3 d=1 communities=0\n0 1\nF 0 nan\nF 1 0.25\nF 2 0.75\n",
+    "inf_feature": "n=3 d=1 communities=0\n0 1\nF 0 0.5\nF 1 inf\nF 2 0.75\n",
+    "missing_features": "n=3 d=1 communities=0\n0 1\nF 0 0.1\n",
+    "duplicate_feature": ("n=3 d=1 communities=0\n0 1\n" + GOOD_FEATURES
+                          + "F 0 0.9\n"),
+    "label_above_communities": ("n=3 d=1 communities=2\n0 1\n" + GOOD_FEATURES
+                                + "C 0 1\nC 1 2\nC 2 7\n"),
+    "duplicate_label": ("n=3 d=1 communities=2\n0 1\n" + GOOD_FEATURES
+                        + "C 0 1\nC 1 2\nC 2 2\nC 2 1\n"),
+}
+
+
+@pytest.mark.parametrize("body", list(BROKEN_GRAPHS.values()),
+                         ids=list(BROKEN_GRAPHS))
+def test_broken_graph_file_exits_2(files, capsys, body):
+    # each was read as it stood: a bare ValueError (d=-1), a feature that
+    # failed later (nan, inf), zero-filled or last-wins features, or a
+    # label outside 1..communities
+    graph = files["dir"] / "bad.graph"
+    graph.write_text("aggterm-graph v1 " + body)
+    assert main(["eval", "--term", files["mean_term"],
+                 "--graph", str(graph)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_non_finite_limit_exits_2(files, capsys):
+    for limit in ("nan", "inf", "0.5,-inf"):
+        assert main(["sweep", "--term", files["mean_term"], "--model",
+                     files["dense"], "--sizes", "20,40", "--samples", "2",
+                     "--limit", limit,
+                     "--out", str(files["dir"] / "y.csv")]) == 2
+        assert "finite" in capsys.readouterr().err
 
 
 ARCH = {"kind": "mean", "layers": 1, "hidden": 4, "classes": 3, "in_dim": 2}

@@ -84,6 +84,38 @@ def test_report_csv_round_trip(tmp_path):
     assert np.array_equal(outputs, rep.outputs)
 
 
+ROWS_HEADER = "size,sample,out_0,out_1\n"
+BROKEN_ROW_CSVS = {
+    # the grid is every (size, sample) pair: (20, 1) is missing
+    "missing_row": "20,0,0.5,0.5\n40,0,0.5,0.5\n40,1,0.5,0.5\n",
+    "duplicate_row": "20,0,0.5,0.5\n20,0,0.25,0.25\n",
+    "narrow_row": "20,0,0.5,0.5\n40,0,0.5\n",
+    "wide_row": "20,0,0.5,0.5\n40,0,0.5,0.5,0.5\n",
+    "non_numeric_cell": "20,0,0.5,abc\n",
+    "non_numeric_size": "x,0,0.5,0.5\n",
+    "negative_sample": "20,-1,0.5,0.5\n20,0,0.5,0.5\n",
+    "no_rows": "",
+}
+
+
+@pytest.mark.parametrize("body", list(BROKEN_ROW_CSVS.values()),
+                         ids=list(BROKEN_ROW_CSVS))
+def test_read_report_csv_refuses_broken_files(tmp_path, body):
+    # each used to come back as uninitialized entries, a silently kept last
+    # row, a ragged row, or a bare ValueError
+    path = tmp_path / "rows.csv"
+    path.write_text(ROWS_HEADER + body)
+    with pytest.raises(ConfigError):
+        read_report_csv(str(path))
+
+
+@pytest.mark.parametrize("limit", [[np.nan], [np.inf], [0.5, -np.inf]])
+def test_limit_must_be_finite(limit):
+    # a NaN limit used to run the whole sweep and report NaN distances
+    with pytest.raises(ConfigError, match="finite"):
+        small_sweep(limit=np.array(limit))
+
+
 def test_summary_csv_format(tmp_path):
     rep = run_sweep(small_sweep(limit=np.array([0.5])))
     path = tmp_path / "sum.csv"
