@@ -624,6 +624,17 @@ def canonical_code(rg: RootedGraph, size_cap: int = DEFAULT_SIZE_CAP) -> RootedN
                                   radius=rg.radius)
 
 
+def code_counts(code: bytes) -> tuple[int, int, int]:
+    """(nodes, edges, degree of the first root) read off a code without
+    decoding it: the body's bit p is pair p of the row-major upper
+    triangle, so pairs (0, j) are its first n - 1 bits."""
+    if code[:3] != _MAGIC:
+        raise ConfigError("not a rooted-neighborhood code")
+    n = int.from_bytes(code[4:6], "big")
+    body = int.from_bytes(code[6:], "little")
+    return n, body.bit_count(), (body & ((1 << n - 1) - 1)).bit_count()
+
+
 def decode_code(code: bytes) -> RootedGraph:
     """Rebuild the canonically labeled rooted graph from its code."""
     if code[:3] != _MAGIC:

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .canonical import (DEFAULT_SIZE_CAP, ball_codes, canonical_code,
-                        check_code_limits, decode_code)
+                        check_code_limits, code_counts, decode_code)
 from .errors import ConfigError, as_int
 from .graphs import (BaModel, ErModel, RootedGraph, RootSchedule,
                      SparseSchedule, flat_ranges, rooted_neighborhood,
@@ -116,7 +116,7 @@ class CensusTable:
         """Mass per degree of the first root; needs radius >= 1 to be exact."""
         out: Dict[int, float] = {}
         for code, prop in self.proportions.items():
-            deg = decode_code(code).degree(0)
+            deg = code_counts(code)[2]
             out[deg] = out.get(deg, 0.0) + prop
         return out
 

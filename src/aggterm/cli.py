@@ -25,6 +25,7 @@ import numpy as np
 
 from . import config as cfg
 from .architectures import compile_architecture, init_weights
+from .canonical import code_counts
 from .census import DEFAULT_SIZE_CAP, neighborhood_census
 from .dense_limit import dense_controller
 from .errors import AggtermError, ConfigError, as_int
@@ -147,9 +148,8 @@ def _cmd_census(args) -> None:
                                 args.samples, args.seed, size_cap=args.cap)
     lines = ["code,nodes,edges,root_degree,proportion"]
     for code, prop in table.types_by_mass():
-        rg = table.decode(code)
-        lines.append(f"{code.hex()},{len(rg.adj)},{rg.num_edges()},"
-                     f"{rg.degree(0)},{g17(prop)}")
+        nodes, edges, degree = code_counts(code)
+        lines.append(f"{code.hex()},{nodes},{edges},{degree},{g17(prop)}")
     write_lines(args.out, lines)
     write_lines(None, [f"mass {g17(table.total_mass())}, "
                        f"cap overflow {g17(table.truncated_mass)}"])
@@ -276,7 +276,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sizes", required=True, help="comma-separated sizes")
         p.add_argument("--samples", type=int, default=30)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1,
+                       help="sweep threads; more than one pays only with "
+                            "one BLAS thread (OPENBLAS_NUM_THREADS=1)")
         p.add_argument("--out", required=True, help="row CSV path")
         p.add_argument("--summary", help="summary CSV path")
         p.add_argument("--plot", help="SVG path")

@@ -182,7 +182,8 @@ def _weight_digest(model: CompiledModel) -> str:
 
 
 def _subject(config: SweepConfig):
-    """Normalize the subject to (runner on a graph, term, spec extras)."""
+    """Normalize the subject to (runner on a graph, term, output width,
+    spec extras)."""
     sub = config.subject
     d_in = feature_dim(config.feature_dist)
     if isinstance(sub, CompiledModel):
@@ -195,12 +196,12 @@ def _subject(config: SweepConfig):
                 f"distribution provides {d_in}")
         extras = {"arch_classes": sub.classes,
                   "weights_sha256": _weight_digest(sub)}
-        return sub.run, sub.term, extras
+        return sub.run, sub.term, sub.classes, extras
     reg = config.registry if config.registry is not None else default_registry()
     validate_term(sub, reg, d_in)
     if sub.free:
         raise ConfigError(f"sweep subjects must be closed; free: {list(sub.free)}")
-    return (lambda g: eval_closed(sub, g, reg)), sub, {}
+    return (lambda g: eval_closed(sub, g, reg)), sub, d_in, {}
 
 
 def sweep_graph(model, feature_dist: FeatureDist, seed: int, size: int,
@@ -216,9 +217,13 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     """Run all (size, sample) items and assemble the report.
 
     Items are independent: each runs on its own sweep_graph. Failures
-    are annotated with their item coordinates.
+    are annotated with their item coordinates. A limit of the wrong width
+    is refused before any item runs.
     """
-    run, term, extras = _subject(config)
+    run, term, width, extras = _subject(config)
+    if config.limit is not None and config.limit.shape != (width,):
+        raise ConfigError(f"limit reference has dimension {config.limit.shape}, "
+                          f"outputs have {width}")
 
     def item(size: int, sample: int) -> np.ndarray:
         try:

@@ -249,10 +249,6 @@ def fit_width(arr: np.ndarray, d: int) -> np.ndarray:
                           axis=-1)
 
 
-def _concat_pad(*args):
-    return fit_width(np.concatenate(args, axis=-1), args[0].shape[-1])
-
-
 def make_leaky_relu(alpha: float) -> Callable:
     return lambda x: np.where(x >= 0, x, alpha * x)
 
@@ -321,5 +317,4 @@ def _default_entries() -> tuple:
     reg.register("sub", 2, np.subtract)
     reg.register("hadamard", 2, np.multiply)
     reg.register("dot_scaled", 2, _dot_scaled, pairwise=_dot_scaled_pairwise)
-    reg.register("concat_pad", None, _concat_pad)
     return tuple(reg._entries.items())

@@ -247,6 +247,8 @@ def validate_term(term: Term, registry, d: int) -> None:
             if entry.arity is not None and entry.arity != len(t.args):
                 raise ConfigError(
                     f"{t.fn} expects {entry.arity} argument(s), got {len(t.args)}")
+            if entry.arity is None and not t.args:
+                raise ConfigError(f"{t.fn} needs at least one argument")
         elif isinstance(t, (LocalWMean, GlobalWMean, GcnAgg)):
             if t.bound in scope:
                 raise ConfigError(f"bound variable {t.bound!r} shadows an outer variable")

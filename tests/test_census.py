@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aggterm.canonical import canonical_code
-from aggterm.census import (CensusTable, _ball_codes, is_sparse_class,
-                            neighborhood_census)
+from aggterm.canonical import canonical_code, code_counts, decode_code
+from aggterm.census import (CensusTable, _ball_codes, _sample_tuples,
+                            is_sparse_class, neighborhood_census)
 from aggterm.dense_limit import dense_controller, dense_limit_p
 from aggterm.errors import ConfigError, NeighborhoodTooLargeError
 from aggterm.graphs import (BaModel, DenseSchedule, ErModel, LogSchedule,
@@ -71,6 +71,43 @@ def test_census_decode_degrees():
     for code, _ in table.types_by_mass():
         rg = table.decode(code)
         assert rg.num_edges() >= rg.degree(0)
+
+
+@pytest.mark.parametrize("model, radius", [(BaModel(3), 2),
+                                           (ErModel(SparseSchedule(2.0)), 3)])
+def test_code_counts_agree_with_decode(model, radius):
+    table = neighborhood_census(model, 1500, radius, 1, 1000, seed=14)
+    assert len(table.proportions) > 50
+    decoded = {}
+    for code, prop in table.proportions.items():
+        rg = decode_code(code)
+        assert code_counts(code) == (len(rg.adj), rg.num_edges(), rg.degree(0))
+        decoded[rg.degree(0)] = decoded.get(rg.degree(0), 0.0) + prop
+    mass = table.root_degree_mass()
+    assert list(mass.items()) == list(decoded.items())
+
+
+class _Draws:
+    """A generator that fails a test instead of drawing without end."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.left = 10_000
+
+    def choice(self, *args, **kwargs):
+        self.left -= 1
+        assert self.left, "drew 10,000 root tuples"
+        return self._rng.choice(*args, **kwargs)
+
+
+@pytest.mark.parametrize("n, k, want, why", [
+    (5, 1, 6, "more root samples than nodes"),
+    (3, 2, 7, "distinct root tuples"),  # 3 nodes hold 6 ordered pairs
+])
+def test_sample_tuples_refusals(n, k, want, why):
+    assert len(set(_sample_tuples(_Draws(1), n, k, want - 1))) == want - 1
+    with pytest.raises(ConfigError, match=why):
+        _sample_tuples(_Draws(1), n, k, want)
 
 
 def test_ba_census_never_isolated():

@@ -180,6 +180,26 @@ def test_sweep_writes_all_outputs(files, capsys):
     assert "n=40" in capsys.readouterr().out
 
 
+def test_sweep_arch_rows_equal_run_sweep(files, capsys):
+    # the --arch branch: the architecture seed from its file, and the
+    # default features Uniform01(in_dim)
+    from aggterm.architectures import compile_architecture, init_weights
+    from aggterm.config import arch_from_spec
+    from aggterm.graphs import DenseSchedule, ErModel, Uniform01
+    from aggterm.harness import SweepConfig, run_sweep, write_report_csv
+    out = files["dir"] / "rows.csv"
+    assert main(["sweep", "--arch", files["arch"], "--model", files["dense"],
+                 "--sizes", "20,40", "--samples", "2", "--seed", "5",
+                 "--out", str(out)]) == 0
+    arch = arch_from_spec(dict(ARCH))
+    expect = files["dir"] / "expect.csv"
+    write_report_csv(run_sweep(SweepConfig(
+        subject=compile_architecture(arch, init_weights(arch, 7)),
+        model=ErModel(DenseSchedule(0.2)), feature_dist=Uniform01(2),
+        sizes=(20, 40), samples=2, seed=5)), str(expect))
+    assert out.read_bytes() == expect.read_bytes()
+
+
 def test_diverge_prints_gap(files, capsys):
     out = str(files["dir"] / "div.csv")
     assert main(["diverge", "--term", files["iso_term"], "--model",
@@ -230,7 +250,9 @@ def test_unknown_subcommand_exits_2(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("line", ["F x 0.5", "0", "F 0 abc"])
+# then edges not ordered and below n=3, and a repeat of the edge "0 1"
+@pytest.mark.parametrize("line", ["F x 0.5", "0", "F 0 abc",
+                                  "1 0", "1 1", "0 3", "-1 2", "0 1"])
 def test_malformed_graph_line_exits_2(files, capsys, line):
     graph = files["dir"] / "bad.graph"
     graph.write_text(f"aggterm-graph v1 n=3 d=1 communities=0\n0 1\n{line}\n")

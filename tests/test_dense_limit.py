@@ -118,6 +118,21 @@ def test_open_term_returns_controller():
     assert v.stderr[0] == 0.0
 
 
+@pytest.mark.parametrize("features, why", [
+    ({"x": [0.1, 0.2]}, "missing features"),
+    (np.zeros((3, 2)), r"must be \(2, 2\)"),
+    ({"x": [0.1], "y": [0.1, 0.2]}, "must have length 2"),
+    ([[0.1, np.nan], [0.1, 0.2]], "non-finite"),
+], ids=["missing", "shape", "length", "nan"])
+def test_controller_refuses_bad_features(features, why):
+    ctrl = dense_controller(t("add(H(x), H(y))", d=2), ER01, Uniform01(2),
+                            1000, 10)
+    assert ctrl({"x": [0.1, 0.2], "y": [0.3, 0.4]}).estimate == \
+        pytest.approx([0.4, 0.6])
+    with pytest.raises(ConfigError, match=why):
+        ctrl(features)
+
+
 def test_open_term_with_aggregate():
     # e[x -> wmean[y](add(H(x), H(y)), one)] = a + 1/2
     ctrl = dense_controller(t("mean[y](add(H(x), H(y)))"), ER01,

@@ -149,6 +149,18 @@ def test_assignment_node_ids_must_be_integers(node):
         [0.8])
 
 
+@pytest.mark.parametrize("node", [3, -1])
+def test_assignment_node_out_of_range(node):
+    with pytest.raises(EvaluationError, match="out of range"):
+        eval_term(t("H(x)"), P3(), {"x": node})
+
+
+@pytest.mark.parametrize("src", ["mean[y](H(y))", "add(H(x), H(y))"])
+def test_nodewise_needs_one_free_variable(src):
+    with pytest.raises(EvaluationError, match="exactly one free variable"):
+        eval_nodewise(t(src), P3())
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_nonfinite_function_output_flagged():
     g = path_graph([[100.0], [200.0], [300.0]])

@@ -8,6 +8,8 @@ import pytest
 
 from aggterm.architectures import (ArchConfig, compile_architecture,
                                    init_weights)
+from aggterm import harness
+from aggterm.dense_limit import dense_controller
 from aggterm.errors import ConfigError, EvaluationError
 from aggterm.graphs import (AlternatingSchedule, BaModel, DenseSchedule,
                             ErModel, SparseSchedule, Uniform01)
@@ -236,6 +238,22 @@ def test_numpy_integer_counts_accepted():
     assert cfg.sizes == (20, 40) and type(cfg.samples) is int
 
 
-def test_limit_width_checked():
-    with pytest.raises(ConfigError):
+def test_limit_width_checked(monkeypatch):
+    # before any item runs
+    def no_items(*args):
+        raise AssertionError("a sweep item ran")
+
+    monkeypatch.setattr(harness, "sweep_graph", no_items)
+    with pytest.raises(ConfigError, match="outputs have 1"):
         run_sweep(small_sweep(limit=np.array([0.5, 0.5])))
+    # a compiled mean-2L outputs its 3 classes; its term's dense limit is
+    # ambient-width 8
+    cfg = ArchConfig(kind="mean", layers=2, hidden=8, classes=3, in_dim=3)
+    net = compile_architecture(cfg, init_weights(cfg, 1))
+    model = ErModel(DenseSchedule(0.3))
+    limit = dense_controller(net.term, model, Uniform01(8), 200, 1,
+                             registry=net.registry)
+    with pytest.raises(ConfigError, match="outputs have 3"):
+        run_sweep(SweepConfig(subject=net, model=model,
+                              feature_dist=Uniform01(3), sizes=(20, 40),
+                              samples=3, seed=9, limit=limit))

@@ -4,14 +4,23 @@ import numpy as np
 import pytest
 
 from aggterm.errors import ConfigError, EvaluationError
+from aggterm.parser import parse_term
 from aggterm.registry import FunctionRegistry, default_registry
 
 
 def test_default_entries_present():
     reg = default_registry()
     for name in ("one", "exp", "softplus", "relu", "sigmoid", "softmax",
-                 "add", "sub", "hadamard", "dot_scaled", "concat_pad"):
+                 "add", "sub", "hadamard", "dot_scaled"):
         assert reg.entry(name) is not None
+
+
+def test_concat_pad_is_no_builtin():
+    # every argument reached it d wide, so it returned its first one;
+    # gps_rw registers make_concat_pad with real widths as pack_rw
+    assert "concat_pad" not in default_registry()
+    with pytest.raises(ConfigError, match="unknown function 'concat_pad'"):
+        parse_term("mean[v](concat_pad(H(v), sub(1, H(v))))", 1)
 
 
 def test_positive_flags():

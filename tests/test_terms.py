@@ -300,6 +300,18 @@ def test_validate_arity():
         validate_term(Apply("add", (Const((1.0,)),)), REG, 1)
 
 
+def test_validate_variadic_needs_an_argument():
+    # the parser and FunctionRegistry.call refuse an empty variadic call
+    # too; validation must, or evaluation fails late with EvaluationError
+    reg = default_registry()
+    reg.register("vsum", None, lambda *xs: sum(xs))
+    empty = GlobalWMean("v", Apply("vsum", ()), "one", Apply("vsum", ()))
+    with pytest.raises(ConfigError, match="at least one argument"):
+        validate_term(empty, reg, 1)
+    validate_term(GlobalWMean("v", Apply("vsum", (H("v"),)), "one", H("v")),
+                  reg, 1)
+
+
 def test_validate_unknown_function():
     with pytest.raises(ConfigError):
         validate_term(Apply("mystery", (Const((1.0,)),)), REG, 1)
