@@ -17,6 +17,9 @@ one batched twin reduction and color refinement, and only balls left
 with ties after one batched individualization reach the Python search.
 The tallies equal those of the per-root path, rooted_neighborhood plus
 canonical_code for each tuple, which stays public as the reference.
+sample_balls grows balls the same way on the same graph and root draws
+for the sparse limit, which reads them as they are: neither capped nor
+coded.
 
 Models with growing degrees are rejected outright: their balls swallow the
 whole graph and no finite table approximates anything.
@@ -38,7 +41,8 @@ from .graphs import (BaModel, ErModel, RootedGraph, RootSchedule,
                      run_starts, sample_graph)
 from .rng import stream
 
-__all__ = ["CensusTable", "neighborhood_census", "is_sparse_class",
+__all__ = ["CensusTable", "neighborhood_census", "sample_balls",
+           "is_sparse_class",
            "reject_vanishing_degree", "DEFAULT_SIZE_CAP",
            "rooted_neighborhood", "canonical_code"]
 
@@ -151,19 +155,13 @@ def _find(keys: np.ndarray, q: np.ndarray):
     return at, keys[np.minimum(at, len(keys) - 1)] == q
 
 
-def _ball_codes(g, tuples: np.ndarray, radius: int,
-                size_cap: int) -> List[Optional[bytes]]:
-    """The canonical code of each root tuple's radius ball in g, or None
-    where the ball has more than size_cap nodes.
-
-    All balls grow together, one BFS layer at a time, as sorted int64 keys
-    ball * n + node; a ball stops growing once it is over the cap. The
-    balls that fit are coded in one batch (canonical.ball_codes): forests
-    by AHU codes, the others by one batched twin reduction and color
-    refinement, with the refinement search left for the balls that stay
-    tied. Codes are canonical, so each ball keeps the graph's node order
-    and the codes equal canonical_code's on rooted_neighborhood, whose
-    numbering differs, byte for byte.
+def _grow(g, tuples: np.ndarray, radius: int, size_cap: int) -> tuple:
+    """Each root tuple's radius ball in g, all grown together one BFS
+    layer at a time: node counts, which fit in size_cap nodes (the others
+    stop growing), the fitting balls' nodes as sorted int64 keys ball * n
+    + node, and their induced arcs (src, dst) as key positions sorted by
+    src. Each edge is looked up from its endpoint that comes first by
+    (degree, node), so a ball never scans the whole row of a hub it holds.
     """
     n, indptr, indices, deg = g.n, g.indptr, g.indices, g.degrees
     m, k = tuples.shape
@@ -186,14 +184,7 @@ def _ball_codes(g, tuples: np.ndarray, radius: int,
         seen = np.sort(np.concatenate([seen, front]))
         size += np.bincount(front // n, minlength=m)
         over |= size > size_cap
-    fits = ~over
-    codes: List[Optional[bytes]] = [None] * m
-    if not fits.any():
-        return codes
-    keys = seen[fits[seen // n]]
-    # induced arcs, sorted by source. Each edge is looked up once, from its
-    # endpoint that comes first by (degree, node), so a ball never scans
-    # the whole row of a hub it holds.
+    keys = seen[~over[seen // n]]
     tail = np.repeat(np.arange(n), deg)
     later = (deg[indices] > deg[tail]) | (
         (deg[indices] == deg[tail]) & (indices > tail))
@@ -205,12 +196,59 @@ def _ball_codes(g, tuples: np.ndarray, radius: int,
     u = np.repeat(np.arange(len(keys)), up[node])[hit]
     src, dst = np.r_[u, at[hit]], np.r_[at[hit], u]
     by = np.argsort(src)
+    return size, ~over, keys, src[by], dst[by]
+
+
+def _ball_codes(g, tuples: np.ndarray, radius: int,
+                size_cap: int) -> List[Optional[bytes]]:
+    """The canonical code of each root tuple's radius ball in g (_grow),
+    or None where it has more than size_cap nodes. The balls that fit are
+    coded in one batch (canonical.ball_codes): forests by AHU codes, the
+    others by batched twin reduction and color refinement, with a search
+    left for the balls that stay tied. Codes are canonical, so they equal
+    canonical_code's on rooted_neighborhood byte for byte."""
+    size, fits, keys, src, dst = _grow(g, tuples, radius, size_cap)
+    codes: List[Optional[bytes]] = [None] * len(size)
     balls = np.flatnonzero(fits)
-    roots = np.searchsorted(keys, balls[:, None] * n + tuples[balls])
-    for b, code in zip(balls.tolist(),
-                       ball_codes(size[balls], roots, src[by], dst[by])):
-        codes[b] = code
+    if len(balls):
+        roots = np.searchsorted(keys, balls[:, None] * g.n + tuples[balls])
+        for b, code in zip(balls.tolist(),
+                           ball_codes(size[balls], roots, src, dst)):
+            codes[b] = code
     return codes
+
+
+def _root_batches(model, n: int, k: int, count: int, seed: int):
+    """(graph, root tuples) per graph of n nodes, one per 500 tuples."""
+    graphs = math.ceil(count / _GRAPH_BATCH)
+    base, extra = divmod(count, graphs)
+    for i in range(graphs):
+        g = sample_graph(model, n, stream(seed, "census", "graph", i))
+        tuples = _sample_tuples(stream(seed, "census", "roots", i), n, k,
+                                base + (1 if i < extra else 0))
+        yield g, np.array(tuples, dtype=np.int64)
+
+
+def sample_balls(model, n: int, radius: int, count: int, seed: int) -> tuple:
+    """count radius balls on neighborhood_census's graph and root draws,
+    neither capped nor coded: the CSR (indptr, indices, starts) of their
+    union, ball b on nodes starts[b]:starts[b + 1], its root first."""
+    arcs, sizes, total = [], [], 0
+    for g, tuples in _root_batches(model, n, 1, count, seed):
+        # no ball holds more than the graph's n nodes
+        size, _, keys, src, dst = _grow(g, tuples, radius, g.n + 1)
+        ball = keys // g.n
+        # each ball's root first, then its other nodes in order
+        new = np.empty_like(keys)
+        new[np.lexsort((keys != ball * g.n + tuples[ball, 0], ball))] = (
+            np.arange(total, total + len(keys)))
+        arcs.append((new[src], new[dst]))
+        sizes.append(size)
+        total += len(keys)
+    src, dst = (np.concatenate(x) for x in zip(*arcs))
+    return (np.r_[0, np.cumsum(np.bincount(src, minlength=total))],
+            dst[np.argsort(src, kind="stable")],
+            np.r_[0, np.cumsum(np.concatenate(sizes))])
 
 
 def neighborhood_census(model, n: int, radius: int, k: int,
@@ -237,16 +275,10 @@ def neighborhood_census(model, n: int, radius: int, k: int,
     n = as_int(n, "graph size", k + 1)
     size_cap = as_int(size_cap, "size cap", k)
     check_code_limits(k, size_cap)
-    graphs = math.ceil(node_samples / _GRAPH_BATCH)
-    base, extra = divmod(node_samples, graphs)
     tallies: Dict[bytes, int] = {}
     overflow = 0
-    for i in range(graphs):
-        want = base + (1 if i < extra else 0)
-        g = sample_graph(model, n, stream(seed, "census", "graph", i))
-        tuples = _sample_tuples(stream(seed, "census", "roots", i), n, k, want)
-        for code in _ball_codes(g, np.array(tuples, dtype=np.int64),
-                                radius, size_cap):
+    for g, tuples in _root_batches(model, n, k, node_samples, seed):
+        for code in _ball_codes(g, tuples, radius, size_cap):
             if code is None:
                 overflow += 1
             else:

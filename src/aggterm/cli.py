@@ -129,10 +129,9 @@ def _cmd_limit(args) -> None:
         header = "dim,estimate,stderr,mc_samples"
         tail = ""
     else:
-        census = CensusConfig(n=args.census_n, node_samples=args.census_samples,
-                              size_cap=args.census_cap)
+        census = CensusConfig(n=args.census_n, node_samples=args.census_samples)
         value = sparse_limit(term, model, dist, census, args.mc, args.seed,
-                             eps=args.eps, registry=reg, inner_mc=args.inner_mc)
+                             registry=reg, inner_mc=args.inner_mc)
         header = "dim,estimate,stderr,mc_samples,truncated_mass"
         tail = f",{g17(value.truncated_mass)}"
     lines = [header]
@@ -239,19 +238,22 @@ def _build_parser() -> argparse.ArgumentParser:
     lim.add_argument("--model", required=True)
     lim.add_argument("--mode", choices=("dense", "sparse"), required=True)
     lim.add_argument("--mc", type=int, default=100000,
-                     help="feature draws per Monte-Carlo pool; the error "
-                          "bars are batch means over 10 blocks of them")
-    lim.add_argument("--eps", type=float, default=0.05,
-                     help="sparse mode: census mass allowed to be dropped")
+                     help="feature draws per pool of an aggregate that "
+                          "reads no structure; the error bars are batch "
+                          "means over 10 blocks (fewer if --mc is below 10)")
     lim.add_argument("--seed", type=int, default=0)
     lim.add_argument("--features", help="feature distribution JSON file")
     lim.add_argument("--inner-mc", type=int, default=64,
                      help="least fresh draws per outer sample of an "
                           "aggregate whose body reads an outer variable; "
                           "its ratio bias is O(1/inner-mc)")
-    lim.add_argument("--census-n", type=int, default=3000)
-    lim.add_argument("--census-samples", type=int, default=3000)
-    lim.add_argument("--census-cap", type=int, default=DEFAULT_SIZE_CAP)
+    lim.add_argument("--census-n", type=int, default=3000,
+                     help="sparse mode: nodes of the graphs the rooted "
+                          "balls are grown on")
+    lim.add_argument("--census-samples", type=int, default=3000,
+                     help="sparse mode: rooted balls, one feature draw "
+                          "each, per aggregate that reads structure; the "
+                          "error blocks split them")
     lim.add_argument("--out", help="CSV path (default stdout)")
     lim.set_defaults(func=_cmd_limit)
 

@@ -18,8 +18,8 @@ across blocks. The engine therefore evaluates nested expectations
 directly; the pattern weights themselves live in graphtypes, and acceptance
 test 7 checks their normalization identities.
 
-The limit is mc.McEngine at census radius 0: every global aggregate
-mixes over the lone root alone, a neighborhood aggregate takes the global
+The limit is mc.McEngine at radius 0: every global aggregate is a mean
+over fresh draws of a lone root, a neighborhood aggregate takes the global
 path, and an open term's free variables sit on one-node components
 holding the caller's feature vectors. Nested aggregates average inner_mc
 fresh draws per outer sample, an O(1/inner_mc) ratio bias; raise inner_mc
@@ -80,15 +80,15 @@ def dense_limit_p(model) -> float:
 
 
 class _DenseEngine(McEngine):
-    """McEngine at census radius 0, where structure is gone."""
+    """McEngine at radius 0, where structure is gone."""
 
     kind = "dense"
 
     def _radius(self, term) -> int:
         return 0
 
-    # the lone root is the only class, so draws need not name it
-    _key = staticmethod(lambda code: ())
+    # the lone root is the only component, so draws need not name it
+    _lone = ()
 
     # a neighbor is a fresh draw, as a globally bound node is
     _local = McEngine._global

@@ -157,7 +157,7 @@ def wmean_reduce(vals: np.ndarray, eta: np.ndarray | None, weight_map: str,
 class _Mean:
     """One weighted mean over the leading axis of row blocks fed one at a
     time: a row weighs _weights(weight_map, eta), times its mass if add
-    gets one (a mixture's share), and the sums of weight times value and
+    gets one (a draw's share), and the sums of weight times value and
     of weight run over the blocks. Exp weights share one shift, the
     largest eta so far, and the sums are rescaled when a block raises it.
     """

@@ -1,61 +1,55 @@
 """The Monte-Carlo engine both limit predictors run on, and its error bars.
 
-Both limits mix over classes of rooted neighborhoods: the sparse limit
-over the classes a census finds, the dense limit over one class, a lone
-root, as there a neighbor is a fresh i.i.d. draw like any globally bound
-node. McEngine is that mixture. The kept classes form one disjoint-union
-CSR graph, variables bind to node ids on it, every subterm is a (rows,
-samples, d) block, and the term runs through the evaluator's interpreter
-(evaluate.Interpreter). Its weighted means are the evaluator's: local
-aggregates reduce through evaluate.wmean_reduce, global ones through
-evaluate._Mean, which takes its rows chunk by chunk.
+A global binder lands far from every node bound before it, so its
+aggregate is a mean over fresh components: a lone root with fresh feature
+draws at radius 0 (a body that reads no structure, and every dense
+aggregate: there a neighbor is a fresh draw like any globally bound node),
+or rooted balls sampled from graphs, one draw each, at radius >= 1. The
+components form one disjoint-union CSR graph, variables bind to node ids
+on it, every subterm is a (rows, samples, d) block, and the term runs
+through the evaluator's interpreter (evaluate.Interpreter), whose
+weighted means it shares: evaluate.wmean_reduce for local aggregates,
+evaluate._Mean, fed chunk by chunk, for global ones.
 
-A global aggregate mixes over the classes at its census radius, each a
-fresh component, as one mean over all draws of mass q / draws each. One
-whose body reads only its binder (its node's outer fact) is collapsed: computed
-once per estimate on pools of the m draws per depth and class. Otherwise
-it is nested: per chunk of outer samples, every class's component with
-fresh draws per outer sample joins the outer rows' components. An outer
-sample gets inner_mc draws, and an open term's top aggregate, whose one
-outer sample is the whole run, P = max(inner_mc, m); nested ratios keep
-an O(1/inner_mc) bias. A scored nested aggregate (evaluate.plan)
-evaluates its score's outer argument once per outer row and sample, the
-inner one and the value on the class components alone, and reduces one
-score per (outer sample, inner draw) pair.
+A global aggregate whose body reads only its binder (its node's outer
+fact) is collapsed: computed once per estimate on the lone root's pool
+of m draws per depth, or on every block's balls (a subclass supplies
+_balls(radius, block)). Otherwise it is nested: per chunk of outer
+samples, inner_mc draws of the lone root per outer sample, or inner_mc
+balls picked from the enclosing block's (shared by the chunk's rows),
+join the outer rows' components. An open term's top aggregate, whose one
+outer sample is the whole run, takes P = max(inner_mc, m) draws; nested
+ratios keep an O(1/inner_mc) bias. A scored nested aggregate
+(evaluate.plan) evaluates its score's outer argument once per outer row
+and sample, the inner one and the value on the fresh components alone,
+and reduces one score per (outer sample, inner draw) pair.
 
-Error bars are batch means: block b owns slice b of the draws, and the
-estimate on its draws alone stands in for an independent run (for ratios
-of means this agrees with the delta method up to O(1/m)). One pass gives
-the full estimate and every block's. A per-run aggregate (a collapsed
-one, or an open term's top one) returns its full value and one value per
-block, each the mean over its draws; a scope records each sample's block
-(None in the full run), and a consumer reads its block's value. A body
-that reads no per-run value gives a draw the same rows in every run, so
-it is evaluated once and its rows feed the full mean and, sliced, each
-block's; any other body is evaluated once more, each draw reading its
-block's values. Streams are keyed (seed, kind, "pool", depth, class) and
-(seed, kind, "inner", depth, class, *chunks, chunk offset), offsets of
-absolute outer samples, so both evaluations read the same draws and every
-outer sample gets independent inner draws. A pool stream is sample-major:
-draw s of a class's node i is row s * nodes + i.
-
-Pools are drawn per chunk of classes and dropped with it, and every
-aggregate reduces a chunk's (class, draw) rows into running sums (_Mean)
-before the next chunk is drawn, so an estimate takes memory by
-graphs.BLOCK (elements, samples and d counted), not by the census, and
-reads each pool row once per aggregate. An aggregate whose body reads no
-feature on its union draws none.
+Error bars are batch means: block b owns slice b of the lone root's
+draws, or its own graphs, its slice of the balls and every ball picked
+under them, and its estimate stands in for an independent run (for
+ratios of means this agrees with the delta method up to O(1/m)). One pass
+gives the full estimate and every block's. A per-run aggregate (a
+collapsed one, or an open term's top one) returns its full value and one
+value per block; a scope records each sample's block (None in the full
+run), and a consumer reads its block's value. A body that reads no
+per-run value is evaluated once, its rows feeding the full mean and,
+sliced, each block's; any other is evaluated once more, each draw reading
+its block's values. Streams are keyed by depth and, below the top, by
+the offsets of absolute outer samples, so both evaluations read the same
+draws and every chunk of outer samples gets its own. Components are drawn
+and reduced into running sums a chunk at a time, so beyond the sampled
+balls an estimate takes memory by graphs.BLOCK (elements, samples and d
+counted); an aggregate whose body reads no feature draws none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional
 
 import numpy as np
 
 from . import graphs
-from .canonical import canonical_code
 from .errors import ConfigError, as_int
 from .evaluate import (Interpreter, _body, _checked_scores, _Mean,
                        local_aggregate, plan)
@@ -66,18 +60,15 @@ from .terms import GlobalWMean, Term, read_children
 
 DEFAULT_BLOCKS = 10
 
-# the one radius-0 class: a lone root
-_LONE = canonical_code(graphs.RootedGraph(adj=((),), roots=(0,), radius=0)).code
+# the canonical code of the one radius-0 ball, a lone root
+_LONE = bytes.fromhex("524e31010001")
 
 
 @dataclass(frozen=True)
 class ControllerValue:
-    """Point estimate with per-coordinate standard error.
-
-    truncated_mass is populated by the sparse construction only: the census
-    mass dropped before renormalization (including neighborhoods over the
-    size cap).
-    """
+    """Point estimate with per-coordinate standard error. truncated_mass
+    is None on dense results and 0.0 on sparse ones, whose balls are never
+    cut; readers such as bench/tracing.py still take it."""
 
     estimate: np.ndarray
     stderr: np.ndarray
@@ -122,7 +113,8 @@ def batch_stderr(block_values: np.ndarray) -> np.ndarray:
 
 class _Union(NamedTuple):
     """Disjoint components as one CSR graph; component c is nodes
-    starts[c]:starts[c + 1]. feats is (nodes, samples, d) or None."""
+    starts[c]:starts[c + 1], its root first. feats is (nodes, samples, d)
+    or None."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -132,11 +124,11 @@ class _Union(NamedTuple):
 
 def _pair_scores(pl, left: np.ndarray, right: np.ndarray, inner: int,
                  registry: FunctionRegistry, path: tuple) -> np.ndarray:
-    """A scored aggregate's (classes * rows, samples * inner, 1) scores:
-    left is its score's outer argument on (rows, samples, d), right the
-    inner one on (classes, samples * inner, d), and the pair (class c,
-    row r, sample i, draw j) scores left[r, i] against right[c, i * inner
-    + j], one scalar each."""
+    """A scored aggregate's (components * rows, samples * inner, 1)
+    scores: left is its score's outer argument on (rows, samples, d),
+    right the inner one on (components, samples * inner, d), and the pair
+    (component c, row r, sample i, draw j) scores left[r, i] against
+    right[c, i * inner + j], one scalar each."""
     n, s, d = left.shape
     c, slots = right.shape[:2]
     full = (c, n, s, inner)
@@ -163,17 +155,21 @@ def _layout(adjs) -> _Union:
                   np.array(indices, dtype=np.int64), starts)
 
 
-def _pick(u: _Union, comps: np.ndarray) -> Tuple[_Union, np.ndarray]:
-    """Components comps (ascending) of u alone, and their nodes' old ids."""
-    if len(comps) == len(u.starts) - 1:
+_LONE_ROOT = _layout([((),)])
+
+
+def _pick(u: _Union, comps: np.ndarray):
+    """Components comps of u, in that order and repeats allowed, as a
+    union of their own, and their nodes' old ids."""
+    if len(comps) == len(u.starts) - 1 and np.all(np.diff(comps) == 1):
         return u, np.arange(len(u.indptr) - 1)
     size = u.starts[comps + 1] - u.starts[comps]
     keep = graphs.flat_ranges(u.starts[comps], size)
+    starts = _offsets(size)
     deg = u.indptr[keep + 1] - u.indptr[keep]
-    new = np.zeros(len(u.indptr) - 1, dtype=np.int64)
-    new[keep] = np.arange(len(keep))
-    edges = u.indices[graphs.flat_ranges(u.indptr[keep], deg)]
-    return _Union(_offsets(deg), new[edges], _offsets(size)), keep
+    shift = np.repeat(np.repeat(starts[:-1] - u.starts[comps], size), deg)
+    return _Union(_offsets(deg), u.indices[
+        graphs.flat_ranges(u.indptr[keep], deg)] + shift, starts), keep
 
 
 def _join(a: _Union, b: _Union, feats: np.ndarray) -> _Union:
@@ -186,33 +182,30 @@ def _join(a: _Union, b: _Union, feats: np.ndarray) -> _Union:
                   np.concatenate([a.starts, b.starts[1:] + n]), feats)
 
 
-def _spread(weights: np.ndarray, draws: int) -> np.ndarray:
-    """Each class weight split evenly over its draws, class by class."""
-    return np.broadcast_to((weights / draws)[:, None],
-                           (len(weights), draws)).reshape(-1)
-
-
 def _mixture(x: np.ndarray, rows: int, draws: int) -> np.ndarray:
-    """A class-major (classes * rows, samples * draws, d) block as one
-    (classes * draws, rows, samples, d) array."""
+    """A component-major (components * rows, samples * draws, d) block as
+    one (components * draws, rows, samples, d) array."""
     c, s, d = x.shape[0] // rows, x.shape[1] // draws, x.shape[2]
     return (x.reshape(c, rows, s, draws, d).transpose(0, 3, 1, 2, 4)
             .reshape(c * draws, rows, s, d))
 
 
 class McEngine(Interpreter):
-    """One term's value on a mixture of rooted classes, with error bars.
+    """One term's value on fresh components, with error bars.
 
     A scope is (bindings, depth, chunks, blocks): the union the variables
     live in with each one's node ids per row, the nesting depth of
     aggregates around the node, the outer-sample offsets of the nested
-    chunks enclosing it, and each sample's error block (None in the full
-    run). Radius 0 has one class, the lone root; a subclass supplies
-    _census(radius), the kept classes at radius >= 1.
+    chunks enclosing it (on balls, the enclosing block first), and each
+    sample's error block (None in the full run). Radius 0 is the lone
+    root; a subclass supplies _balls(radius, block), block's balls at
+    radius >= 1.
     """
 
     kind = ""  # first stream key after the seed: "dense" or "sparse"
     _globals: tuple = (GlobalWMean,)  # the node kinds _global takes
+    _lone: tuple = (_LONE.hex(),)  # the lone root's part of its stream keys
+    truncated_mass: Optional[float] = None
 
     def __init__(self, term: Term, registry: FunctionRegistry,
                  dist: graphs.FeatureDist, draw: Callable, mc_samples: int,
@@ -226,39 +219,13 @@ class McEngine(Interpreter):
         self.seed = seed
         self.inner_mc = as_int(inner_mc, "inner_mc", 2)
         self._nblocks = len(block_slices(self.mc))
-        # radius -> (union, codes, weights, dropped mass) of the kept classes
-        self._kept: Dict[int, tuple] = {}
         # (per-run aggregate, depth) -> its full value and block values
         self._cache: Dict[tuple, tuple] = {}
 
     def _radius(self, term) -> int:
-        """The census radius a global aggregate reads. Degree-normalized
+        """The ball radius a global aggregate reads. Degree-normalized
         sums read the bound node's degree, one ring past the body."""
         return term.depth + (1 if term.gcn else 0)
-
-    def _key(self, code: bytes) -> tuple:
-        """A class's part of the stream keys of its draws."""
-        return (code.hex(),)
-
-    def _types(self, radius: int) -> tuple:
-        """Kept classes as (union, codes, weights) plus the dropped mass."""
-        if radius not in self._kept:
-            self._kept[radius] = ((_layout([((),)]), (_LONE,), np.ones(1), 0.0)
-                                  if radius == 0 else self._census(radius))
-        return self._kept[radius]
-
-    def _draws(self, count: int, slots: int, *key) -> np.ndarray:
-        """(count, slots, d) draws from the stream (seed, kind, *key)."""
-        rng = stream(self.seed, self.kind, *key)
-        return self._draw(self.dist, count * slots, rng).reshape(
-            count, slots, self.d)
-
-    def _pool(self, depth: int, code: bytes, count: int) -> np.ndarray:
-        """A class's (count, m, d) pool at a depth: the first m * count
-        draws of its sample-major stream (seed, kind, "pool", depth, class),
-        drawn afresh at each read."""
-        return self._draws(self.mc, count, "pool", depth,
-                           *self._key(code)).transpose(1, 0, 2)
 
     def _feature(self, term, scope: tuple) -> np.ndarray:
         g, frame = scope[0]
@@ -295,82 +262,102 @@ class McEngine(Interpreter):
 
     def _run(self, term, scope: tuple, path: tuple) -> tuple:
         """A per-run aggregate's full value and its block values, in one
-        pass: a collapsed one on pools of the m draws, or an open term's
-        top aggregate on P = max(inner_mc, m) inner draws. Block b owns
-        slice b of the draws. A body that reads no per-run value is
-        evaluated once, and its rows feed the full mean and, sliced, each
-        block's; any other is evaluated again with every draw reading its
-        block's values, for the block means."""
+        pass: a collapsed one on the lone root's pool of m draws or on
+        every block's balls, an open term's top one on P = max(inner_mc,
+        m) inner draws. A body that reads a per-run value is evaluated
+        twice: for the full mean, and with each draw reading its block's
+        values for the block means (module docstring)."""
         (g, frame), depth = scope[:2]
-        top = term.outer
-        draws = max(self.inner_mc, self.mc) if top else self.mc
-        if not top:
-            g, frame = _layout([]), {}
-        slices = block_slices(draws, self._nblocks)
+        top, radius = term.outer, self._radius(term)
         full = _Mean(term.weight_map, self.registry)
-        parts = [_Mean(term.weight_map, self.registry) for _ in slices]
-        whole = [(full, slice(None), draws)]
-        split = [(mean, sl, sl.stop - sl.start)
-                 for mean, sl in zip(parts, slices)]
+        parts = [_Mean(term.weight_map, self.registry)
+                 for _ in range(self._nblocks)]
         # the body reads a per-run value: that of a collapsed aggregate
-        if not term.solo.isdisjoint(self._globals):
-            ids = np.repeat(np.arange(len(slices)),
-                            [sl.stop - sl.start for sl in slices])
-            contexts = [(None, whole), (ids, split)]
+        rerun = not term.solo.isdisjoint(self._globals)
+        if radius:
+            for b, mean in enumerate(parts):
+                sinks = [(full, slice(None), 1), (mean, slice(None), 1)]
+                self._fresh(
+                    term, ((_layout([]), {}), depth, (b,)), 1, slice(0, 1),
+                    (self._balls(radius, b), 1, ("balls", depth, b)), None,
+                    [(None, sinks[:1]), (np.array([b]), sinks[1:])]
+                    if rerun else [(None, sinks)], path)
         else:
-            contexts = [(None, whole + split)]
-        self._classes(term, ((g, frame), depth, (0,) if top else ()), 1,
-                      slice(0, 1), draws, None, contexts, path)
+            draws = max(self.inner_mc, self.mc) if top else self.mc
+            if not top:
+                g, frame = _layout([]), {}
+            slices = block_slices(draws, self._nblocks)
+            whole = [(full, slice(None), draws)]
+            split = [(mean, sl, sl.stop - sl.start)
+                     for mean, sl in zip(parts, slices)]
+            if rerun:
+                ids = np.repeat(np.arange(len(slices)),
+                                [sl.stop - sl.start for sl in slices])
+                contexts = [(None, whole), (ids, split)]
+            else:
+                contexts = [(None, whole + split)]
+            key = (("inner", depth, *self._lone, 0) if top
+                   else ("pool", depth, *self._lone))
+            self._fresh(term, ((g, frame), depth, (0,) if top else ()), 1,
+                        slice(0, 1), (_LONE_ROOT, draws, key), None,
+                        contexts, path)
         return (full.value(path)[0, 0],
                 np.stack([mean.value(path)[0, 0] for mean in parts]))
 
     def _nested(self, term, scope: tuple, shape: tuple,
                 path: tuple) -> np.ndarray:
-        """Per chunk of outer samples and rows, one mean over every class
-        (_classes), inner_mc fresh draws per outer sample."""
+        """Per chunk of outer samples and rows, one mean over fresh
+        components (_fresh): inner_mc draws of the lone root per outer
+        sample, or inner_mc balls of the enclosing block, one draw each."""
         (g, frame), depth, chunks, blocks = scope
-        inner = self.inner_mc
+        inner, radius = self.inner_mc, self._radius(term)
         pl = plan(term, self.registry)
-        classes = len(self._types(self._radius(term))[1])
         out, step = np.empty(shape), max(1, graphs.BLOCK // (inner * self.d))
         for lo in range(0, shape[1], step):
             hi = min(shape[1], lo + step)
+            tail = chunks + (lo,)
+            if radius:
+                # below balls, chunks starts with the enclosing block
+                balls = self._balls(radius, chunks[0])
+                pick = stream(self.seed, self.kind, "pick", depth,
+                              *tail).integers(0, len(balls.starts) - 1, inner)
+                src = (_pick(balls, pick)[0], 1, ("inner", depth, *tail))
+            else:
+                src = (_LONE_ROOT, inner, ("inner", depth, *self._lone, *tail))
             # an inner draw reads its outer sample's block
-            ids = None if blocks is None else np.repeat(blocks[lo:hi], inner)
-            per_row = np.full(shape[0], classes * (hi - lo) * inner * self.d)
+            ids = None if blocks is None else np.repeat(blocks[lo:hi], src[1])
+            per_row = np.full(shape[0], (hi - lo) * inner * self.d)
             for r0, r1 in graphs.cost_blocks(per_row, graphs.BLOCK):
                 mean = _Mean(term.weight_map, self.registry)
                 rows = {v: arr[r0:r1] for v, arr in frame.items()}
-                self._classes(term, ((g, rows), depth, chunks + (lo,)),
-                              r1 - r0, slice(lo, hi), inner,
-                              pl if pl.kind == "scored" else None,
-                              [(ids, [(mean, slice(None), inner)])], path)
+                self._fresh(term, ((g, rows), depth, tail), r1 - r0,
+                            slice(lo, hi), src,
+                            pl if pl.kind == "scored" else None,
+                            [(ids, [(mean, slice(None), src[1])])], path)
                 out[r0:r1, lo:hi] = mean.value(path)
         return out
 
-    def _classes(self, term, scope: tuple, rows: int, samples: slice,
-                 inner: int, pl, contexts: list, path: tuple) -> None:
-        """Fresh components of every class, a chunk of classes at a time,
-        joined after those of the rows the scope (bindings, depth, chunks)
-        binds, whose features repeat over each of their samples' inner
-        draws. A collapsed aggregate binds no rows and reads pools; the
-        others read draws keyed by their outer samples' offsets. The body
-        runs once per context (blocks, sinks): blocks gives each draw's
-        error block or is None, and each sink (mean, draws, draws per
-        class) takes the rows of its slice of the draws. A scored
-        aggregate (pl, evaluate.plan) joins nothing: its score's outer
-        argument runs once per row and sample on the rows' components, its
-        value and inner argument on the classes' alone, and one score per
-        (outer sample, inner draw) pair weighs the value."""
+    def _fresh(self, term, scope: tuple, rows: int, samples: slice,
+               src: tuple, pl, contexts: list, path: tuple) -> None:
+        """src's components (union, draws, key), a chunk at a time, each
+        with `draws` feature draws per outer sample read in order from the
+        stream (seed, kind, *key), joined after those of the rows the scope
+        (bindings, depth, chunks) binds, whose features repeat over each of
+        their samples' draws. The body runs once per context (blocks,
+        sinks): blocks gives each draw's error block or is None, and each
+        sink (mean, draws, draws per component) takes its slice of the
+        draws. A scored aggregate (pl, evaluate.plan) joins nothing: its
+        score's outer argument runs on the rows' components, its value and
+        inner argument on the fresh ones alone (module docstring)."""
         (g, frame), depth, tail = scope
+        u, inner, key = src
         d, s = self.d, samples.stop - samples.start
         slots = s * inner
-        u, codes, weights, _ = self._types(self._radius(term))
         sizes = np.diff(u.starts)
-        pooled = not term.outer
         # features on the union the binder lives on: the global aggregates
         # below that read only their binder run on pools of their own
         reads = any(c.feeds for c in read_children(term))
+        rng = stream(self.seed, self.kind, *key) if reads else None
         nodes = np.concatenate([np.zeros(0, np.int64), *frame.values()])
         part, keep = _pick(g, np.unique(
             np.searchsorted(g.starts, nodes, side="right") - 1))
@@ -388,14 +375,12 @@ class McEngine(Interpreter):
             roots = k + comp.starts[:-1]
             feats = None
             if reads:
-                feats = np.empty((roots[-1] + sizes[b - 1], slots, d))
+                fresh = comp.starts[-1]
+                feats = np.empty((k + fresh, slots, d))
                 if k:
                     feats[:k].reshape(k, s, inner, d)[...] = outer[:, :, None]
-                for c, at in zip(range(a, b), roots):
-                    feats[at:at + sizes[c]] = (
-                        self._pool(depth, codes[c], sizes[c]) if pooled
-                        else self._draws(sizes[c], slots, "inner", depth,
-                                         *self._key(codes[c]), *tail))
+                feats[k:] = self._draw(self.dist, fresh * slots, rng).reshape(
+                    fresh, slots, d)
             for (ids, sinks), left in zip(contexts, lefts):
                 if pl:
                     args = (((comp._replace(feats=feats),
@@ -413,10 +398,11 @@ class McEngine(Interpreter):
                              tail, ids), ((b - a) * rows, slots, d), path)
                     vals, etas = _body(term, self._eval, *args)
                 for mean, sl, count in sinks:
+                    # each (component, draw) row weighs 1 / count
                     mean.add(_mixture(vals[:, sl], 1 if pl else rows, count),
                              None if etas is None else
                              _mixture(etas[:, sl], rows, count),
-                             _spread(weights[a:b], count))
+                             np.full((b - a) * count, 1.0 / count))
                 # freed before the next context's body runs
                 del vals, etas
 
@@ -445,7 +431,4 @@ class McEngine(Interpreter):
         return ControllerValue(estimate=full[0].copy(),
                                stderr=batch_stderr(blocks),
                                mc_samples=self.mc,
-                               truncated_mass=self.truncated_mass())
-
-    def truncated_mass(self) -> Optional[float]:
-        return None
+                               truncated_mass=self.truncated_mass)

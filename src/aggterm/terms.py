@@ -10,12 +10,12 @@ structural facts once, at construction, from its children's; the facts
 about reading count only the children a node reads (read_children):
 
 * free: its free variables, in order of first occurrence;
-* depth: the nesting depth of structure-reading operators, the census
-  radius a neighborhood class needs for the term to evaluate on it
-  exactly. rw(x, k) counts k and a local aggregate one more than its
-  body. A global binder does not reset the count: its body may still
-  read structure around outer variables, and the components decoded for
-  those must extend far enough to serve it;
+* depth: the nesting depth of structure-reading operators, the radius
+  a rooted ball needs for the term to evaluate on it exactly. rw(x, k)
+  counts k and a local aggregate one more than its body. A global binder
+  does not reset the count: its body may still read structure around
+  outer variables, and the balls sampled for those must extend far
+  enough to serve it;
 * gcn: whether its value depends on a degree-normalized aggregate;
 * outer: for an aggregate, whether its body reads a variable other than
   its binder; one that does not is one vector for every outer assignment;

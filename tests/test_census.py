@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from aggterm.canonical import canonical_code, code_counts, decode_code
 from aggterm.census import (CensusTable, _ball_codes, _sample_tuples,
-                            is_sparse_class, neighborhood_census)
+                            is_sparse_class, neighborhood_census,
+                            sample_balls)
 from aggterm.dense_limit import dense_controller, dense_limit_p
 from aggterm.errors import ConfigError, NeighborhoodTooLargeError
 from aggterm.graphs import (BaModel, DenseSchedule, ErModel, LogSchedule,
-                            RootSchedule, SparseSchedule, Uniform01,
-                            from_edges, rooted_neighborhood, sample_graph)
+                            RootedGraph, RootSchedule, SparseSchedule,
+                            Uniform01, from_edges, rooted_neighborhood,
+                            sample_graph)
 from aggterm.parser import parse_term
 from aggterm.sparse_limit import CensusConfig, sparse_limit
 from conftest import oracle_code
@@ -343,3 +345,27 @@ def test_census_bytes_are_pinned(model, n, radius, k, roots, seed, cap,
     table = neighborhood_census(model, n, radius, k, roots, seed,
                                 size_cap=cap)
     assert table_digest(table) == digest
+
+
+@pytest.mark.parametrize("model, n, radius, count", [
+    (ErModel(SparseSchedule(2.0)), 400, 2, 700),
+    (BaModel(2), 300, 1, 200),
+    (BaModel(3), 500, 2, 120)])
+def test_sampled_balls_are_the_census_balls(model, n, radius, count):
+    # the sparse limit's balls, uncapped and uncoded, are the census's on
+    # the same graph and root draws: each ball, root first, codes to a
+    # class the census tallies, as often as the census tallies it
+    indptr, indices, starts = sample_balls(model, n, radius, count, 9)
+    assert len(starts) == count + 1 and starts[-1] == len(indptr) - 1
+    tally = {}
+    for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        adj = tuple(tuple(int(v) - lo for v in indices[indptr[i]:indptr[i + 1]])
+                    for i in range(lo, hi))
+        assert all(0 <= v < hi - lo for row in adj for v in row)
+        code = canonical_code(RootedGraph(adj=adj, roots=(0,), radius=radius),
+                              size_cap=n).code
+        tally[code] = tally.get(code, 0) + 1
+    table = neighborhood_census(model, n, radius, 1, count, 9, size_cap=n)
+    assert table.truncated_mass == 0.0
+    assert tally == {code: round(prop * count)
+                     for code, prop in table.proportions.items()}

@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from aggterm import mc
 from aggterm.architectures import ArchConfig, compile_architecture, init_weights
 from aggterm.dense_limit import dense_controller
 from aggterm.errors import ConfigError
@@ -15,8 +16,7 @@ from aggterm.graphs import (BernoulliFeatures, ConstantFeatures, DenseSchedule,
                             UniformRange, draw_features)
 from aggterm.dense_limit import _DenseEngine
 from aggterm.evaluate import _Mean
-from aggterm.mc import (_LONE, ControllerValue, McEngine, batch_stderr,
-                        block_slices)
+from aggterm.mc import _LONE, ControllerValue, batch_stderr, block_slices
 from aggterm.parser import parse_term
 from aggterm.registry import default_registry
 from aggterm.rng import stream
@@ -107,33 +107,26 @@ DISTS = [Uniform01(2), UniformRange(-1.0, 3.0, 2), BernoulliFeatures(0.3, 3),
 
 @pytest.mark.parametrize("dist", DISTS, ids=lambda d: type(d).__name__)
 def test_pool_streams_are_read_once_per_aggregate(dist, monkeypatch):
-    # one pass serves the full run and every error block, so each (depth,
-    # class) pool stream is read once per aggregate that draws on it, from
-    # its start: the two aggregates below read each class's depth-0 pool
-    # twice, and every read is the stream's sample-major rows
-    reads = []
+    # one pass serves the full run and every error block, so each feature
+    # stream is read once per aggregate that draws on it: the two radius-1
+    # aggregates below read each block's depth-0 ball stream twice, and the
+    # two radius-0 ones the lone root's depth-0 pool twice
+    keys = []
 
-    def recording(self, depth, code, count):
-        pool = pool_of(self, depth, code, count)
-        reads.append((depth, code, pool.copy()))
-        return pool
+    def recording(seed, *key):
+        keys.append(key)
+        return stream(seed, *key)
 
-    pool_of = McEngine._pool
-    monkeypatch.setattr(McEngine, "_pool", recording)
-    term = parse_term("add(mean[u](mean[v in N(u)](H(v))), "
-                      "mean[w](mean[x in N(w)](relu(H(x)))))", dist.dim,
+    monkeypatch.setattr(mc, "stream", recording)
+    term = parse_term("add(add(mean[u](mean[v in N(u)](H(v))), "
+                      "mean[w](mean[x in N(w)](relu(H(x))))), "
+                      "add(mean[a](H(a)), mean[b](relu(H(b)))))", dist.dim,
                       registry=default_registry())
     sparse_limit(term, ErModel(SparseSchedule(2.0)), dist,
                  CensusConfig(n=300, node_samples=200), 53, 4)
-    counts = Counter((depth, code) for depth, code, _ in reads)
-    assert len(counts) > 1 and set(counts.values()) == {2}
-    assert any(pool.shape[0] > 1 for _, _, pool in reads)
-    for depth, code, pool in reads:
-        nodes = pool.shape[0]
-        rows = draw_features(dist, 53 * nodes,
-                             stream(4, "sparse", "pool", depth, code.hex()))
-        assert np.array_equal(
-            pool, rows.reshape(53, nodes, dist.dim).transpose(1, 0, 2))
+    assert Counter(keys) == {
+        ("sparse", "pool", 0, _LONE.hex()): 2,
+        **{("sparse", "balls", 0, b): 2 for b in range(10)}}
 
 
 def _lone_draws(kind, seed, count, *key):
@@ -159,7 +152,7 @@ def test_blocks_read_their_own_per_run_values(kind):
         engine, key = _SparseEngine(
             term, default_registry(), Uniform01(1),
             ErModel(SparseSchedule(2.0)),
-            CensusConfig(n=300, node_samples=100), m, seed, 0.05, 64), \
+            CensusConfig(n=300, node_samples=100), m, seed, 64), \
             (_LONE.hex(),)
     v = engine.estimate()
     full, blocks = engine._cache[(term, 0)]
@@ -169,6 +162,32 @@ def test_blocks_read_their_own_per_run_values(kind):
     assert np.allclose(full, [x.mean() * y.mean()], rtol=1e-12, atol=0)
     assert np.array_equal(v.estimate, full)
     assert np.allclose(blocks, want, rtol=1e-12, atol=0)
+    assert np.allclose(v.stderr, batch_stderr(want), rtol=1e-12, atol=0)
+
+
+def test_ball_blocks_are_means_over_their_own_balls():
+    # block b's estimate is the mean over its balls of the root's
+    # neighbour mean, each ball's features the stream (seed, "sparse",
+    # "balls", depth, b) read in node order; an isolated root reads 0
+    m, seed = 50, 14
+    term = parse_term("mean[u](mean[v in N(u)](H(v)))", 1,
+                      registry=default_registry())
+    engine = _SparseEngine(term, default_registry(), Uniform01(1),
+                           ErModel(SparseSchedule(2.0)),
+                           CensusConfig(n=300, node_samples=200), m, seed, 64)
+    v = engine.estimate()
+    want, degs = [], []
+    for b in range(10):
+        u = engine._sampled[1, b]
+        x = _lone_draws("sparse", seed, len(u.indptr) - 1, "balls", 0, b)
+        roots = u.starts[:-1]
+        deg = u.indptr[roots + 1] - u.indptr[roots]
+        want.append([np.mean([x[u.indices[u.indptr[r]:u.indptr[r + 1]]].mean()
+                              if d else 0.0 for r, d in zip(roots, deg)])])
+        degs.append(deg)
+    degs, want = np.concatenate(degs), np.array(want)
+    assert len(degs) == 200 and 0 in degs and degs.max() > 1
+    assert np.allclose(v.estimate, want.mean(axis=0), rtol=1e-12, atol=0)
     assert np.allclose(v.stderr, batch_stderr(want), rtol=1e-12, atol=0)
 
 

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from aggterm import graphs, rw
 from aggterm.graphs import (BaModel, DenseSchedule, ErModel, LogSchedule,
                             SparseSchedule, from_edges, sample_graph)
+from aggterm.mc import _layout
 from aggterm.rw import rw_encoding, rw_encoding_all, walk_returns
-from aggterm.sparse_limit import _layout
 from conftest import path_graph, rand_graph, star_graph
 
 

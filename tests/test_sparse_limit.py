@@ -2,18 +2,21 @@
 
 import importlib
 import math
+import time
 
 import numpy as np
 import pytest
 
-from aggterm.canonical import decode_code
+from aggterm.architectures import (ArchConfig, compile_architecture,
+                                   init_weights)
 from aggterm.census import neighborhood_census
 from aggterm.dense_limit import dense_controller
 from aggterm.errors import ConfigError
 from aggterm.evaluate import eval_closed, eval_nodewise
 from aggterm.graphs import (BaModel, ConstantFeatures, DenseSchedule,
-                            ErModel, SparseSchedule, Uniform01,
-                            attach_features, from_edges, sample_graph)
+                            ErModel, PaddedFeatures, SparseSchedule,
+                            Uniform01, attach_features, from_edges,
+                            sample_graph)
 from aggterm.parser import parse_term
 from aggterm.registry import default_registry
 from aggterm.rng import stream
@@ -90,10 +93,71 @@ def test_rw_against_large_graphs():
 def test_gcn_against_large_graphs():
     term = t("mean[x](gcn[y in N(x)](H(y)))")
     v = sparse_limit(term, K1, Uniform01(1),
-                     CensusConfig(n=4000, node_samples=4000), 8000, 27,
-                     eps=0.02)
+                     CensusConfig(n=4000, node_samples=4000), 8000, 27)
     emp = empirical(term, K1, 16000, Uniform01(1), 27)
     assert abs(float(v.estimate[0]) - float(emp[0])) < 0.03
+
+
+@pytest.mark.parametrize("seed", [55, 56, 57])
+def test_isolated_fraction_error_bars_cover_the_error(seed):
+    # each error block owns its graphs and its slice of the balls, so the
+    # stderr holds the structure noise; with 10 blocks the studentized
+    # error is t with 9 degrees of freedom, past 4 stderr 0.3% of the time
+    v = sparse_limit(t(ISO), K1, Uniform01(1), CensusConfig(5000, 5000),
+                     4000, seed)
+    err = float(v.stderr[0])
+    assert err > 0
+    assert abs(float(v.estimate[0]) - math.exp(-1)) <= 4 * err
+
+
+@pytest.mark.parametrize("seed", [55, 56, 57])
+def test_nested_radius_one_aggregate(seed):
+    # mean[y] reads x, so it is nested, and reads N(y), so each outer
+    # sample takes inner_mc balls picked from its block's; linear in its
+    # inner draws, it has no ratio bias: E[H(x)] P(deg y > 0) E[H(z)]
+    term = t("mean[x](mean[y](hadamard(H(x), mean[z in N(y)](H(z)))))")
+    v = sparse_limit(term, K1, Uniform01(1), CensusConfig(5000, 5000), 4000,
+                     seed)
+    want = 0.5 * (1.0 - math.exp(-1)) / 2.0
+    assert abs(float(v.estimate[0]) - want) <= 4 * float(v.stderr[0])
+
+
+def _net(kind):
+    cfg = ArchConfig(kind=kind, layers=2, hidden=8, classes=3, in_dim=3)
+    net = compile_architecture(cfg, init_weights(cfg, 1))
+    return net, PaddedFeatures(Uniform01(net.in_dim), net.dim)
+
+
+def test_ba_two_layer_limit_takes_every_ball():
+    # BA(2) radius-2 balls hold cycles and hubs; none is capped or dropped
+    net, dist = _net("mean")
+    t0 = time.perf_counter()
+    v = sparse_limit(net.term, BaModel(2), dist, CensusConfig(3000, 3000),
+                     400, 3, registry=net.registry)
+    assert time.perf_counter() - t0 < 2.5
+    assert v.truncated_mass == 0.0 and np.all(v.stderr[:3] > 0)
+
+
+@pytest.mark.parametrize("kind", ["mean", "gat", "gcn"])
+def test_two_layer_nets_against_large_graphs(kind):
+    # the limit against the mean over eight 50,000-node graphs, within 4
+    # combined stderr (about 1 s a net here)
+    net, dist = _net(kind)
+    t0 = time.perf_counter()
+    v = sparse_limit(net.term, K2, dist, CensusConfig(3000, 3000), 200, 5,
+                     registry=net.registry)
+    outs = np.array([net.run(attach_features(
+        sample_graph(K2, 50000, stream(5, "big", i)), Uniform01(net.in_dim),
+        stream(5, "bigf", i))) for i in range(8)])
+    assert time.perf_counter() - t0 < 5.0
+    big = outs.mean(axis=0)
+    err = np.hypot(v.stderr[:3], outs.std(axis=0, ddof=1) / math.sqrt(8))
+    assert np.all(np.abs(v.estimate[:3] - big) <= 4 * err)
+
+
+def test_fewer_balls_than_blocks_rejected():
+    with pytest.raises(ConfigError, match="error blocks"):
+        sparse_limit(t(ISO), K1, Uniform01(1), CensusConfig(500, 9), 100, 1)
 
 
 def test_ba_has_no_isolated_nodes():
@@ -128,12 +192,6 @@ def test_dense_model_rejected():
                      CENSUS, 100, 1)
 
 
-def test_bad_eps_rejected():
-    for eps in (1.0, -0.1):
-        with pytest.raises(ConfigError):
-            sparse_limit(t(ISO), K1, Uniform01(1), CENSUS, 100, 1, eps=eps)
-
-
 def test_tiny_mc_rejected():
     with pytest.raises(ConfigError):
         sparse_limit(t(ISO), K1, Uniform01(1), CENSUS, 1, 1)
@@ -146,13 +204,6 @@ def test_census_config_type_checked():
         sparse_limit(t(ISO), K1, Uniform01(1), {"n": 1000}, 100, 1)
 
 
-def test_unreachable_eps_reports_mass():
-    cfg = CensusConfig(n=1500, node_samples=800, size_cap=12)
-    term = t("mean[x](mean[y in N(x)](mean[z in N(y)](H(z))))")
-    with pytest.raises(ConfigError, match="mass"):
-        sparse_limit(term, BaModel(4), Uniform01(1), cfg, 500, 2, eps=0.01)
-
-
 @pytest.mark.parametrize("src, d, model", [
     (ISO, 1, K1),
     ("mean[u](gcn[v in N(u)](H(v)))", 1, K1),
@@ -161,35 +212,35 @@ def test_unreachable_eps_reports_mass():
 ])
 def test_exact_class_mixture(src, d, model):
     # constant features make every draw equal, so the limit must be the
-    # census mixture of the body at each kept class's root, exactly
+    # mixture of the sampled balls' classes at their sample frequencies:
+    # the mean of the body at every ball's root, exactly. Each ball is a
+    # component of its block's union, read here by the evaluator as a graph
     term = t(src, d)
     dist = ConstantFeatures(0.7, d)
     engine = _SparseEngine(term, REG, dist, model,
-                           CensusConfig(n=1500, node_samples=1500), 50, 31,
-                           0.05, 8)
+                           CensusConfig(n=1500, node_samples=1500), 50, 31, 8)
     got = engine.estimate().estimate
-    [(_, codes, weights, _)] = engine._kept.values()
-    want = np.zeros(d)
-    for code, q in zip(codes, weights):
-        adj = decode_code(code).adj
-        pairs = [(a, b) for a, row in enumerate(adj) for b in row if a < b]
-        g = from_edges(len(adj), [a for a, _ in pairs], [b for _, b in pairs])
-        g = g.with_features(np.full((len(adj), d), 0.7))
-        want += q * eval_nodewise(term.value, g, REG)[0]
-    assert len(codes) > 1
-    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+    roots = []
+    for (radius, _), u in sorted(engine._sampled.items()):
+        assert radius == engine._radius(term)
+        tails = np.repeat(np.arange(len(u.indptr) - 1), np.diff(u.indptr))
+        g = from_edges(len(u.indptr) - 1, tails[tails < u.indices],
+                       u.indices[tails < u.indices])
+        g = g.with_features(np.full((g.n, d), 0.7))
+        roots.append(eval_nodewise(term.value, g, REG)[u.starts[:-1]])
+    roots = np.concatenate(roots)
+    assert len(roots) == 1500 and np.ptp(roots, axis=0).max() > 0
+    assert np.allclose(got, roots.mean(axis=0), rtol=1e-12, atol=1e-12)
 
 
 def test_unread_weight_argument_needs_no_census_radius():
-    # the weight map one never reads the local mean, so one radius-0 class
-    # (a lone root) serves the term
+    # the weight map one never reads the local mean, so the lone root
+    # serves the term and no ball is sampled
     term = t("wmean[y](H(y), one, mean[z in N(y)](H(z)))")
     engine = _SparseEngine(term, REG, Uniform01(1), K2,
-                           CensusConfig(n=300, node_samples=300), 50, 31,
-                           0.05, 8)
+                           CensusConfig(n=300, node_samples=300), 50, 31, 8)
     engine.estimate()
-    assert list(engine._kept) == [0]
-    assert len(engine._kept[0][1]) == 1
+    assert engine._sampled == {}
 
 
 @pytest.mark.parametrize("src,d,drawn", [
@@ -231,9 +282,6 @@ COUNT_CALLS = {
     "census node_samples": lambda: sparse_limit(
         t(ISO), K1, Uniform01(1), CensusConfig(n=500, node_samples=200.5),
         100, 1),
-    "census size_cap": lambda: sparse_limit(
-        t(ISO), K1, Uniform01(1),
-        CensusConfig(n=500, node_samples=200, size_cap=3.5), 100, 1),
     # a term that reads no structure draws no census; its CensusConfig
     # still refuses counts that are not integers
     "census n, radius 0": lambda: sparse_limit(
@@ -242,9 +290,6 @@ COUNT_CALLS = {
     "census node_samples, radius 0": lambda: sparse_limit(
         t("mean[v](H(v))"), K1, Uniform01(1),
         CensusConfig(n=500, node_samples=200.5), 100, 1),
-    "census size_cap, radius 0": lambda: sparse_limit(
-        t("mean[v](H(v))"), K1, Uniform01(1),
-        CensusConfig(n=500, node_samples=200, size_cap=3.5), 100, 1),
     "census radius": lambda: neighborhood_census(K1, 500, 1.5, 1, 200, 1),
     "census k": lambda: neighborhood_census(K1, 500, 1, 1.5, 200, 1),
 }
@@ -271,9 +316,8 @@ def test_radius_zero_is_exact_without_a_census(monkeypatch):
         raise AssertionError("a radius-0 term sampled a census")
 
     monkeypatch.setattr(sl, "neighborhood_census", no_census)
+    monkeypatch.setattr(sl, "sample_balls", no_census)
     engine = _SparseEngine(t("mean[u](wmean[v](H(v), exp, H(u)))"), REG,
-                           Uniform01(1), K1, CENSUS, 200, 3, 0.05, 8)
+                           Uniform01(1), K1, CENSUS, 200, 3, 8)
     value = engine.estimate()
-    [(_, codes, weights, dropped)] = engine._kept.values()
-    assert codes == (lone,) and weights.tolist() == [1.0] and dropped == 0.0
-    assert value.truncated_mass == 0.0
+    assert engine._sampled == {} and value.truncated_mass == 0.0
